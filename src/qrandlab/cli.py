@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import secrets
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,31 +93,14 @@ class RunConfig:
     subcommand: str
     params: dict
     seed: int
-    threads: int = field(default=1)
 
     def to_record(self) -> dict:
-        return {
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "seed": self.seed,
-            "threads": self.threads,
-        }
+        return {"subcommand": self.subcommand, "params": self.params, "seed": self.seed}
 
     @classmethod
     def from_record(cls, rec: dict) -> "RunConfig":
-        return cls(
-            subcommand=rec["subcommand"],
-            params=dict(rec["params"]),
-            seed=rec["seed"],
-            threads=rec.get("threads", 1),
-        )
-
-
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("QRANDLAB_THREADS", "1")))
-    except ValueError:
-        return 1
+        # fields beyond these (such as an older record's "threads") are ignored
+        return cls(subcommand=rec["subcommand"], params=dict(rec["params"]), seed=rec["seed"])
 
 
 def _resolve_seed(seed) -> int:
@@ -440,12 +422,7 @@ def main(argv=None) -> int:
             config = RunConfig.from_record(first["config"])
         else:
             params = {k: getattr(args, k) for k in _PARAM_KEYS[args.subcommand]}
-            config = RunConfig(
-                subcommand=args.subcommand,
-                params=params,
-                seed=_resolve_seed(args.seed),
-                threads=_default_threads(),
-            )
+            config = RunConfig(args.subcommand, params, _resolve_seed(args.seed))
         record = run_config(config)
     except (CliUsageError, MemoryBudgetError, BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

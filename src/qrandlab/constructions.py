@@ -29,7 +29,7 @@ import numpy as np
 from .extraction import RoundParams, extract, good_set_member
 from .primitives import BOT, BotValue, GeneratorHandle, vote, vote_non_bot
 from .qcore import StateVector
-from .rng import SeededRng
+from .rng import TABLE_EVAL_SEED, SeededRng
 from .tomography import exact_diagonal, sampled_diagonal
 
 
@@ -265,7 +265,7 @@ def con3_handle(params: Con3Params) -> GeneratorHandle:
         input_len=params.inner.input_len,
         output_len=params.N.bit_length() - 1,
         eval=lambda key, rng: con3_stategen(params, key, rng),
-        qsamp=params.inner.qsamp or (lambda rng: rng.bits(params.inner.input_len)),
+        qsamp=params.inner.sample_key,
         dim=params.N,
         description=f"phase states over [{params.inner.description}]",
     )
@@ -290,7 +290,7 @@ def prfqs_from_prgqs(
     def eval_fn(key, x: int, rng: SeededRng | None = None):
         if not 0 <= x < domain_size:
             raise ValueError(f"input {x} outside domain [0, {domain_size})")
-        y = inner.eval(key, rng if rng is not None else SeededRng(0xA0D3, 0))
+        y = inner.eval(key, rng if rng is not None else SeededRng(TABLE_EVAL_SEED, 0))
         if isinstance(y, BotValue):
             if y.is_bot:
                 return BOT
@@ -302,7 +302,6 @@ def prfqs_from_prgqs(
         input_len=inner.input_len,
         output_len=word_len,
         eval=eval_fn,
-        qsamp=inner.qsamp or (lambda rng: rng.bits(inner.input_len)),
-        domain=domain_size,
+        qsamp=inner.sample_key,
         description=f"table function over [{inner.description}]",
     )

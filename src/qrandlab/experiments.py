@@ -21,8 +21,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .oracles import bruteforce_owsg_adversary, bruteforce_prg_adversary
 from .primitives import BotValue, GeneratorHandle, is_bot
-from .qcore import MemoryBudgetError, StateVector, symmetric_moment
+from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, StateVector, measure_computational, symmetric_moment
 from .rng import SeededRng, int_to_bits
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -59,7 +60,6 @@ class AdversaryHandle:
     strategy_id: str
     work_budget: int
     decide: Callable = field(compare=False)
-    oracle_access: tuple[str, ...] = ()
 
 
 def coin_flip_adversary() -> AdversaryHandle:
@@ -90,8 +90,6 @@ def bot_count_adversary() -> AdversaryHandle:
 
 def bruteforce_prg_handle(candidate: GeneratorHandle) -> AdversaryHandle:
     """Image-membership search over the candidate's whole key space."""
-    from .oracles import bruteforce_prg_adversary
-
     def decide(challenge: str, budget: CallBudget, rng) -> int:
         budget.charge(1 << candidate.input_len)
         return bruteforce_prg_adversary(candidate, challenge)
@@ -101,8 +99,6 @@ def bruteforce_prg_handle(candidate: GeneratorHandle) -> AdversaryHandle:
 
 def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
     """Maximum-likelihood key search over the generator's whole key space."""
-    from .oracles import bruteforce_owsg_adversary
-
     def decide(copies: Sequence[StateVector], budget: CallBudget, rng) -> str:
         budget.charge(1 << gen.input_len)
         return bruteforce_owsg_adversary(gen, list(copies))
@@ -120,8 +116,6 @@ def owsg_coin_flip_adversary() -> AdversaryHandle:
     """
 
     def decide(copies: Sequence[StateVector], budget, rng) -> str:
-        from .qcore import measure_computational
-
         first = copies[0]
         lam = first.dim.bit_length() - 1
         key = int_to_bits(measure_computational(first, rng), lam)
@@ -371,36 +365,39 @@ def _key_iter(gen: GeneratorHandle, n_keys: int, mode: str, rng: SeededRng):
     raise ValueError(f"mode must be 'exact-enum' or 'monte-carlo', got {mode!r}")
 
 
-def _moment_matrix(gen: GeneratorHandle, t: int, keys, rng: SeededRng, chunk: int = 2000):
-    """Key-averaged t-copy moment.  For t = 2 the average is accumulated in
-    symmetric-pair coordinates (exact: tensor squares live entirely in the
-    symmetric subspace), which also halves the gramian cost.
+def _moment_gramians(gen: GeneratorHandle, t: int, keys, rng: SeededRng, chunk: int):
+    """Unnormalised t-copy gramian of each ``chunk`` consecutive keys.
 
-    Evaluation rng streams are offset past the key-sampling streams so a
-    stochastic generator never replays the draws that produced its key.
+    For t = 2 the rows are in symmetric-pair coordinates (exact: tensor
+    squares live entirely in the symmetric subspace), which also halves
+    the gramian cost.  Evaluation rng streams are offset past the
+    key-sampling streams so a stochastic generator never replays the
+    draws that produced its key.
     """
-    dim = gen.dim
-    if dim**t > 4096:
-        raise MemoryBudgetError(f"dim**t = {dim ** t} exceeds the tensor budget")
-    offset = len(keys)
     if t == 2:
-        xs, ys, weights = _sym_pair_basis(dim)
-        acc = np.zeros((len(xs), len(xs)), dtype=complex)
-        for start in range(0, len(keys), chunk):
-            batch = keys[start : start + chunk]
-            states = _keyed_states(gen, batch, rng, offset + start)
-            w = states[:, xs] * states[:, ys] * weights
-            acc += w.conj().T @ w
-        return acc / len(keys), True
-    acc = np.zeros((dim**t, dim**t), dtype=complex)
+        xs, ys, weights = _sym_pair_basis(gen.dim)
+    offset = len(keys)
     for start in range(0, len(keys), chunk):
-        batch = keys[start : start + chunk]
-        states = _keyed_states(gen, batch, rng, offset + start)
-        w = states
-        for _ in range(t - 1):
-            w = (w[:, :, None] * states[:, None, :]).reshape(len(batch), -1)
-        acc += w.conj().T @ w
-    return acc / len(keys), False
+        states = _keyed_states(gen, keys[start : start + chunk], rng, offset + start)
+        if t == 2:
+            w = states[:, xs] * states[:, ys] * weights
+        else:
+            w = states
+            for _ in range(t - 1):
+                w = (w[:, :, None] * states[:, None, :]).reshape(len(states), -1)
+        yield w.conj().T @ w
+
+
+def _moment_matrix(gen: GeneratorHandle, t: int, keys, rng: SeededRng, chunk: int = 2000):
+    """Key-averaged t-copy moment, in symmetric-pair coordinates for t = 2."""
+    dim = gen.dim
+    if dim**t > MAX_TENSOR_DIM:
+        raise MemoryBudgetError(f"dim**t = {dim ** t} exceeds the tensor budget")
+    size = dim * (dim + 1) // 2 if t == 2 else dim**t
+    acc = np.zeros((size, size), dtype=complex)
+    for gram in _moment_gramians(gen, t, keys, rng, chunk):
+        acc += gram
+    return acc / len(keys), t == 2
 
 
 def moment_distance(
@@ -445,17 +442,11 @@ def moment_distance_ci(
     dim = gen.dim
     if t != 2 or dim > 22:
         raise MemoryBudgetError("bootstrap interval supported for t=2, dim <= 22 only")
-    xs, ys, weights = _sym_pair_basis(dim)
     per_batch = n_keys // n_batches
     if per_batch < 1:
         raise ValueError("need at least one key per batch")
-    batches = []
-    for b in range(n_batches):
-        keys = [gen.sample_key(rng.child(b * per_batch + j)) for j in range(per_batch)]
-        states = _keyed_states(gen, keys, rng, (n_batches + b) * per_batch)
-        w = states[:, xs] * states[:, ys] * weights
-        batches.append((w.conj().T @ w) / per_batch)
-    batches = np.array(batches)
+    keys = _key_iter(gen, n_batches * per_batch, "monte-carlo", rng)
+    batches = np.array([gram / per_batch for gram in _moment_gramians(gen, 2, keys, rng, per_batch)])
     target = np.eye(batches.shape[1]) / batches.shape[1]
 
     def distance(mat):

@@ -132,10 +132,8 @@ def gaussian_block_check(d: int, n_states: int, rng: SeededRng) -> BlockStats:
     good = 0
     for i in range(n_states):
         diag = exact_diagonal(haar_sample(d, rng))
-        q = block_sums(diag, params)
-        sums[i] = q
-        if np.all(np.abs(q - params.threshold) > params.margin):
-            good += 1
+        sums[i] = block_sums(diag, params)
+        good += good_set_member(diag, params)
     pooled = sums.ravel()
     model_std = np.sqrt(params.r) / d
     ks = stats.kstest(pooled, "norm", args=(params.threshold, model_std)).statistic

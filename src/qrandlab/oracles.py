@@ -32,8 +32,8 @@ from functools import lru_cache
 import numpy as np
 
 from .primitives import BOT, BotValue, GeneratorHandle, _plurality
-from .qcore import MemoryBudgetError, RankTwoFlip, StateVector, apply_flip, measure_computational
-from .rng import SeededRng, derive_int, fisher_yates_table, int_to_bits
+from .qcore import MemoryBudgetError, RankTwoFlip, StateVector
+from .rng import IMAGE_SEARCH_SEED, OWSG_SEARCH_SEED, SeededRng, derive_int, fisher_yates_table, int_to_bits
 
 WORLD_KINDS = ("flip-world", "bot-world", "sampler-world")
 DERIVATION_ID = "sha256ctr/fisher-yates/v1"
@@ -336,18 +336,14 @@ def prfqs_from_world(world: OracleWorld, n: int) -> GeneratorHandle:
     """Keyed pseudorandom function backed by a flip or sampler world.
 
     Key sampling measures the world's key channel to obtain (x, O_n(x));
-    evaluation on input a runs the verify/eval channel, which equals
-    P_n(x, a) for any honestly sampled key -- exactly deterministic,
-    since the same key is reused across evaluations.
+    a flip world's key is drawn by ``lazy_flip_key`` at every n, which
+    has exactly the law of measuring swap(|0...0>).  Evaluation on input
+    a runs the verify/eval channel, which equals P_n(x, a) for any
+    honestly sampled key -- exactly deterministic, since the same key is
+    reused across evaluations.
     """
     if world.kind == "flip-world":
         def qsamp(rng: SeededRng) -> str:
-            if n <= _MAX_DENSE_FLIP_N:
-                swapped = apply_flip(flip_oracle(world, n), StateVector.basis(flip_state_dim(n), 0))
-                lead, x, y = decode_flip_index(measure_computational(swapped, rng), n)
-                if lead != 1:
-                    raise AssertionError("swap of the zero state left the key subspace")
-                return x + y
             x, y = lazy_flip_key(world, n, rng)
             return x + y
     elif world.kind == "sampler-world":
@@ -370,7 +366,6 @@ def prfqs_from_world(world: OracleWorld, n: int) -> GeneratorHandle:
         output_len=n,
         eval=eval_fn,
         qsamp=qsamp,
-        domain=1 << n,
         description=f"{world.kind} seed={world.seed} n={n}",
     )
 
@@ -388,7 +383,7 @@ def candidate_image(candidate: GeneratorHandle, evals_per_key: int = 1) -> set[s
     for k in range(1 << candidate.input_len):
         key = int_to_bits(k, candidate.input_len)
         outs = [
-            candidate.eval(key, SeededRng(0xA0D1, (k << 8) + j))
+            candidate.eval(key, SeededRng(IMAGE_SEARCH_SEED, (k << 8) + j))
             for j in range(evals_per_key)
         ]
         modal = _plurality(outs)
@@ -429,7 +424,7 @@ def bruteforce_owsg_adversary(gen: GeneratorHandle, copies: list[StateVector]) -
     best_key, best_score = None, -1.0
     for k in range(1 << gen.input_len):
         key = int_to_bits(k, gen.input_len)
-        candidate = gen.eval(key, SeededRng(0xA0D2, k))
+        candidate = gen.eval(key, SeededRng(OWSG_SEARCH_SEED, k))
         score = 1.0
         for copy in copies:
             score *= candidate.fidelity(copy)

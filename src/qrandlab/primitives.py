@@ -106,7 +106,6 @@ class GeneratorHandle:
     eval: Callable = field(compare=False)
     qsamp: Optional[Callable] = field(default=None, compare=False)
     dim: Optional[int] = None
-    domain: Optional[int] = None
     description: str = ""
 
     def __post_init__(self):

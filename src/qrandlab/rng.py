@@ -5,16 +5,20 @@ masters:
 
 * ``SeededRng`` wraps numpy's Philox4x64-10 counter-based bit generator.
   It drives all *simulation* randomness (Haar sampling, measurement,
-  experiment coins).  A stream is fully named by ``(algorithm, seed,
-  counter)``; stream ``counter`` starts the 256-bit Philox counter at
+  experiment coins).  A stream is fully named by ``(seed, counter)``;
+  stream ``counter`` starts the 256-bit Philox counter at
   ``counter * 2**128``, so distinct counters can never overlap as long
-  as each stream draws fewer than 2**128 blocks.
+  as each stream draws fewer than 2**128 blocks.  Counters must stay
+  below 2**128: four levels of ``child`` below a counter-0 stream fit,
+  a fifth is rejected.
 
 * ``derive_bits`` / ``ShaStream`` implement a keyed deterministic
   derivation (SHA-256 in counter mode over an unambiguous encoding of
   ``seed || function-id || n || input``).  Oracle worlds are built from
   it, so a world is reproducible from its seed alone, across platforms
-  and across reimplementations in other languages.
+  and across reimplementations in other languages.  ``derive_bits``
+  packs its block counter as 4 big-endian bytes and ``ShaStream`` as 8;
+  both widths are part of ``DERIVATION_ID`` v1 and must not change.
 """
 
 from __future__ import annotations
@@ -27,31 +31,37 @@ import numpy as np
 
 PHILOX_ALGORITHM = "philox4x64-10/block128"
 
+# Seeds of the fixed streams that evaluate a generator outside any caller's
+# stream; distinct so no two of them share draws.
+IMAGE_SEARCH_SEED = 0xA0D1  # brute-force image search, stream (key << 8) + eval
+OWSG_SEARCH_SEED = 0xA0D2  # brute-force OWSG key search, stream key
+TABLE_EVAL_SEED = 0xA0D3  # table-function evaluation called without an rng
+
 _U64 = (1 << 64) - 1
+_MAX_COUNTER = 1 << 128  # counter << 128 must fit Philox's 256-bit counter
+_CHILD_FANOUT = (1 << 32) - 1  # child indices below this never reach the next parent's range
 
 
 @dataclass
 class SeededRng:
-    """Named, reproducible randomness stream.
+    """Named, reproducible randomness stream over Philox4x64-10
+    (``PHILOX_ALGORITHM``).
 
-    Identical ``(algorithm, seed, counter)`` triples yield identical
-    draw sequences.  The object is single-owner: it holds a live numpy
-    ``Generator`` whose position advances with every draw.  Parallel
-    trials should each construct their own ``SeededRng`` via ``child``.
+    Identical ``(seed, counter)`` pairs yield identical draw sequences.
+    The object is single-owner: it holds a live numpy ``Generator``
+    whose position advances with every draw.  Parallel trials should
+    each construct their own ``SeededRng`` via ``child``.
     """
 
     seed: int
     counter: int = 0
-    algorithm: str = PHILOX_ALGORITHM
     _gen: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= _U64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        if self.counter < 0:
-            raise ValueError(f"stream counter must be nonnegative, got {self.counter}")
-        if self.algorithm != PHILOX_ALGORITHM:
-            raise ValueError(f"unknown rng algorithm {self.algorithm!r}")
+        if not 0 <= self.counter < _MAX_COUNTER:
+            raise ValueError(f"stream counter must be in [0, 2**128), got {self.counter}")
         bitgen = np.random.Philox(key=self.seed, counter=self.counter << 128)
         self._gen = np.random.Generator(bitgen)
 
@@ -63,11 +73,11 @@ class SeededRng:
         """Independent stream for sub-task ``index`` (e.g. one trial).
 
         Children of a stream with counter c occupy counters
-        c*2**32 + 1 + index, which keeps parent and child ranges
-        disjoint for any sane fan-out.
+        c*2**32 + 1 + index.  Indices are capped below 2**32 - 1 so the
+        children of c never reach the range of c + 1.
         """
-        if index < 0:
-            raise ValueError("child index must be nonnegative")
+        if not 0 <= index < _CHILD_FANOUT:
+            raise ValueError(f"child index must be in [0, 2**32 - 1), got {index}")
         return SeededRng(self.seed, (self.counter << 32) + 1 + index)
 
     # Thin draw helpers so call sites read like the math they implement.
@@ -160,10 +170,6 @@ def fisher_yates_table(seed: int, function_id: str, n_bits: int) -> np.ndarray:
         j = stream.bounded(i + 1)
         table[i], table[j] = table[j], table[i]
     return table
-
-
-def bits_to_int(bits: str) -> int:
-    return int(bits, 2) if bits else 0
 
 
 def int_to_bits(value: int, width: int) -> str:

@@ -67,6 +67,21 @@ class TestRerun:
         replay = parse_lines(out)[0]
         assert canonical_json(strip_timing(original)) == canonical_json(strip_timing(replay))
 
+    def test_record_config_is_subcommand_params_seed(self, capsys):
+        _, out, _ = run_cli(capsys, ["extract", "--d", "64", "--states", "3", "--seed", "5"])
+        assert set(parse_lines(out)[0]["config"]) == {"subcommand", "params", "seed"}
+
+    def test_rerun_accepts_record_with_threads(self, capsys, tmp_path):
+        argv = ["haar-stats", "--d", "64", "--states", "20", "--seed", "12"]
+        _, out, _ = run_cli(capsys, argv)
+        original = parse_lines(out)[0]
+        old = tmp_path / "old.jsonl"
+        old.write_text(json.dumps({**original, "config": {**original["config"], "threads": 4}}) + "\n")
+        code, out, _ = run_cli(capsys, ["rerun", "--record", str(old)])
+        assert code == 0
+        replay = parse_lines(out)[0]
+        assert canonical_json(strip_timing(replay)) == canonical_json(strip_timing(original))
+
     def test_missing_record_file(self, capsys):
         code, _, err = run_cli(capsys, ["rerun", "--record", "/nonexistent.jsonl"])
         assert code == 2

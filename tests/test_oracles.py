@@ -281,6 +281,24 @@ class TestPrfFromWorld:
         for a_int in range(4):
             assert gen.eval(x + bad_y, int_to_bits(a_int, 2)).is_bot
 
+    def test_lazy_keys_follow_dense_measurement_law(self):
+        # the dense swap of |0...0> is the reference for the lazy key law
+        world = OracleWorld("flip-world", seed=59, n_max=2)
+        swapped = apply_flip(flip_oracle(world, 2), StateVector.basis(flip_state_dim(2), 0))
+        probs = born_distribution(swapped)
+        law = {}
+        for idx in np.nonzero(probs)[0]:
+            lead, x, y = decode_flip_index(int(idx), 2)
+            assert lead == 1
+            law[x + y] = probs[idx]
+        gen = prfqs_from_world(world, 2)
+        rng = SeededRng(12)
+        counts = dict.fromkeys(law, 0)
+        for i in range(2000):
+            counts[gen.qsamp(rng.child(i))] += 1  # KeyError if off the support
+        expected = [2000 * law[k] for k in counts]
+        assert stats.chisquare(list(counts.values()), expected).pvalue >= 0.01
+
     def test_lazy_sampling_above_dense_budget(self):
         world = OracleWorld("flip-world", seed=55, n_max=4)
         gen = prfqs_from_world(world, 3)

@@ -1,0 +1,108 @@
+"""Known-answer tests for the reproducibility contract.
+
+Every golden value below was produced by the code before any
+optimisation touched these streams; a change that moves one of them
+changes what a recorded seed reproduces.
+"""
+
+import hashlib
+
+import pytest
+
+from qrandlab.experiments import moment_distance, moment_distance_ci
+from qrandlab.oracles import OracleWorld, prfqs_from_world
+from qrandlab.rng import ShaStream, SeededRng, derive_bits, derive_int, fisher_yates_table
+from qrandlab.toys import random_phase_sprs
+
+
+class TestSeededRngStreams:
+    def test_first_draws(self):
+        rng = SeededRng(2024, 3)
+        assert rng.integers(0, 1 << 32, size=4).tolist() == [
+            3382451414, 3833137510, 1605422298, 2081687668,
+        ]
+        assert rng.uniform() == 0.4902606015572777
+
+    def test_child_first_draws(self):
+        child = SeededRng(2024, 3).child(5)
+        assert child.counter == (3 << 32) + 1 + 5
+        assert child.integers(0, 1 << 32, size=4).tolist() == [
+            1241146508, 181044989, 2403135797, 570890450,
+        ]
+        assert child.uniform() == 0.19331473097178065
+
+    def test_bits(self):
+        bits = SeededRng(2024).bits(300)
+        assert len(bits) == 300
+        assert int(bits, 2) == 0x5D5831D20704CE3BC283D76028FC2F71999CE587C29FEC8339BE48E4D11C1D05D6A2B897379
+
+
+class TestStreamLimits:
+    def test_child_index_cap(self):
+        # index 2**32 would land on child(0).child(0)'s counter
+        with pytest.raises(ValueError, match=r"2\*\*32 - 1"):
+            SeededRng(1).child(2**32)
+        with pytest.raises(ValueError, match=r"2\*\*32 - 1"):
+            SeededRng(1).child(2**32 - 1)
+        assert SeededRng(1).child(2**32 - 2).counter == 2**32 - 1
+        with pytest.raises(ValueError):
+            SeededRng(1).child(-1)
+
+    def test_counter_cap(self):
+        assert SeededRng(1, 2**128 - 1).counter == 2**128 - 1
+        with pytest.raises(ValueError, match=r"2\*\*128"):
+            SeededRng(1, 2**128)
+        with pytest.raises(ValueError):
+            SeededRng(1, -1)
+
+    def test_nesting_depth(self):
+        rng = SeededRng(1)
+        for _ in range(4):
+            rng = rng.child(0)
+        rng.uniform()
+        with pytest.raises(ValueError, match=r"2\*\*128"):
+            rng.child(0)
+
+
+class TestDerivation:
+    def test_derive_bits_single_block(self):
+        assert derive_bits(2024, "toy-prg", 8, 5, 24) == "010001111100100111001100"
+        assert derive_int(2024, "toy-prg", 8, 5, 24) == 0b010001111100100111001100
+
+    def test_derive_bits_two_blocks(self):
+        bits = derive_bits(2024, "toy-prg", 8, 5, 300)
+        assert bits[:24] == derive_bits(2024, "toy-prg", 8, 5, 24)
+        assert int(bits, 2) == 0x47C9CC5F15D30016D3EC1E0C2BD7CEB78D7145347BE67BA62FE8AE53AC71D5304F238321A46
+
+    def test_sha_stream_words(self):
+        stream = ShaStream(2024, "bot-world/P", 8)
+        assert [stream._next_word() for _ in range(5)] == [
+            16295676159294212735,
+            1412019605716616561,
+            7756634153501359397,
+            7097334249635145607,
+            12991602247814294835,
+        ]
+
+    def test_fisher_yates_table(self):
+        table = fisher_yates_table(2024, "bot-world/P", 8)
+        assert table[:16].tolist() == [55, 117, 67, 21, 133, 141, 221, 178, 152, 177, 199, 196, 75, 77, 173, 176]
+        assert sorted(table.tolist()) == list(range(256))
+        digest = hashlib.sha256(table.astype(">u8").tobytes()).hexdigest()
+        assert digest == "b5376f2d665c0df7536e991757c18c4bf4b3e26fc5c385694a04ea278f80a188"
+
+
+class TestPinnedStatistics:
+    def test_moment_distance(self):
+        dist = moment_distance(random_phase_sprs(8), 2, 3000, "monte-carlo", SeededRng(3, 2), 700)
+        assert dist == pytest.approx(0.10446886260421989, rel=1e-12)
+
+    def test_moment_distance_ci(self):
+        est, (lo, hi) = moment_distance_ci(random_phase_sprs(8), 2, 2013, SeededRng(4), 25, 50)
+        assert est == pytest.approx(0.107362464815749, rel=1e-12)
+        assert lo == pytest.approx(0.10011969108182874, rel=1e-12)
+        assert hi == pytest.approx(0.11460523854966927, rel=1e-12)
+
+    def test_flip_world_key(self):
+        world = OracleWorld("flip-world", 2024, n_max=2)
+        assert prfqs_from_world(world, 2).qsamp(SeededRng(2024, 1)) == "11" + "0001010100110011"
