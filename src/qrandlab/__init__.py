@@ -58,6 +58,7 @@ from .primitives import (
     BotValue,
     DeterminismAudit,
     GeneratorHandle,
+    as_bot,
     determinism_audit,
     is_bot,
     vote,
@@ -80,6 +81,7 @@ from .qcore import (
 from .rng import SeededRng, derive_bits, derive_int
 from .tomography import (
     DiagonalEstimate,
+    estimate_diagonal,
     exact_diagonal,
     linf_error,
     sampled_diagonal,

@@ -116,7 +116,7 @@ def cmd_extract(params: dict, seed: int) -> dict:
         rparams = RoundParams(d)
     except ValueError as exc:
         raise CliUsageError(f"{exc}") from exc
-    mode, t = params["mode"], params.get("t")
+    mode, t = params["mode"], params["t"]
     if mode == "sampled" and not t:
         raise CliUsageError("sampled mode needs --t copies")
     rng = SeededRng(seed)
@@ -228,8 +228,8 @@ def cmd_oracle_sim(params: dict, seed: int) -> dict:
     if kind is None:
         raise CliUsageError(f"unknown world {params['world']!r}; pick flip, bot, or sampler")
     n = params["n"]
-    world = OracleWorld(kind, seed, n_max=n, c=params.get("c", 1.0))
-    queries = _load_queries(params["queries"]) if params.get("queries") else [{}] * params.get("draws", 8)
+    world = OracleWorld(kind, seed, n_max=n, c=params["c"])
+    queries = _load_queries(params["queries"]) if params["queries"] else [{}] * params["draws"]
     rng = SeededRng(seed, 1)
     responses = []
     for i, query in enumerate(queries):
@@ -268,11 +268,11 @@ def cmd_experiment(params: dict, seed: int) -> dict:
     name = params["name"]
     rng = SeededRng(seed)
     if name == "prg":
-        gen = toy_prg(params["lam"], params["s"], seed=params.get("gen_seed", 7))
+        gen = toy_prg(params["lam"], params["s"])
         adversary = _prg_adversary(params["adversary"], gen)
         report = exp_prg(gen, adversary, params["trials"], rng)
     elif name == "bot-prg":
-        world = OracleWorld("bot-world", params.get("world_seed", seed), n_max=params["n"], c=params["c"])
+        world = OracleWorld("bot-world", seed, n_max=params["n"], c=params["c"])
         gen = bot_prg_handle(world, params["n"])
         if params["adversary"] == "bot-count":
             adversary = bot_count_adversary()
@@ -283,7 +283,7 @@ def cmd_experiment(params: dict, seed: int) -> dict:
         report = exp_botprg(gen, adversary, params["q"], params["trials"], rng)
     elif name == "owsg":
         if params["adversary"] == "bruteforce":
-            gen = toy_owsg_haar(params["lam"], params.get("dim", 16))
+            gen = toy_owsg_haar(params["lam"], params["dim"])
             adversary = bruteforce_owsg_handle(gen)
         elif params["adversary"] == "coin-flip":
             gen = toy_owsg_basis(params["lam"])
@@ -400,18 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARAM_KEYS = {
-    "extract": ("d", "states", "mode", "t"),
-    "haar-stats": ("d", "states"),
-    "prg-qs": ("source", "n", "c", "keys", "evals"),
-    "sprs-qs": ("source", "n", "c", "con3_c", "N", "keys"),
-    "oracle-sim": ("world", "n", "c", "queries", "draws"),
-    "experiment": (
-        "name", "lam", "s", "n", "c", "q", "t", "N", "keys", "trials", "adversary", "dim",
-    ),
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -421,13 +409,11 @@ def main(argv=None) -> int:
                 first = json.loads(fh.readline())
             config = RunConfig.from_record(first["config"])
         else:
-            params = {k: getattr(args, k) for k in _PARAM_KEYS[args.subcommand]}
+            # every subcommand flag is a recorded param, except the run's seed and output file
+            params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "seed", "out")}
             config = RunConfig(args.subcommand, params, _resolve_seed(args.seed))
         record = run_config(config)
-    except (CliUsageError, MemoryBudgetError, BudgetExceededError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (CliUsageError, MemoryBudgetError, BudgetExceededError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     _emit(record, args.out)

@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extraction import RoundParams, extract, good_set_member
-from .primitives import BOT, BotValue, GeneratorHandle, vote, vote_non_bot
+from .primitives import BOT, BotValue, GeneratorHandle, as_bot, vote, vote_non_bot
 from .qcore import StateVector
 from .rng import TABLE_EVAL_SEED, SeededRng
-from .tomography import exact_diagonal, sampled_diagonal
+from .tomography import estimate_diagonal
 
 
 @dataclass(frozen=True)
@@ -108,13 +108,14 @@ class Con2Params:
     mode: str = "exact"
     t: int | None = None
     attempts: int | None = None  # key-sampling retries; nominally lam
+    round_params: RoundParams = field(init=False)
     flags: tuple[str, ...] = field(init=False)
 
     def __post_init__(self):
         if self.inner.kind != "sprs-qs":
             raise ValueError(f"inner must be a sprs-qs, got {self.inner.kind}")
         d = self.inner.dim
-        RoundParams(d)  # validates the dimension shape
+        object.__setattr__(self, "round_params", RoundParams(d))  # validates the dimension shape
         if self.mode not in ("exact", "sampled"):
             raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
         if self.mode == "sampled" and (self.t is None or self.t < 1):
@@ -141,10 +142,6 @@ class Con2Params:
         return self.inner.dim
 
     @property
-    def round_params(self) -> RoundParams:
-        return RoundParams(self.d)
-
-    @property
     def m(self) -> int:
         """Actual output length: the rounding width d^(1/6)."""
         return self.round_params.num_bits
@@ -153,11 +150,6 @@ class Con2Params:
     def m_nominal(self) -> int:
         return math.ceil(self.lam ** (self.c / 12))
 
-    def _diagonal(self, psi: StateVector, rng: SeededRng):
-        if self.mode == "exact":
-            return exact_diagonal(psi)
-        return sampled_diagonal(psi, self.t, rng)
-
 
 def con2_qsamp(params: Con2Params, rng: SeededRng) -> BotValue:
     """Sample inner keys (nominally lam retries); keep the first whose state's
@@ -165,7 +157,7 @@ def con2_qsamp(params: Con2Params, rng: SeededRng) -> BotValue:
     for _ in range(params.attempts or params.lam):
         key = params.inner.qsamp(rng)
         psi = params.inner.eval(key, rng)
-        diag = params._diagonal(psi, rng)
+        diag = estimate_diagonal(psi, params.mode, params.t, rng)
         if good_set_member(diag, params.round_params):
             return BotValue.of(key)
     return BOT
@@ -251,12 +243,10 @@ def phase_state(f_values, N: int) -> StateVector:
 
 
 def con3_stategen(params: Con3Params, key, rng: SeededRng) -> StateVector:
-    y = params.inner.eval(key, rng)
-    if isinstance(y, BotValue):
-        if y.is_bot:
-            raise ValueError("inner generator aborted; no state can be generated")
-        y = y.payload
-    return phase_state(table_slices(y, params.N, params.word_len), params.N)
+    y = as_bot(params.inner.eval(key, rng))
+    if y.is_bot:
+        raise ValueError("inner generator aborted; no state can be generated")
+    return phase_state(table_slices(y.payload, params.N, params.word_len), params.N)
 
 
 def con3_handle(params: Con3Params) -> GeneratorHandle:
@@ -290,12 +280,10 @@ def prfqs_from_prgqs(
     def eval_fn(key, x: int, rng: SeededRng | None = None):
         if not 0 <= x < domain_size:
             raise ValueError(f"input {x} outside domain [0, {domain_size})")
-        y = inner.eval(key, rng if rng is not None else SeededRng(TABLE_EVAL_SEED, 0))
-        if isinstance(y, BotValue):
-            if y.is_bot:
-                return BOT
-            y = y.payload
-        return y[x * word_len : (x + 1) * word_len]
+        y = as_bot(inner.eval(key, rng if rng is not None else SeededRng(TABLE_EVAL_SEED, 0)))
+        if y.is_bot:
+            return BOT
+        return y.payload[x * word_len : (x + 1) * word_len]
 
     return GeneratorHandle(
         kind="prf-qs",

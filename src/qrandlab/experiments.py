@@ -21,8 +21,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .oracles import bruteforce_owsg_adversary, bruteforce_prg_adversary
-from .primitives import BotValue, GeneratorHandle, is_bot
+from .oracles import bruteforce_owsg_adversary, candidate_image
+from .primitives import BotValue, GeneratorHandle, as_bot, is_bot
 from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, StateVector, measure_computational, symmetric_moment
 from .rng import SeededRng, int_to_bits
 
@@ -89,10 +89,16 @@ def bot_count_adversary() -> AdversaryHandle:
 
 
 def bruteforce_prg_handle(candidate: GeneratorHandle) -> AdversaryHandle:
-    """Image-membership search over the candidate's whole key space."""
+    """Image-membership search over the candidate's whole key space.
+
+    The image is built once, with the handle; each decision is still
+    charged the whole search, since the budget models the search oracle.
+    """
+    image = candidate_image(candidate)
+
     def decide(challenge: str, budget: CallBudget, rng) -> int:
         budget.charge(1 << candidate.input_len)
-        return bruteforce_prg_adversary(candidate, challenge)
+        return 0 if challenge in image else 1
 
     return AdversaryHandle("bruteforce-image", 1 << 20, decide)
 
@@ -217,11 +223,10 @@ def merge_reports(reports: Sequence[ExperimentReport]) -> ExperimentReport:
 
 
 def _challenge_bits(value) -> str:
-    if isinstance(value, BotValue):
-        if value.is_bot:
-            raise ValueError("generator aborted inside the distinguishing game")
-        return value.payload
-    return value
+    value = as_bot(value)
+    if value.is_bot:
+        raise ValueError("generator aborted inside the distinguishing game")
+    return value.payload
 
 
 def exp_prg(
@@ -282,10 +287,10 @@ def exp_botprg(
         key = gen.sample_key(trial)
         b = trial.bit()
         if b == 0:
-            ys = tuple(_as_bot(gen.eval(key, trial)) for _ in range(q))
+            ys = tuple(as_bot(gen.eval(key, trial)) for _ in range(q))
         else:
             y = trial.bits(m)
-            ys = tuple(is_bot(_as_bot(gen.eval(key, trial)), y) for _ in range(q))
+            ys = tuple(is_bot(as_bot(gen.eval(key, trial)), y) for _ in range(q))
         guess = adversary.decide(ys, CallBudget(adversary.work_budget), trial)
         successes += guess == b
     params = {
@@ -296,10 +301,6 @@ def exp_botprg(
         "first_trial": first_trial,
     }
     return _finalize("bot-prg", params, rng.seed, trials, successes, t0)
-
-
-def _as_bot(value) -> BotValue:
-    return value if isinstance(value, BotValue) else BotValue.of(value)
 
 
 def exp_owsg(
@@ -342,17 +343,6 @@ def exp_owsg(
 _MAX_EXACT_ENUM_BITS = 16
 
 
-def _sym_pair_basis(dim: int):
-    xs, ys = np.triu_indices(dim)
-    weights = np.where(xs == ys, 1.0, math.sqrt(2.0))
-    return xs, ys, weights
-
-
-def _keyed_states(gen: GeneratorHandle, keys, rng: SeededRng, offset: int) -> np.ndarray:
-    rows = [gen.eval(k, rng.child(offset + j)).amplitudes for j, k in enumerate(keys)]
-    return np.array(rows)
-
-
 def _key_iter(gen: GeneratorHandle, n_keys: int, mode: str, rng: SeededRng):
     if mode == "exact-enum":
         if gen.input_len > _MAX_EXACT_ENUM_BITS:
@@ -375,10 +365,11 @@ def _moment_gramians(gen: GeneratorHandle, t: int, keys, rng: SeededRng, chunk: 
     draws that produced its key.
     """
     if t == 2:
-        xs, ys, weights = _sym_pair_basis(gen.dim)
-    offset = len(keys)
+        xs, ys = np.triu_indices(gen.dim)
+        weights = np.where(xs == ys, 1.0, math.sqrt(2.0))
     for start in range(0, len(keys), chunk):
-        states = _keyed_states(gen, keys[start : start + chunk], rng, offset + start)
+        block = enumerate(keys[start : start + chunk], len(keys) + start)
+        states = np.array([gen.eval(k, rng.child(j)).amplitudes for j, k in block])
         if t == 2:
             w = states[:, xs] * states[:, ys] * weights
         else:
@@ -386,18 +377,6 @@ def _moment_gramians(gen: GeneratorHandle, t: int, keys, rng: SeededRng, chunk: 
             for _ in range(t - 1):
                 w = (w[:, :, None] * states[:, None, :]).reshape(len(states), -1)
         yield w.conj().T @ w
-
-
-def _moment_matrix(gen: GeneratorHandle, t: int, keys, rng: SeededRng, chunk: int = 2000):
-    """Key-averaged t-copy moment, in symmetric-pair coordinates for t = 2."""
-    dim = gen.dim
-    if dim**t > MAX_TENSOR_DIM:
-        raise MemoryBudgetError(f"dim**t = {dim ** t} exceeds the tensor budget")
-    size = dim * (dim + 1) // 2 if t == 2 else dim**t
-    acc = np.zeros((size, size), dtype=complex)
-    for gram in _moment_gramians(gen, t, keys, rng, chunk):
-        acc += gram
-    return acc / len(keys), t == 2
 
 
 def moment_distance(
@@ -413,11 +392,18 @@ def moment_distance(
     if rng is None:
         rng = SeededRng(0)
     keys = _key_iter(gen, n_keys, mode, rng)
-    avg, in_sym_coords = _moment_matrix(gen, t, keys, rng, chunk)
-    if in_sym_coords:
-        target = np.eye(avg.shape[0]) / avg.shape[0]
+    dim = gen.dim
+    if dim**t > MAX_TENSOR_DIM:
+        raise MemoryBudgetError(f"dim**t = {dim ** t} exceeds the tensor budget")
+    if t == 2:  # symmetric-pair coordinates, where the Haar moment is maximally mixed
+        size = dim * (dim + 1) // 2
+        target = np.eye(size) / size
     else:
-        target = symmetric_moment(gen.dim, t).matrix
+        target = symmetric_moment(dim, t).matrix
+    avg = np.zeros(target.shape, dtype=complex)
+    for gram in _moment_gramians(gen, t, keys, rng, chunk):
+        avg += gram  # in place: one accumulator, not one matrix per chunk
+    avg /= len(keys)
     eigs = np.linalg.eigvalsh(avg - target)
     return float(0.5 * np.abs(eigs).sum())
 

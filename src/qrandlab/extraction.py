@@ -20,7 +20,7 @@ from scipy import stats
 
 from .qcore import DimensionMismatchError, InvalidDimensionError, StateVector, haar_sample
 from .rng import SeededRng
-from .tomography import DiagonalEstimate, exact_diagonal, sampled_diagonal
+from .tomography import DiagonalEstimate, estimate_diagonal, exact_diagonal
 
 
 @dataclass(frozen=True)
@@ -96,15 +96,7 @@ def extract(
     """Diagonal estimation (exact, or from t sampled copies) followed by rounding."""
     if psi.dim != params.d:
         raise DimensionMismatchError(f"state dim {psi.dim} != params d {params.d}")
-    if mode == "exact":
-        diag = exact_diagonal(psi)
-    elif mode == "sampled":
-        if t is None or rng is None:
-            raise ValueError("sampled mode needs a copy count t and an rng")
-        diag = sampled_diagonal(psi, t, rng)
-    else:
-        raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-    return round_bits(diag, params)
+    return round_bits(estimate_diagonal(psi, mode, t, rng), params)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .primitives import BOT, BotValue, GeneratorHandle, _plurality
+from .primitives import BOT, BotValue, GeneratorHandle, as_bot
 from .qcore import MemoryBudgetError, RankTwoFlip, StateVector
 from .rng import IMAGE_SEARCH_SEED, OWSG_SEARCH_SEED, SeededRng, derive_int, fisher_yates_table, int_to_bits
 
@@ -342,15 +342,8 @@ def prfqs_from_world(world: OracleWorld, n: int) -> GeneratorHandle:
     honestly sampled key -- exactly deterministic, since the same key is
     reused across evaluations.
     """
-    if world.kind == "flip-world":
-        def qsamp(rng: SeededRng) -> str:
-            x, y = lazy_flip_key(world, n, rng)
-            return x + y
-    elif world.kind == "sampler-world":
-        def qsamp(rng: SeededRng) -> str:
-            x, y = sampler_oracle(world, n, rng)
-            return x + y
-    else:
+    key_channel = {"flip-world": lazy_flip_key, "sampler-world": sampler_oracle}.get(world.kind)
+    if key_channel is None:
         raise WrongWorldKindError(f"no keyed-function construction over {world.kind}")
 
     y_len = world.o_output_len(n)
@@ -365,7 +358,7 @@ def prfqs_from_world(world: OracleWorld, n: int) -> GeneratorHandle:
         input_len=n + y_len,
         output_len=n,
         eval=eval_fn,
-        qsamp=qsamp,
+        qsamp=lambda rng: "".join(key_channel(world, n, rng)),
         description=f"{world.kind} seed={world.seed} n={n}",
     )
 
@@ -373,8 +366,11 @@ def prfqs_from_world(world: OracleWorld, n: int) -> GeneratorHandle:
 # -- brute-force adversaries (exhaustive search stand-ins) --------------------
 
 
-def candidate_image(candidate: GeneratorHandle, evals_per_key: int = 1) -> set[str]:
-    """Modal outputs of an oracle-free generator over its whole key space."""
+def candidate_image(candidate: GeneratorHandle) -> set[str]:
+    """Non-abort outputs of an oracle-free generator over its whole key space.
+
+    Key k is evaluated once, on the stream (IMAGE_SEARCH_SEED, k << 8).
+    """
     if candidate.input_len > MAX_PRG_KEY_BITS:
         raise KeySpaceTooLargeError(
             f"key space 2^{candidate.input_len} exceeds the 2^{MAX_PRG_KEY_BITS} search budget"
@@ -382,29 +378,20 @@ def candidate_image(candidate: GeneratorHandle, evals_per_key: int = 1) -> set[s
     image = set()
     for k in range(1 << candidate.input_len):
         key = int_to_bits(k, candidate.input_len)
-        outs = [
-            candidate.eval(key, SeededRng(IMAGE_SEARCH_SEED, (k << 8) + j))
-            for j in range(evals_per_key)
-        ]
-        modal = _plurality(outs)
-        if isinstance(modal, BotValue):
-            if modal.is_bot:
-                continue
-            modal = modal.payload
-        image.add(modal)
+        y = as_bot(candidate.eval(key, SeededRng(IMAGE_SEARCH_SEED, k << 8)))
+        if not y.is_bot:
+            image.add(y.payload)
     return image
 
 
-def bruteforce_prg_adversary(
-    candidate: GeneratorHandle, challenge: str, evals_per_key: int = 1
-) -> int:
-    """Guess 0 (pseudorandom) iff some key's modal output equals the challenge.
+def bruteforce_prg_adversary(candidate: GeneratorHandle, challenge: str) -> int:
+    """Guess 0 (pseudorandom) iff some key's output equals the challenge.
 
     A generator with lambda-bit keys hits at most 2^lambda of the 2^s
     possible outputs, so a uniform challenge is flagged random except
     with probability 2^(lambda - s).
     """
-    return 0 if challenge in candidate_image(candidate, evals_per_key) else 1
+    return 0 if challenge in candidate_image(candidate) else 1
 
 
 def bruteforce_owsg_adversary(gen: GeneratorHandle, copies: list[StateVector]) -> str:

@@ -1,9 +1,10 @@
 """Generator interfaces, the abort-aware combinators, and determinism audits.
 
 ``BotValue`` is the output type of abort-capable generators: either a
-fixed-width bitstring or the distinguished abort symbol.  ``is_bot``
-and the two plurality votes are the combinators the constructions and
-security games are built from.  ``determinism_audit`` measures how
+fixed-width bitstring or the distinguished abort symbol.  ``as_bot`` is
+the one reader of a classical generator output; ``is_bot`` and the two
+plurality votes are the combinators the constructions and security
+games are built from.  ``determinism_audit`` measures how
 deterministic a generator actually is on a key by repeated evaluation.
 """
 
@@ -55,11 +56,16 @@ class BotValue:
 BOT = BotValue.bot()
 
 
+def as_bot(value) -> BotValue:
+    """A classical generator output, a BotValue or a bare bitstring, as a BotValue."""
+    return value if isinstance(value, BotValue) else BotValue.of(value)
+
+
 def is_bot(a: BotValue, b) -> BotValue:
     """Abort-hiding combinator: abort iff ``a`` aborts, else ``b``."""
     if a.is_bot:
         return BOT
-    return b if isinstance(b, BotValue) else BotValue.of(b)
+    return as_bot(b)
 
 
 def _plurality(values: Sequence[Hashable]):

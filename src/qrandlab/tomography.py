@@ -3,7 +3,8 @@
 The downstream rounding step reads only the diagonal of an estimated
 density matrix, so estimation here is diagonal-only: ``exact_diagonal``
 is the infinite-copy idealization and ``sampled_diagonal`` is the
-finite-copy frequency estimate from t simulated measurements.
+finite-copy frequency estimate from t simulated measurements;
+``estimate_diagonal`` picks one of the two by mode name.
 Estimation error is judged in the L-infinity norm on probability
 vectors, the norm the rounding thresholds actually respond to.
 """
@@ -67,6 +68,19 @@ def sampled_diagonal(psi: StateVector, t: int, rng: SeededRng) -> DiagonalEstima
         raise InvalidSampleCountError(f"need at least one sample, got t={t}")
     counts = rng.multinomial(t, born_distribution(psi))
     return DiagonalEstimate(psi.dim, counts / t, "sampled", t)
+
+
+def estimate_diagonal(
+    psi: StateVector, mode: str, t: int | None, rng: SeededRng | None
+) -> DiagonalEstimate:
+    """The exact diagonal (mode 'exact') or the t-copy estimate (mode 'sampled')."""
+    if mode == "exact":
+        return exact_diagonal(psi)
+    if mode == "sampled":
+        if t is None or rng is None:
+            raise ValueError("sampled mode needs a copy count t and an rng")
+        return sampled_diagonal(psi, t, rng)
+    raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
 
 
 def tomography_samples_required(lam: int, d: int, delta: float) -> int:

@@ -279,6 +279,14 @@ class TestMomentDistance:
         assert lo <= est <= hi
         assert hi - lo <= 0.1
 
+    def test_random_phase_states_exact_second_moment_closed_form(self):
+        # For random-function phase states with N a power of two >= 4 the
+        # exact t=2 trace distance to Haar is (N-1)/(N(N+1)); see Ji-Liu-Song
+        # (CRYPTO 2018) and Brakerski-Shmueli (TCC 2019).
+        N = 4
+        dist = moment_distance(random_phase_sprs(N), 2, 0, "exact-enum", SeededRng(0))
+        assert dist == pytest.approx((N - 1) / (N * (N + 1)), abs=1e-12)
+
     def test_exact_enum_key_space_cap(self):
         gen = random_phase_sprs(8)  # 24-bit keys
         with pytest.raises(Exception):
