@@ -23,6 +23,8 @@ from .experiments import (
     CallBudget,
     ExperimentReport,
     advantage_ci,
+    bruteforce_owsg_handle,
+    bruteforce_prg_handle,
     exp_botprg,
     exp_owsg,
     exp_prg,
@@ -45,8 +47,6 @@ from .oracles import (
     bot_oracle_eval,
     bot_oracle_good_set,
     bot_prg_handle,
-    bruteforce_owsg_adversary,
-    bruteforce_prg_adversary,
     flip_oracle,
     lazy_flip_key,
     prfqs_from_world,

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .oracles import bruteforce_owsg_adversary, candidate_image
+from .oracles import candidate_image, candidate_states
 from .primitives import BotValue, GeneratorHandle, as_bot, is_bot
 from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, StateVector, measure_computational, symmetric_moment
 from .rng import SeededRng, int_to_bits
@@ -104,10 +104,21 @@ def bruteforce_prg_handle(candidate: GeneratorHandle) -> AdversaryHandle:
 
 
 def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
-    """Maximum-likelihood key search over the generator's whole key space."""
+    """Maximum-likelihood key search over the generator's whole key space.
+
+    The candidate states are built once, with the handle.  Each decision
+    is charged the whole search, scores every key k by the product over
+    copies of |<state_k|copy>|^2 and returns the first best key.
+    """
+    conj_states = candidate_states(gen).conj()
+
     def decide(copies: Sequence[StateVector], budget: CallBudget, rng) -> str:
         budget.charge(1 << gen.input_len)
-        return bruteforce_owsg_adversary(gen, list(copies))
+        if not copies:
+            raise ValueError("need at least one copy")
+        overlaps = conj_states @ np.array([copy.amplitudes for copy in copies]).T
+        scores = np.prod(np.abs(overlaps) ** 2, axis=1)
+        return int_to_bits(int(np.argmax(scores)), gen.input_len)
 
     return AdversaryHandle("bruteforce-ml", 1 << 20, decide)
 

@@ -1,4 +1,4 @@
-"""The three separation-oracle worlds and the brute-force search adversaries.
+"""The three separation-oracle worlds and the brute-force search tables.
 
 A world is a seed plus a kind; every function the world exposes is
 derived lazily from the seed by the keyed SHA-256 derivation in
@@ -17,7 +17,7 @@ Kinds:
 * ``sampler-world`` -- like flip-world but O_n: n -> n bits and the key
   sampler is classical: each call returns a fresh uniform (x, O_n(x)).
 
-The brute-force adversaries realize, at toy key sizes, the exhaustive
+The brute-force search tables realize, at toy key sizes, the exhaustive
 attacks that an unbounded search oracle would mount: image membership
 for generators and maximum-likelihood key recovery for state
 generators.
@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .primitives import BOT, BotValue, GeneratorHandle, as_bot
-from .qcore import MemoryBudgetError, RankTwoFlip, StateVector
+from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, RankTwoFlip, StateVector
 from .rng import IMAGE_SEARCH_SEED, OWSG_SEARCH_SEED, SeededRng, derive_int, fisher_yates_table, int_to_bits
 
 WORLD_KINDS = ("flip-world", "bot-world", "sampler-world")
@@ -156,7 +156,7 @@ class OracleWorld:
     def bot_params(self, n: int) -> BotOracleParams:
         if self.kind != "bot-world":
             raise WrongWorldKindError(f"{self.kind} has no abort parameters")
-        return BotOracleParams(n, self.c)
+        return _bot_params(n, self.c)
 
     # -- serialization -----------------------------------------------------
 
@@ -181,6 +181,12 @@ class OracleWorld:
             n_max=rec["n-max"],
             c=rec.get("c", 1.0),
         )
+
+
+@lru_cache(maxsize=64)
+def _bot_params(n: int, c: float) -> BotOracleParams:
+    # validated once per shape; a failed validation is not cached and re-raises
+    return BotOracleParams(n, c)
 
 
 @lru_cache(maxsize=8)
@@ -363,7 +369,7 @@ def prfqs_from_world(world: OracleWorld, n: int) -> GeneratorHandle:
     )
 
 
-# -- brute-force adversaries (exhaustive search stand-ins) --------------------
+# -- brute-force search tables (exhaustive search stand-ins) -----------------
 
 
 def candidate_image(candidate: GeneratorHandle) -> set[str]:
@@ -384,21 +390,11 @@ def candidate_image(candidate: GeneratorHandle) -> set[str]:
     return image
 
 
-def bruteforce_prg_adversary(candidate: GeneratorHandle, challenge: str) -> int:
-    """Guess 0 (pseudorandom) iff some key's output equals the challenge.
+def candidate_states(gen: GeneratorHandle) -> np.ndarray:
+    """Amplitudes of a state generator over its whole key space, one row per key.
 
-    A generator with lambda-bit keys hits at most 2^lambda of the 2^s
-    possible outputs, so a uniform challenge is flagged random except
-    with probability 2^(lambda - s).
-    """
-    return 0 if challenge in candidate_image(candidate) else 1
-
-
-def bruteforce_owsg_adversary(gen: GeneratorHandle, copies: list[StateVector]) -> str:
-    """Maximum-likelihood key recovery from state copies.
-
-    Scores every key by the product of fidelities between its generated
-    state and each provided copy, and returns the best key.
+    Key k is evaluated once, on the stream (OWSG_SEARCH_SEED, k); the
+    result is a 2^lambda x dim array.
     """
     if gen.kind != "owsg":
         raise ValueError(f"expected an owsg handle, got {gen.kind}")
@@ -406,15 +402,8 @@ def bruteforce_owsg_adversary(gen: GeneratorHandle, copies: list[StateVector]) -
         raise KeySpaceTooLargeError(
             f"key space 2^{gen.input_len} exceeds the 2^{MAX_OWSG_KEY_BITS} search budget"
         )
-    if not copies:
-        raise ValueError("need at least one copy")
-    best_key, best_score = None, -1.0
-    for k in range(1 << gen.input_len):
-        key = int_to_bits(k, gen.input_len)
-        candidate = gen.eval(key, SeededRng(OWSG_SEARCH_SEED, k))
-        score = 1.0
-        for copy in copies:
-            score *= candidate.fidelity(copy)
-        if score > best_score:
-            best_key, best_score = key, score
-    return best_key
+    if gen.dim << gen.input_len > MAX_TENSOR_DIM**2:
+        raise MemoryBudgetError(f"2^{gen.input_len} x {gen.dim} table exceeds {MAX_TENSOR_DIM**2} amplitudes")
+    keys = range(1 << gen.input_len)
+    states = (gen.eval(int_to_bits(k, gen.input_len), SeededRng(OWSG_SEARCH_SEED, k)) for k in keys)
+    return np.array([state.amplitudes for state in states])

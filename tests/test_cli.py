@@ -143,6 +143,17 @@ class TestExperimentCommand:
         result = parse_lines(out)[0]["result"]
         assert "advantage" in result and result["trials"] == 50
 
+    def test_owsg_bruteforce_key_space_cap(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            [
+                "experiment", "--name", "owsg", "--lambda", "17", "--dim", "16",
+                "--adversary", "bruteforce", "--seed", "1",
+            ],
+        )
+        assert code == 2 and out == ""
+        assert "key space 2^17 exceeds the 2^16 search budget" in err
+
     def test_unknown_experiment_lists_names(self, capsys):
         code, _, err = run_cli(capsys, ["experiment", "--name", "nosuch", "--seed", "1"])
         assert code == 2

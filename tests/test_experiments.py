@@ -271,8 +271,9 @@ class TestMomentDistance:
         assert via_module == pytest.approx(dense, abs=1e-9)
 
     def test_random_phase_states_two_copies(self):
+        # closed form (N-1)/(N(N+1)) = 7/72 at N = 8; see the exact N = 4 test below
         dist = moment_distance(random_phase_sprs(8), 2, 20_000, "monte-carlo", SeededRng(18))
-        assert dist <= 0.25
+        assert abs(dist - 7 / 72) <= 2e-3
 
     def test_bootstrap_interval(self):
         est, (lo, hi) = moment_distance_ci(random_phase_sprs(8), 2, 5000, SeededRng(19))

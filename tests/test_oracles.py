@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from qrandlab.experiments import CallBudget, bruteforce_owsg_handle, bruteforce_prg_handle, exp_prg
 from qrandlab.oracles import (
     BotOracleParams,
     KeySpaceTooLargeError,
@@ -12,8 +13,7 @@ from qrandlab.oracles import (
     bot_oracle_eval,
     bot_oracle_good_set,
     bot_prg_handle,
-    bruteforce_owsg_adversary,
-    bruteforce_prg_adversary,
+    candidate_states,
     decode_flip_index,
     flip_oracle,
     flip_state_dim,
@@ -23,9 +23,9 @@ from qrandlab.oracles import (
     sampler_oracle,
     verify_eval_oracle,
 )
-from qrandlab.qcore import MemoryBudgetError, StateVector, apply_flip, born_distribution
-from qrandlab.rng import SeededRng, int_to_bits
-from qrandlab.toys import toy_owsg_basis, toy_prg
+from qrandlab.qcore import MemoryBudgetError, StateVector, apply_flip, born_distribution, haar_sample
+from qrandlab.rng import OWSG_SEARCH_SEED, SeededRng, int_to_bits
+from qrandlab.toys import constant_owsg, toy_owsg_basis, toy_owsg_haar, toy_prg
 
 
 class TestBotOracleParams:
@@ -346,34 +346,88 @@ class TestBruteforcePrgAdversary:
 
     def test_image_member_flagged_pseudorandom(self):
         challenge = self.gen.eval("00000001", None)
-        assert bruteforce_prg_adversary(self.gen, challenge) == 0
+        budget = CallBudget(1 << 20)
+        assert bruteforce_prg_handle(self.gen).decide(challenge, budget, None) == 0
+        assert budget.used == 1 << 8
 
     def test_uniform_challenges_flagged_random(self):
+        decide = bruteforce_prg_handle(self.gen).decide
         rng = SeededRng(71)
-        flags = [bruteforce_prg_adversary(self.gen, rng.bits(24)) for _ in range(300)]
+        flags = [decide(rng.bits(24), CallBudget(1 << 20), None) for _ in range(300)]
         assert sum(flags) >= 299  # image covers 2^-16 of the challenge space
 
     def test_key_space_cap(self):
-        big = toy_prg(21, 24)
-        with pytest.raises(KeySpaceTooLargeError):
-            bruteforce_prg_adversary(big, "0" * 24)
+        with pytest.raises(KeySpaceTooLargeError, match=r"key space 2\^21 exceeds the 2\^20"):
+            bruteforce_prg_handle(toy_prg(21, 24))
 
     def test_distinguishing_advantage_over_thousand_challenges(self):
-        from qrandlab.experiments import bruteforce_prg_handle, exp_prg
-
         report = exp_prg(self.gen, bruteforce_prg_handle(self.gen), 1000, SeededRng(73))
         assert report.advantage >= 0.49
+
+
+def _reference_ml_key(candidates, copies):
+    """The per-key fidelity-product search the vectorised handle replaced."""
+    best_k, best_score = None, -1.0
+    for k, candidate in enumerate(candidates):
+        score = 1.0
+        for copy in copies:
+            score *= candidate.fidelity(copy)
+        if score > best_score:
+            best_k, best_score = k, score
+    return best_k
 
 
 class TestBruteforceOwsgAdversary:
     def test_exact_recovery_orthogonal_outputs(self):
         gen = toy_owsg_basis(8)
+        decide = bruteforce_owsg_handle(gen).decide
         for key in ("00000000", "01100101", "11111111"):
             copy = gen.eval(key, None)
-            assert bruteforce_owsg_adversary(gen, [copy]) == key
+            budget = CallBudget(1 << 20)
+            assert decide((copy,), budget, None) == key
+            assert budget.used == 1 << 8
 
     def test_key_space_cap(self):
         gen = toy_owsg_basis(8)
         big = type(gen)(**{**gen.__dict__, "input_len": 17})
-        with pytest.raises(KeySpaceTooLargeError):
-            bruteforce_owsg_adversary(big, [gen.eval("0" * 8, None)])
+        with pytest.raises(KeySpaceTooLargeError, match=r"key space 2\^17 exceeds the 2\^16"):
+            bruteforce_owsg_handle(big)
+
+    def test_candidate_table_memory_cap(self):
+        with pytest.raises(MemoryBudgetError):
+            bruteforce_owsg_handle(toy_owsg_basis(16))  # 2^16 states of dim 2^16
+
+    def test_rejects_non_owsg_and_empty_copies(self):
+        with pytest.raises(ValueError, match="expected an owsg handle"):
+            bruteforce_owsg_handle(toy_prg(8, 24))
+        with pytest.raises(ValueError, match="need at least one copy"):
+            bruteforce_owsg_handle(toy_owsg_basis(4)).decide((), CallBudget(1 << 20), None)
+
+    def test_candidate_states_rows_are_key_states(self):
+        gen = toy_owsg_haar(4, 8)
+        table = candidate_states(gen)
+        assert table.shape == (16, 8)
+        for k in (0, 5, 15):
+            assert np.array_equal(table[k], gen.eval(int_to_bits(k, 4), None).amplitudes)
+
+    def test_matches_per_key_fidelity_search(self):
+        gen = toy_owsg_haar(8, 16)
+        decide = bruteforce_owsg_handle(gen).decide
+        candidates = [gen.eval(int_to_bits(k, 8), SeededRng(OWSG_SEARCH_SEED, k)) for k in range(256)]
+        rng = SeededRng(74)
+        checked = 0
+        for t in (1, 2, 3):
+            for i in range(40):
+                if i % 2 == 0:
+                    copies = (gen.eval(rng.bits(8), None),) * t
+                else:
+                    copies = tuple(haar_sample(16, rng) for _ in range(t))
+                expected = int_to_bits(_reference_ml_key(candidates, copies), 8)
+                assert decide(copies, CallBudget(1 << 20), None) == expected
+                checked += 1
+        assert checked >= 100
+
+    def test_ties_return_first_key(self):
+        gen = constant_owsg(6, 8)  # every key scores 1
+        copies = (gen.eval("101010", None),)
+        assert bruteforce_owsg_handle(gen).decide(copies, CallBudget(1 << 20), None) == "000000"
