@@ -14,7 +14,7 @@ import json
 import secrets
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .oracles import (
     sampler_oracle,
 )
 from .primitives import determinism_audit
-from .qcore import MemoryBudgetError, StateVector, apply_flip, haar_sample, measure_computational
+from .qcore import StateVector, apply_flip, haar_sample, measure_computational
 from .rng import SeededRng
 from .tomography import exact_diagonal
 from .toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
@@ -112,10 +112,7 @@ def _resolve_seed(seed) -> int:
 
 def cmd_extract(params: dict, seed: int) -> dict:
     d = params["d"]
-    try:
-        rparams = RoundParams(d)
-    except ValueError as exc:
-        raise CliUsageError(f"{exc}") from exc
+    rparams = RoundParams(d)
     mode, t = params["mode"], params["t"]
     if mode == "sampled" and not t:
         raise CliUsageError("sampled mode needs --t copies")
@@ -145,24 +142,15 @@ def cmd_extract(params: dict, seed: int) -> dict:
 
 
 def cmd_haar_stats(params: dict, seed: int) -> dict:
-    try:
-        stats = gaussian_block_check(params["d"], params["states"], SeededRng(seed))
-    except ValueError as exc:
-        raise CliUsageError(f"{exc}") from exc
-    return {
-        "d": stats.d,
-        "n_states": stats.n_states,
-        "mean": stats.mean,
-        "variance": stats.variance,
-        "ks_statistic": stats.ks_statistic,
-        "bit_frequencies": list(stats.bit_frequencies),
-        "good_fraction": stats.good_fraction,
-    }
+    return asdict(gaussian_block_check(params["d"], params["states"], SeededRng(seed)))
 
 
 def cmd_prg_qs(params: dict, seed: int) -> dict:
     if params["source"] != "bot-oracle":
         raise CliUsageError("only --from bot-oracle is available")
+    stride = 10**6  # key i samples on child(i) and is audited on child(stride + i)
+    if params["keys"] > stride:
+        raise CliUsageError(f"--keys must be at most {stride}, or key sampling reuses an audit stream")
     n = params["n"]
     world = OracleWorld("bot-world", seed, n_max=n, c=params["c"])
     con = Con1Params(lam=n, inner=bot_prg_handle(world, n))
@@ -175,7 +163,7 @@ def cmd_prg_qs(params: dict, seed: int) -> dict:
         if key.is_bot:
             bots += 1
             continue
-        audit = determinism_audit(handle, key, params["evals"], rng.child(10**6 + i))
+        audit = determinism_audit(handle, key, params["evals"], rng.child(stride + i))
         modal_freqs.append(audit.modal_frequency)
     return {
         "n": n,
@@ -191,6 +179,9 @@ def cmd_prg_qs(params: dict, seed: int) -> dict:
 def cmd_sprs_qs(params: dict, seed: int) -> dict:
     if params["source"] != "prg-qs":
         raise CliUsageError("only --from prg-qs is available")
+    stride = 1000  # key i samples on child(i) and evaluates on child(stride + i), child(2 * stride + i)
+    if params["keys"] > stride:
+        raise CliUsageError(f"--keys must be at most {stride}, or key sampling reuses an evaluation stream")
     n = params["n"]
     N = params["N"]
     world = OracleWorld("bot-world", seed, n_max=n, c=params["c"])
@@ -202,8 +193,8 @@ def cmd_sprs_qs(params: dict, seed: int) -> dict:
     refidelity = 1.0
     for i in range(params["keys"]):
         key = handle.qsamp(rng.child(i))
-        psi = handle.eval(key, rng.child(1000 + i))
-        again = handle.eval(key, rng.child(2000 + i))
+        psi = handle.eval(key, rng.child(stride + i))
+        again = handle.eval(key, rng.child(2 * stride + i))
         flatness = max(flatness, float(np.abs(np.abs(psi.amplitudes) - N**-0.5).max()))
         refidelity = min(refidelity, psi.fidelity(again))
     return {
@@ -413,7 +404,7 @@ def main(argv=None) -> int:
             params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "seed", "out")}
             config = RunConfig(args.subcommand, params, _resolve_seed(args.seed))
         record = run_config(config)
-    except (CliUsageError, MemoryBudgetError, BudgetExceededError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, BudgetExceededError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     _emit(record, args.out)

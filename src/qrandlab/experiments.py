@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations_with_replacement
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .oracles import candidate_image, candidate_states
 from .primitives import BotValue, GeneratorHandle, as_bot, is_bot
-from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, StateVector, measure_computational, symmetric_moment
+from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, StateVector, measure_computational
 from .rng import SeededRng, int_to_bits
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
@@ -145,18 +147,21 @@ def owsg_coin_flip_adversary() -> AdversaryHandle:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """One run's tally; ``advantage`` and ``ci95`` are derived from it."""
+
     name: str
     parameters: dict
     seed: int
     trials: int
     successes: int
-    advantage: float
-    ci95: tuple[float, float]
+    advantage: float = field(init=False)
+    ci95: tuple[float, float] = field(init=False)
     wallclock_ms: float
 
     def __post_init__(self):
-        if not 0 <= self.successes <= self.trials:
-            raise ValueError("successes out of range")
+        adv, ci = advantage_ci(self.successes, self.trials)
+        object.__setattr__(self, "advantage", adv)
+        object.__setattr__(self, "ci95", ci)
 
     def to_record(self) -> dict:
         return {
@@ -185,20 +190,6 @@ def advantage_ci(successes: int, trials: int) -> tuple[float, tuple[float, float
     return p - 0.5, (center - half - 0.5, center + half - 0.5)
 
 
-def _finalize(name, parameters, seed, trials, successes, t0) -> ExperimentReport:
-    adv, ci = advantage_ci(successes, trials)
-    return ExperimentReport(
-        name=name,
-        parameters=parameters,
-        seed=seed,
-        trials=trials,
-        successes=successes,
-        advantage=adv,
-        ci95=ci,
-        wallclock_ms=(time.perf_counter() - t0) * 1e3,
-    )
-
-
 def merge_reports(reports: Sequence[ExperimentReport]) -> ExperimentReport:
     """Combine shards of one experiment by summing successes and trials.
 
@@ -215,9 +206,6 @@ def merge_reports(reports: Sequence[ExperimentReport]) -> ExperimentReport:
     for rep in reports[1:]:
         if rep.name != head.name or shared(rep.parameters) != shared(head.parameters):
             raise ValueError("cannot merge reports of different experiments")
-    trials = sum(r.trials for r in reports)
-    successes = sum(r.successes for r in reports)
-    adv, ci = advantage_ci(successes, trials)
     parameters = dict(head.parameters)
     if "first_trial" in parameters:
         parameters["first_trial"] = min(r.parameters["first_trial"] for r in reports)
@@ -225,11 +213,38 @@ def merge_reports(reports: Sequence[ExperimentReport]) -> ExperimentReport:
         name=head.name,
         parameters=parameters,
         seed=head.seed,
+        trials=sum(r.trials for r in reports),
+        successes=sum(r.successes for r in reports),
+        wallclock_ms=sum(r.wallclock_ms for r in reports),
+    )
+
+
+def _run_trials(
+    name: str,
+    gen: GeneratorHandle,
+    adversary: AdversaryHandle,
+    trials: int,
+    rng: SeededRng,
+    first_trial: int,
+    play: Callable[[SeededRng, CallBudget], bool],
+    **game_params,
+) -> ExperimentReport:
+    """The one trial loop: trial i plays on stream ``rng.child(i)`` with a
+    fresh budget, and ``play`` returns whether the adversary won.  The
+    game's own parameters are recorded between the shared ones."""
+    t0 = time.perf_counter()
+    successes = 0
+    for i in range(first_trial, first_trial + trials):
+        successes += play(rng.child(i), CallBudget(adversary.work_budget))
+    parameters = {"generator": gen.description, "adversary": adversary.strategy_id}
+    parameters.update(game_params, first_trial=first_trial)
+    return ExperimentReport(
+        name=name,
+        parameters=parameters,
+        seed=rng.seed,
         trials=trials,
         successes=successes,
-        advantage=adv,
-        ci95=ci,
-        wallclock_ms=sum(r.wallclock_ms for r in reports),
+        wallclock_ms=(time.perf_counter() - t0) * 1e3,
     )
 
 
@@ -252,26 +267,15 @@ def exp_prg(
     Keys come from the generator's own sampler when it has one,
     uniformly otherwise.
     """
-    t0 = time.perf_counter()
     s = gen.output_len
-    successes = 0
-    for i in range(first_trial, first_trial + trials):
-        trial = rng.child(i)
+
+    def play(trial: SeededRng, budget: CallBudget) -> bool:
         key = gen.sample_key(trial)
         b = trial.bit()
-        if b == 0:
-            y = _challenge_bits(gen.eval(key, trial))
-        else:
-            y = trial.bits(s)
-        guess = adversary.decide(y, CallBudget(adversary.work_budget), trial)
-        successes += guess == b
-    params = {
-        "generator": gen.description,
-        "adversary": adversary.strategy_id,
-        "output_len": s,
-        "first_trial": first_trial,
-    }
-    return _finalize("prg", params, rng.seed, trials, successes, t0)
+        y = _challenge_bits(gen.eval(key, trial)) if b == 0 else trial.bits(s)
+        return adversary.decide(y, budget, trial) == b
+
+    return _run_trials("prg", gen, adversary, trials, rng, first_trial, play, output_len=s)
 
 
 def exp_botprg(
@@ -290,11 +294,9 @@ def exp_botprg(
     """
     if q < 1:
         raise ValueError("need q >= 1 queries")
-    t0 = time.perf_counter()
     m = gen.output_len
-    successes = 0
-    for i in range(first_trial, first_trial + trials):
-        trial = rng.child(i)
+
+    def play(trial: SeededRng, budget: CallBudget) -> bool:
         key = gen.sample_key(trial)
         b = trial.bit()
         if b == 0:
@@ -302,16 +304,9 @@ def exp_botprg(
         else:
             y = trial.bits(m)
             ys = tuple(is_bot(as_bot(gen.eval(key, trial)), y) for _ in range(q))
-        guess = adversary.decide(ys, CallBudget(adversary.work_budget), trial)
-        successes += guess == b
-    params = {
-        "generator": gen.description,
-        "adversary": adversary.strategy_id,
-        "q": q,
-        "output_len": m,
-        "first_trial": first_trial,
-    }
-    return _finalize("bot-prg", params, rng.seed, trials, successes, t0)
+        return adversary.decide(ys, budget, trial) == b
+
+    return _run_trials("bot-prg", gen, adversary, trials, rng, first_trial, play, q=q, output_len=m)
 
 
 def exp_owsg(
@@ -330,23 +325,16 @@ def exp_owsg(
     """
     if t < 1:
         raise ValueError("need t >= 1 copies")
-    t0 = time.perf_counter()
-    successes = 0
-    for i in range(first_trial, first_trial + trials):
-        trial = rng.child(i)
+
+    def play(trial: SeededRng, budget: CallBudget) -> bool:
         key = trial.bits(gen.input_len)
         copies = tuple(gen.eval(key, trial) for _ in range(t))
-        guess = adversary.decide(copies, CallBudget(adversary.work_budget), trial)
+        guess = adversary.decide(copies, budget, trial)
         verifier_state = gen.eval(key, trial)
         prob = gen.eval(guess, trial).fidelity(verifier_state)
-        successes += trial.uniform() < prob
-    params = {
-        "generator": gen.description,
-        "adversary": adversary.strategy_id,
-        "t": t,
-        "first_trial": first_trial,
-    }
-    return _finalize("owsg", params, rng.seed, trials, successes, t0)
+        return trial.uniform() < prob
+
+    return _run_trials("owsg", gen, adversary, trials, rng, first_trial, play, t=t)
 
 
 # -- moment-closeness statistic ----------------------------------------------
@@ -369,25 +357,38 @@ def _key_iter(gen: GeneratorHandle, n_keys: int, mode: str, rng: SeededRng):
 def _moment_gramians(gen: GeneratorHandle, t: int, keys, rng: SeededRng, chunk: int):
     """Unnormalised t-copy gramian of each ``chunk`` consecutive keys.
 
-    For t = 2 the rows are in symmetric-pair coordinates (exact: tensor
-    squares live entirely in the symmetric subspace), which also halves
-    the gramian cost.  Evaluation rng streams are offset past the
-    key-sampling streams so a stochastic generator never replays the
-    draws that produced its key.
+    The rows are in symmetric-subspace coordinates, which is exact since
+    tensor powers live entirely in that subspace: the coordinate of
+    psi^{tensor t} on a multiset m of t indices is
+    sqrt(t!/prod m_i!) * prod_{i in m} psi_i.  For t = 2 these are the
+    upper-triangle pairs with weights 1 and sqrt(2).  Evaluation rng
+    streams are offset past the key-sampling streams so a stochastic
+    generator never replays the draws that produced its key.
     """
-    if t == 2:
-        xs, ys = np.triu_indices(gen.dim)
-        weights = np.where(xs == ys, 1.0, math.sqrt(2.0))
+    multisets = list(combinations_with_replacement(range(gen.dim), t))
+    columns = np.array(multisets, dtype=np.intp).T
+    weights = np.array(
+        [
+            math.sqrt(math.factorial(t) / math.prod(map(math.factorial, Counter(m).values())))
+            for m in multisets
+        ]
+    )
     for start in range(0, len(keys), chunk):
         block = enumerate(keys[start : start + chunk], len(keys) + start)
         states = np.array([gen.eval(k, rng.child(j)).amplitudes for j, k in block])
-        if t == 2:
-            w = states[:, xs] * states[:, ys] * weights
-        else:
-            w = states
-            for _ in range(t - 1):
-                w = (w[:, :, None] * states[:, None, :]).reshape(len(states), -1)
+        w = states[:, columns[0]]
+        for column in columns[1:]:
+            w = w * states[:, column]
+        w = w * weights
         yield w.conj().T @ w
+
+
+def _distance_to_haar(moment: np.ndarray) -> float:
+    """Trace distance from a t-copy moment in symmetric-subspace coordinates
+    to the Haar t-copy moment, which is maximally mixed there."""
+    size = len(moment)
+    eigs = np.linalg.eigvalsh(moment - np.eye(size) / size)
+    return float(0.5 * np.abs(eigs).sum())
 
 
 def moment_distance(
@@ -404,19 +405,16 @@ def moment_distance(
         rng = SeededRng(0)
     keys = _key_iter(gen, n_keys, mode, rng)
     dim = gen.dim
+    if t < 1:
+        raise ValueError("need t >= 1 copies")
     if dim**t > MAX_TENSOR_DIM:
         raise MemoryBudgetError(f"dim**t = {dim ** t} exceeds the tensor budget")
-    if t == 2:  # symmetric-pair coordinates, where the Haar moment is maximally mixed
-        size = dim * (dim + 1) // 2
-        target = np.eye(size) / size
-    else:
-        target = symmetric_moment(dim, t).matrix
-    avg = np.zeros(target.shape, dtype=complex)
+    size = math.comb(dim + t - 1, t)
+    avg = np.zeros((size, size), dtype=complex)
     for gram in _moment_gramians(gen, t, keys, rng, chunk):
         avg += gram  # in place: one accumulator, not one matrix per chunk
     avg /= len(keys)
-    eigs = np.linalg.eigvalsh(avg - target)
-    return float(0.5 * np.abs(eigs).sum())
+    return _distance_to_haar(avg)
 
 
 def moment_distance_ci(
@@ -443,17 +441,12 @@ def moment_distance_ci(
     if per_batch < 1:
         raise ValueError("need at least one key per batch")
     keys = _key_iter(gen, n_batches * per_batch, "monte-carlo", rng)
-    batches = np.array([gram / per_batch for gram in _moment_gramians(gen, 2, keys, rng, per_batch)])
-    target = np.eye(batches.shape[1]) / batches.shape[1]
-
-    def distance(mat):
-        return float(0.5 * np.abs(np.linalg.eigvalsh(mat - target)).sum())
-
-    est = distance(batches.mean(axis=0))
+    batches = np.array([gram / per_batch for gram in _moment_gramians(gen, t, keys, rng, per_batch)])
+    est = _distance_to_haar(batches.mean(axis=0))
     boot_rng = rng.child(2**31)  # clear of every key/eval child stream
     draws = []
     for _ in range(n_boot):
         idx = boot_rng.integers(0, n_batches, size=n_batches)
-        draws.append(distance(batches[idx].mean(axis=0)))
+        draws.append(_distance_to_haar(batches[idx].mean(axis=0)))
     half = float(np.percentile(draws, 97.5) - np.percentile(draws, 2.5)) / 2
     return est, (est - half, est + half)

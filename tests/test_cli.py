@@ -39,6 +39,11 @@ class TestExtractCommand:
         assert code == 2
         assert "2**(6a)" in err
 
+    def test_haar_stats_invalid_dimension_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["haar-stats", "--d", "100", "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert "2**(6a)" in err
+
     def test_byte_identical_reruns(self, capsys):
         argv = ["extract", "--d", "64", "--states", "30", "--seed", "9"]
         _, out1, _ = run_cli(capsys, argv)
@@ -214,6 +219,20 @@ class TestGeneratorCommands:
         result = parse_lines(out)[0]["result"]
         assert result["max_modulus_deviation"] <= 1e-10
         assert result["min_regeneration_fidelity"] >= 1 - 1e-9
+
+    def test_sprs_qs_key_count_limit(self, capsys):
+        # key 1000 would sample on key 0's first evaluation stream
+        code, out, err = run_cli(capsys, ["sprs-qs", "--from", "prg-qs", "--keys", "1001", "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert "--keys must be at most 1000" in err
+
+    def test_prg_qs_key_count_limit(self, capsys):
+        # key 10**6 would sample on key 0's audit stream
+        code, out, err = run_cli(capsys, ["prg-qs", "--from", "bot-oracle", "--keys", "1000001", "--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert "--keys must be at most 1000000" in err
 
     def test_unknown_source_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["prg-qs", "--from", "thin-air", "--seed", "1"])

@@ -1,7 +1,11 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from qrandlab.cli import canonical_json
 from qrandlab.experiments import (
     AdversaryHandle,
     BudgetExceededError,
@@ -22,7 +26,8 @@ from qrandlab.experiments import (
     padding_check_adversary,
 )
 from qrandlab.oracles import OracleWorld, bot_prg_handle, candidate_image
-from qrandlab.qcore import symmetric_moment
+from qrandlab.primitives import GeneratorHandle
+from qrandlab.qcore import haar_sample, symmetric_moment
 from qrandlab.rng import SeededRng
 from qrandlab.toys import (
     constant_state_sprs,
@@ -175,6 +180,23 @@ class TestExpOwsg:
         report = exp_owsg(gen, AdversaryHandle("arbitrary", 0, arbitrary), 1, 200, SeededRng(12))
         assert report.successes == 200
 
+    def test_per_trial_draw_order_known_answer(self):
+        # Every evaluation of this generator draws from the trial stream, so
+        # the pinned record fixes the draw order: key, copies, adversary,
+        # verifier state, guess state, then the verification coin.
+        gen = GeneratorHandle(
+            kind="owsg",
+            input_len=1,
+            output_len=0,
+            eval=lambda key, rng: haar_sample(2, rng),
+            dim=2,
+            description="haar-noise-owsg",
+        )
+        report = exp_owsg(gen, owsg_coin_flip_adversary(), 2, 200, SeededRng(5))
+        digest = hashlib.sha256(canonical_json(record_without_wallclock(report)).encode()).hexdigest()
+        assert report.successes == 105
+        assert digest == "351547e3083a037d72535217ad55d727cc87741718a30157b3a45ca6c3503cba"
+
 
 class TestCoupling:
     def test_single_query_abort_game_couples_with_plain_game(self):
@@ -252,23 +274,29 @@ class TestMomentDistance:
         dist = moment_distance(gen, 1, 3000, "monte-carlo", SeededRng(15))
         assert dist <= 0.1
 
-    def test_constant_state_first_moment_exact(self):
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_constant_state_first_moment_exact(self, t):
+        # a pure state's t-th power against the maximally mixed symmetric
+        # subspace of dimension C(d+t-1, t): 7/8, 35/36 and 119/120 at d = 8
         gen = constant_state_sprs(8, key_len=8)
-        dist = moment_distance(gen, 1, 0, "exact-enum", SeededRng(16))
-        assert dist == pytest.approx(1 - 1 / 8, abs=1e-12)
+        dist = moment_distance(gen, t, 0, "exact-enum", SeededRng(16))
+        assert dist == pytest.approx(1 - 1 / math.comb(8 + t - 1, t), abs=1e-12)
 
     def test_sym_coordinates_match_dense_tensor_average(self):
         # independent dense-space computation of the same statistic
         gen = haar_keyed_sprs(4, key_len=6, seed=3)
-        via_module = moment_distance(gen, 2, 0, "exact-enum", SeededRng(17))
-        acc = np.zeros((16, 16), dtype=complex)
-        for k in range(64):
-            psi = gen.eval(format(k, "06b"), None).amplitudes
-            pair = np.kron(psi, psi)
-            acc += np.outer(pair, pair.conj())
-        diff = acc / 64 - symmetric_moment(4, 2).matrix
-        dense = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
-        assert via_module == pytest.approx(dense, abs=1e-9)
+        for t in (2, 3):
+            via_module = moment_distance(gen, t, 0, "exact-enum", SeededRng(17))
+            acc = np.zeros((4**t, 4**t), dtype=complex)
+            for k in range(64):
+                psi = gen.eval(format(k, "06b"), None).amplitudes
+                power = psi
+                for _ in range(t - 1):
+                    power = np.kron(power, psi)
+                acc += np.outer(power, power.conj())
+            diff = acc / 64 - symmetric_moment(4, t).matrix
+            dense = 0.5 * np.abs(np.linalg.eigvalsh(diff)).sum()
+            assert via_module == pytest.approx(dense, abs=1e-12)
 
     def test_random_phase_states_two_copies(self):
         # closed form (N-1)/(N(N+1)) = 7/72 at N = 8; see the exact N = 4 test below
@@ -287,6 +315,10 @@ class TestMomentDistance:
         N = 4
         dist = moment_distance(random_phase_sprs(N), 2, 0, "exact-enum", SeededRng(0))
         assert dist == pytest.approx((N - 1) / (N * (N + 1)), abs=1e-12)
+
+    def test_rejects_fewer_than_one_copy(self):
+        with pytest.raises(ValueError, match="t >= 1"):
+            moment_distance(random_phase_sprs(8), 0, 10, "monte-carlo", SeededRng(0))
 
     def test_exact_enum_key_space_cap(self):
         gen = random_phase_sprs(8)  # 24-bit keys
