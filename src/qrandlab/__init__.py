@@ -45,6 +45,7 @@ from .oracles import (
     BotOracleParams,
     OracleWorld,
     bot_oracle_eval,
+    bot_oracle_eval_many,
     bot_oracle_good_set,
     bot_prg_handle,
     flip_oracle,

@@ -107,6 +107,13 @@ def _resolve_seed(seed) -> int:
     return secrets.randbits(63) if seed is None else int(seed)
 
 
+def _count(params: dict, name: str) -> int:
+    """The count flag --name, which must be at least 1."""
+    if params[name] < 1:
+        raise CliUsageError(f"--{name} must be at least 1, got {params[name]}")
+    return params[name]
+
+
 # -- subcommand implementations ------------------------------------------------
 
 
@@ -117,7 +124,7 @@ def cmd_extract(params: dict, seed: int) -> dict:
     if mode == "sampled" and not t:
         raise CliUsageError("sampled mode needs --t copies")
     rng = SeededRng(seed)
-    n_states = params["states"]
+    n_states = _count(params, "states")
     good = 0
     agree = 0
     bit_ones = np.zeros(rparams.num_bits)
@@ -142,14 +149,14 @@ def cmd_extract(params: dict, seed: int) -> dict:
 
 
 def cmd_haar_stats(params: dict, seed: int) -> dict:
-    return asdict(gaussian_block_check(params["d"], params["states"], SeededRng(seed)))
+    return asdict(gaussian_block_check(params["d"], _count(params, "states"), SeededRng(seed)))
 
 
 def cmd_prg_qs(params: dict, seed: int) -> dict:
     if params["source"] != "bot-oracle":
         raise CliUsageError("only --from bot-oracle is available")
     stride = 10**6  # key i samples on child(i) and is audited on child(stride + i)
-    if params["keys"] > stride:
+    if _count(params, "keys") > stride:
         raise CliUsageError(f"--keys must be at most {stride}, or key sampling reuses an audit stream")
     n = params["n"]
     world = OracleWorld("bot-world", seed, n_max=n, c=params["c"])
@@ -180,7 +187,7 @@ def cmd_sprs_qs(params: dict, seed: int) -> dict:
     if params["source"] != "prg-qs":
         raise CliUsageError("only --from prg-qs is available")
     stride = 1000  # key i samples on child(i) and evaluates on child(stride + i), child(2 * stride + i)
-    if params["keys"] > stride:
+    if _count(params, "keys") > stride:
         raise CliUsageError(f"--keys must be at most {stride}, or key sampling reuses an evaluation stream")
     n = params["n"]
     N = params["N"]

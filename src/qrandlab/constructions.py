@@ -65,8 +65,7 @@ def con1_qsamp(params: Con1Params, rng: SeededRng) -> BotValue:
     lam = params.lam
     for _ in range(lam):
         key = rng.bits(lam)
-        outputs = [params.inner.eval(key, rng) for _ in range(lam)]
-        if not vote(outputs).is_bot:
+        if not vote(params.inner.eval_repeated(key, rng, lam)).is_bot:
             return BotValue.of(key)
     return BOT
 
@@ -77,8 +76,7 @@ def con1_eval(params: Con1Params, key: BotValue, rng: SeededRng) -> BotValue:
         return BotValue.of("0" * params.m)
     if len(key.payload) != params.lam:
         raise ValueError(f"key must be {params.lam} bits, got {len(key.payload)}")
-    outputs = [params.inner.eval(key.payload, rng) for _ in range(params.lam)]
-    return vote_non_bot(outputs)
+    return vote_non_bot(params.inner.eval_repeated(key.payload, rng, params.lam))
 
 
 def con1_handle(params: Con1Params) -> GeneratorHandle:

@@ -205,24 +205,45 @@ def _derived_value(seed: int, function_id: str, n: int, x: int, nbits: int) -> i
 # -- bot-world ---------------------------------------------------------------
 
 
-def bot_oracle_eval(world: OracleWorld, x: str, rng: SeededRng) -> BotValue:
-    """One abort-oracle query on the n-bit input x.
-
-    Good inputs (P_n(x) outside the all-zeros w-prefix) return O_n(x)
-    with certainty; bad inputs abort with probability Q_n(x)/2^n.
-    """
+def _bot_lookup(world: OracleWorld, x: str) -> tuple[BotValue, float | None]:
+    """O_n(x) as a BotValue, and x's abort probability Q_n(x)/2^n if x is
+    bad (the first w bits of P_n(x) are all zero) or None if x is good."""
     if world.kind != "bot-world":
         raise WrongWorldKindError(f"bot_oracle_eval needs a bot-world, got {world.kind}")
     n = len(x)
     params = world.bot_params(n)
     xi = int(x, 2)
-    y = int_to_bits(world.o_value(n, xi), params.m)
-    z = int(world.permutation(n)[xi])
-    if z >> (n - params.w) == 0:  # first w bits of P_n(x) are all zero
-        p_x = world.q_value(n, xi) / (1 << n)
-        if rng.uniform() < p_x:
-            return BOT
-    return BotValue.of(y)
+    value = BotValue.of(int_to_bits(world.o_value(n, xi), params.m))
+    if int(world.permutation(n)[xi]) >> (n - params.w) == 0:
+        return value, world.q_value(n, xi) / (1 << n)
+    return value, None
+
+
+def bot_oracle_eval(world: OracleWorld, x: str, rng: SeededRng) -> BotValue:
+    """One abort-oracle query on the n-bit input x.
+
+    Good inputs (P_n(x) outside the all-zeros w-prefix) return O_n(x)
+    with certainty and draw nothing; bad inputs draw one uniform and
+    abort with probability Q_n(x)/2^n.
+    """
+    value, p_x = _bot_lookup(world, x)
+    if p_x is not None and rng.uniform() < p_x:
+        return BOT
+    return value
+
+
+def bot_oracle_eval_many(world: OracleWorld, x: str, rng: SeededRng, k: int) -> list[BotValue]:
+    """k abort-oracle queries on x, equal to k ``bot_oracle_eval`` calls on rng.
+
+    x is looked up once.  A bad input draws its k uniforms in one call,
+    which on the counter-based Philox stream are the k single draws.
+    """
+    if k < 0:
+        raise ValueError(f"query count must be non-negative, got {k}")
+    value, p_x = _bot_lookup(world, x)
+    if p_x is None:
+        return [value] * k
+    return [BOT if u < p_x else value for u in rng.generator.random(k).tolist()]
 
 
 def bot_oracle_good_set(world: OracleWorld, n: int) -> set[str]:
@@ -245,6 +266,7 @@ def bot_prg_handle(world: OracleWorld, n: int) -> GeneratorHandle:
         input_len=n,
         output_len=params.m,
         eval=lambda key, rng: bot_oracle_eval(world, key, rng),
+        eval_many=lambda key, rng, k: bot_oracle_eval_many(world, key, rng, k),
         description=f"bot-world seed={world.seed} n={n}",
     )
 

@@ -33,7 +33,7 @@ class BotValue:
 
     def __post_init__(self):
         if self.payload is not None and (
-            not isinstance(self.payload, str) or set(self.payload) - {"0", "1"}
+            not isinstance(self.payload, str) or self.payload.strip("01")
         ):
             raise ValueError(f"payload must be a '0'/'1' string, got {self.payload!r}")
 
@@ -70,6 +70,8 @@ def is_bot(a: BotValue, b) -> BotValue:
 
 def _plurality(values: Sequence[Hashable]):
     """Most common element; ties broken by earliest first occurrence."""
+    if values.count(values[0]) == len(values):  # unanimous, the common case
+        return values[0]
     counts: dict = {}
     first: dict = {}
     for i, v in enumerate(values):
@@ -102,8 +104,10 @@ class GeneratorHandle:
     ``eval`` maps (key, rng) to the generator output -- a BotValue or
     bitstring for classical kinds, a StateVector for state kinds; for
     'prf-qs' it maps (key, x, rng).  ``qsamp`` is the key sampler for
-    quantum-input-sampling kinds.  Handles are immutable and safe to
-    share; all randomness comes in through the per-call rng.
+    quantum-input-sampling kinds.  ``eval_many``, if given, maps
+    (key, rng, k) to the k outputs of k ``eval`` calls on that one rng.
+    Handles are immutable and safe to share; all randomness comes in
+    through the per-call rng.
     """
 
     kind: str
@@ -113,6 +117,7 @@ class GeneratorHandle:
     qsamp: Optional[Callable] = field(default=None, compare=False)
     dim: Optional[int] = None
     description: str = ""
+    eval_many: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
@@ -125,6 +130,12 @@ class GeneratorHandle:
             raise ValueError(f"{self.kind} needs a qsamp key sampler")
         if self.kind in ("sprs-qs", "owsg") and self.dim is None:
             raise ValueError(f"{self.kind} needs a state dimension")
+
+    def eval_repeated(self, key, rng: SeededRng, k: int) -> list:
+        """k evaluations of ``key`` in sequence on one stream."""
+        if self.eval_many is not None:
+            return self.eval_many(key, rng, k)
+        return [self.eval(key, rng) for _ in range(k)]
 
     def sample_key(self, rng: SeededRng):
         if self.qsamp is not None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,23 +51,25 @@ class SeededRng:
     Identical ``(seed, counter)`` pairs yield identical draw sequences.
     The object is single-owner: it holds a live numpy ``Generator``
     whose position advances with every draw.  Parallel trials should
-    each construct their own ``SeededRng`` via ``child``.
+    each construct their own ``SeededRng`` via ``child``.  The Philox
+    generator is built on the first draw, so a stream that never draws
+    costs only its validation.
     """
 
     seed: int
     counter: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
+    _gen: np.random.Generator | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= _U64:
             raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if not 0 <= self.counter < _MAX_COUNTER:
             raise ValueError(f"stream counter must be in [0, 2**128), got {self.counter}")
-        bitgen = np.random.Philox(key=self.seed, counter=self.counter << 128)
-        self._gen = np.random.Generator(bitgen)
 
     @property
     def generator(self) -> np.random.Generator:
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.Philox(key=self.seed, counter=self.counter << 128))
         return self._gen
 
     def child(self, index: int) -> "SeededRng":
@@ -83,22 +86,22 @@ class SeededRng:
     # Thin draw helpers so call sites read like the math they implement.
 
     def uniform(self) -> float:
-        return float(self._gen.random())
+        return float(self.generator.random())
 
     def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
+        return self.generator.integers(low, high, size=size)
 
     def standard_normal(self, size):
-        return self._gen.standard_normal(size)
+        return self.generator.standard_normal(size)
 
     def bit(self) -> int:
-        return int(self._gen.integers(0, 2))
+        return int(self.generator.integers(0, 2))
 
     def bits(self, n: int) -> str:
-        return "".join("01"[b] for b in self._gen.integers(0, 2, size=n))
+        return "".join("01"[b] for b in self.generator.integers(0, 2, size=n))
 
     def multinomial(self, n: int, pvals) -> np.ndarray:
-        return self._gen.multinomial(n, pvals)
+        return self.generator.multinomial(n, pvals)
 
 
 def _derivation_prefix(seed: int, function_id: str, n: int) -> bytes:
@@ -120,8 +123,7 @@ def derive_bits(seed: int, function_id: str, n: int, x: int, nbits: int) -> str:
     while len(out) * 8 < nbits:
         out += hashlib.sha256(prefix + struct.pack(">I", block)).digest()
         block += 1
-    bits = "".join(f"{byte:08b}" for byte in out)
-    return bits[:nbits]
+    return format(int.from_bytes(out, "big") >> (8 * len(out) - nbits), f"0{nbits}b")
 
 
 def derive_int(seed: int, function_id: str, n: int, x: int, nbits: int) -> int:
@@ -132,8 +134,10 @@ class ShaStream:
     """Deterministic byte stream (SHA-256 counter mode) with bounded draws.
 
     Used for seeded Fisher-Yates permutation tables.  Bounded integers
-    come from rejection sampling on 64-bit words, so the stream is
-    exactly reproducible in any language with SHA-256.
+    come from rejection sampling on 64-bit big-endian words, so the
+    stream is exactly reproducible in any language with SHA-256.  Words
+    are hashed and tested in bulk; the draws are the same as one word
+    at a time.
     """
 
     def __init__(self, seed: int, function_id: str, n: int):
@@ -141,35 +145,70 @@ class ShaStream:
         self._block = 0
         self._buf = b""
 
+    def _words(self, count: int) -> np.ndarray:
+        """The next ``count`` words as a uint64 array."""
+        need = 8 * count - len(self._buf)
+        if need > 0:
+            blocks = range(self._block, self._block + -(-need // 32))
+            self._buf += b"".join(hashlib.sha256(self._prefix + struct.pack(">Q", b)).digest() for b in blocks)
+            self._block = blocks.stop
+        data, self._buf = self._buf[: 8 * count], self._buf[8 * count :]
+        return np.frombuffer(data, dtype=">u8").astype(np.uint64)
+
     def _next_word(self) -> int:
-        if len(self._buf) < 8:
-            self._buf += hashlib.sha256(
-                self._prefix + struct.pack(">Q", self._block)
-            ).digest()
-            self._block += 1
-        word, self._buf = self._buf[:8], self._buf[8:]
-        return int.from_bytes(word, "big")
+        return int(self._words(1)[0])
+
+    def bounded_many(self, bounds: np.ndarray) -> np.ndarray:
+        """Uniform integers in [0, bounds[i]), drawn in order, as a uint64 array.
+
+        Each draw takes words until one lies below the largest multiple
+        of its bound, 2**64 - (2**64 % bound), and returns it modulo the
+        bound; a rejected word shifts every later draw by one word.
+        """
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        if (bounds == 0).any():
+            raise ValueError("bound must be positive")
+        # word < 2**64 - r  <=>  word <= ~r, where r = 2**64 % bound = (2**64 - bound) % bound
+        highest = ~((~bounds + np.uint64(1)) % bounds)
+        out = np.empty(bounds.size, dtype=np.uint64)
+        done = 0
+        while done < bounds.size:
+            words = self._words(bounds.size - done)
+            used = 0
+            while used < words.size:
+                span = slice(done, done + words.size - used)
+                w = words[used:]
+                rejected = np.flatnonzero(w > highest[span])
+                take = int(rejected[0]) if rejected.size else w.size
+                out[done : done + take] = w[:take] % bounds[done : done + take]
+                done += take
+                used += take + 1  # skip the rejected word, if any
+        return out
 
     def bounded(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection below the largest multiple."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        limit = (1 << 64) - ((1 << 64) % bound)
-        while True:
-            word = self._next_word()
-            if word < limit:
-                return word % bound
+        if not 0 < bound < 1 << 64:
+            raise ValueError(f"bound must be in [1, 2**64), got {bound}")
+        return int(self.bounded_many(np.array([bound], dtype=np.uint64))[0])
+
+
+_FISHER_YATES_CHUNK = 4096  # bounded draws per bulk call; bounds the j array's memory
 
 
 def fisher_yates_table(seed: int, function_id: str, n_bits: int) -> np.ndarray:
-    """Seeded permutation table on {0,1}^n_bits as a uint64 array."""
+    """Seeded permutation table on {0,1}^n_bits as a uint64 array.
+
+    Position i, from the top down, swaps with j = stream.bounded(i + 1).
+    """
     size = 1 << n_bits
-    table = np.arange(size, dtype=np.uint64)
+    table = array("Q", range(size))
     stream = ShaStream(seed, function_id, n_bits)
-    for i in range(size - 1, 0, -1):
-        j = stream.bounded(i + 1)
-        table[i], table[j] = table[j], table[i]
-    return table
+    for top in range(size - 1, 0, -_FISHER_YATES_CHUNK):
+        positions = range(top, max(top - _FISHER_YATES_CHUNK, 0), -1)
+        bounds = np.arange(top + 1, positions.stop + 1, -1, dtype=np.uint64)
+        for i, j in zip(positions, stream.bounded_many(bounds).tolist()):
+            table[i], table[j] = table[j], table[i]
+    return np.frombuffer(table, dtype=np.uint64)
 
 
 def int_to_bits(value: int, width: int) -> str:

@@ -26,7 +26,7 @@ from qrandlab.experiments import (
 from qrandlab.extraction import RoundParams, extract, gaussian_block_check, good_set_member
 from qrandlab.oracles import (
     OracleWorld,
-    bot_oracle_eval,
+    bot_oracle_eval_many,
     bot_oracle_good_set,
     bot_prg_handle,
     flip_oracle,
@@ -128,7 +128,7 @@ def test_criterion_04_bot_oracle_law():
     for j, x in enumerate(bad):
         p = world.q_value(n, int(x, 2)) / 2**n
         child = rng.child(j)
-        freq = sum(bot_oracle_eval(world, x, child).is_bot for _ in range(evals)) / evals
+        freq = sum(v.is_bot for v in bot_oracle_eval_many(world, x, child, evals)) / evals
         dev = abs(freq - p)
         worst = max(worst, dev - 3 * math.sqrt(p * (1 - p) / evals))
         if dev > 3 * math.sqrt(p * (1 - p) / evals):

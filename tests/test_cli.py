@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qrandlab.cli import canonical_json, main, strip_timing_fields as strip_timing
 
 
@@ -57,6 +59,24 @@ class TestExtractCommand:
         (record,) = parse_lines(out)
         assert isinstance(record["config"]["seed"], int)
 
+
+class TestCountFlags:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["extract", "--d", "64", "--states", "0"], "--states"),
+            (["haar-stats", "--d", "64", "--states", "0"], "--states"),
+            (["prg-qs", "--from", "bot-oracle", "--keys", "-3"], "--keys"),
+            (["prg-qs", "--from", "bot-oracle", "--keys", "0"], "--keys"),
+            (["sprs-qs", "--from", "prg-qs", "--keys", "-3"], "--keys"),
+        ],
+    )
+    def test_count_below_one_is_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, argv + ["--seed", "1"])
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be at least 1" in err
+        assert "Traceback" not in err
 
 class TestRerun:
     def test_rerun_reproduces_non_timing_fields(self, capsys, tmp_path):

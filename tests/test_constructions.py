@@ -96,6 +96,24 @@ class TestCon1:
             Con1Params(lam=4, inner=derived_bot_prg(8, 16))
 
 
+    def test_known_answers_over_bot_world(self):
+        # Pinned before the inner evaluations were batched.  Child 55's first
+        # candidate key is bad and loses its vote; 110001000010 is a bad key
+        # that aborts with probability 0.97.
+        params = bot_world_con1(seed=2024)
+        rng = SeededRng(2024, 5)
+        keys = [con1_qsamp(params, rng.child(i)) for i in (0, 1, 2)]
+        assert [k.payload for k in keys] == ["101001111101", "111010101110", "000010101100"]
+        retried = rng.child(55)
+        assert con1_qsamp(params, retried).payload == "011011101011"
+        assert retried.uniform() == 0.1056485145888878
+        assert con1_eval(params, keys[0], rng.child(100)).payload == "101101001001010011101100"
+        stream = rng.child(300)
+        outputs = [con1_eval(params, BotValue.of("110001000010"), stream) for _ in range(40)]
+        assert "".join("1" if v.is_bot else "0" for v in outputs) == "1010010100111100101110111001111101111010"
+        assert {v.payload for v in outputs if not v.is_bot} == {"110011001110010110011100"}
+        assert stream.uniform() == 0.19071621107276104
+
 class TestCon2:
     def test_qsamp_returns_good_key(self):
         rng = SeededRng(13)

@@ -11,6 +11,7 @@ from qrandlab.oracles import (
     OracleWorld,
     WrongWorldKindError,
     bot_oracle_eval,
+    bot_oracle_eval_many,
     bot_oracle_good_set,
     bot_prg_handle,
     candidate_states,
@@ -131,6 +132,39 @@ class TestBotOracle:
         with pytest.raises(WrongWorldKindError):
             bot_oracle_eval(flip, "0000", SeededRng(0))
 
+
+
+class TestBotOracleEvalMany:
+    world = OracleWorld("bot-world", seed=5, n_max=12)
+
+    def inputs(self):
+        good = bot_oracle_good_set(self.world, 12)
+        bad = [int_to_bits(x, 12) for x in range(1 << 12) if int_to_bits(x, 12) not in good]
+        heavy = max(bad, key=lambda x: self.world.q_value(12, int(x, 2)))
+        return {"good": sorted(good)[0], "bad": heavy}
+
+    @pytest.mark.parametrize("kind", ["good", "bad"])
+    def test_equals_sequential_calls_on_one_stream(self, kind):
+        x = self.inputs()[kind]
+        batched, single = SeededRng(8, 2), SeededRng(8, 2)
+        many = bot_oracle_eval_many(self.world, x, batched, 300)
+        assert many == [bot_oracle_eval(self.world, x, single) for _ in range(300)]
+        assert batched.uniform() == single.uniform()
+        assert any(v.is_bot for v in many) == (kind == "bad")
+
+    def test_handle_batches_through_eval_many(self):
+        x = self.inputs()["bad"]
+        gen = bot_prg_handle(self.world, 12)
+        a, b = SeededRng(9), SeededRng(9)
+        assert gen.eval_repeated(x, a, 40) == [gen.eval(x, b) for _ in range(40)]
+        assert a.uniform() == b.uniform()
+
+    def test_rejects_negative_count_and_wrong_world(self):
+        with pytest.raises(ValueError):
+            bot_oracle_eval_many(self.world, "0" * 12, SeededRng(0), -1)
+        flip = OracleWorld("flip-world", seed=1, n_max=4)
+        with pytest.raises(WrongWorldKindError):
+            bot_oracle_eval_many(flip, "0000", SeededRng(0), 3)
 
 class TestFlipOracle:
     world = OracleWorld("flip-world", seed=21, n_max=4)

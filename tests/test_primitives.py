@@ -93,6 +93,15 @@ class TestVote:
         assert vote(original) == vote(shuffled)
 
 
+    def test_tie_rule_with_equal_distinct_objects(self):
+        a1, a2 = BotValue.of("01"), BotValue.of("01")
+        b1, b2 = BotValue.of("10"), BotValue.of("10")
+        assert vote([a1, a2, a2]) is a1
+        assert vote([b1, a1, a2, b2]) is b1
+        assert vote([a2, BOT, a1, BOT]) is a2
+        assert vote([BOT, a1, BOT, a2]) is BOT
+        assert vote_non_bot([BOT, b2, a1, b1, a2]) is b2
+
 class TestVoteNonBot:
     def test_all_bot(self):
         assert vote_non_bot([BOT, BOT, BOT]).is_bot
@@ -129,6 +138,12 @@ class TestGeneratorHandle:
         with pytest.raises(ValueError):
             GeneratorHandle(kind="prp", input_len=4, output_len=8, eval=lambda k, r: k)
 
+
+    def test_eval_repeated_without_batch_loops_eval(self):
+        gen = fair_coin_bot_prg(4, 8)
+        a, b = SeededRng(5), SeededRng(5)
+        assert gen.eval_repeated("0101", a, 30) == [gen.eval("0101", b) for _ in range(30)]
+        assert a.uniform() == b.uniform()
 
 class TestDeterminismAudit:
     def test_constant_generator(self):

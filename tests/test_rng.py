@@ -7,6 +7,7 @@ changes what a recorded seed reproduces.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from qrandlab.experiments import moment_distance, moment_distance_ci
@@ -106,3 +107,82 @@ class TestPinnedStatistics:
     def test_flip_world_key(self):
         world = OracleWorld("flip-world", 2024, n_max=2)
         assert prfqs_from_world(world, 2).qsamp(SeededRng(2024, 1)) == "11" + "0001010100110011"
+
+
+class TestLazyGenerator:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        return built
+
+    def test_stream_that_never_draws_builds_no_generator(self, builds):
+        rng = SeededRng(2024, 3)
+        child = rng.child(5)
+        assert builds == []
+        assert child.integers(0, 1 << 32, size=4).tolist() == [1241146508, 181044989, 2403135797, 570890450]
+        assert child.uniform() == 0.19331473097178065
+        assert builds == [{"key": 2024, "counter": child.counter << 128}]
+
+    def test_out_of_range_raises_at_construction(self, builds):
+        for seed, counter in ((-1, 0), (1 << 64, 0), (1, -1), (1, 1 << 128)):
+            with pytest.raises(ValueError):
+                SeededRng(seed, counter)
+        assert builds == []
+
+
+def _table_digest(table) -> str:
+    return hashlib.sha256(table.tobytes()).hexdigest()
+
+
+class TestBulkFisherYates:
+    @pytest.mark.parametrize(
+        "n_bits, digest",
+        [
+            (12, "21fcf2fa5a54fd2350d30a84cffd1c64d5a7fcc1cb23966faa8e0b2a4a745fda"),
+            (13, "113dd335c9bc7c6ec3d125fe86be4faefaaf7d982b7829b657274b405f827d1b"),
+            (16, "87edf7ec783f201d7cc2ebf679e29bb8da96d223e7756d93092deca84b0db9c5"),
+        ],
+    )
+    def test_known_answers(self, n_bits, digest):
+        assert _table_digest(fisher_yates_table(2024, "bot-world/P", n_bits)) == digest
+
+    @pytest.mark.parametrize("n_bits, position", [(8, 3), (13, 4095)])
+    def test_forced_rejection_matches_scalar_loop(self, monkeypatch, n_bits, position):
+        # Word `position` of every stream is set to the rejection limit of
+        # the bound it is drawn for, so that draw takes the following word.
+        size = 1 << n_bits
+        bound = size - position
+        limit = (1 << 64) - (1 << 64) % bound
+        words = ShaStream._words
+
+        def forced(self, count):
+            start = getattr(self, "drawn", 0)
+            self.drawn = start + count
+            out = words(self, count).copy()
+            if start <= position < start + count:
+                out[position - start] = limit
+            return out
+
+        monkeypatch.setattr(ShaStream, "_words", forced)
+        table = fisher_yates_table(2024, "bot-world/P", n_bits)
+        stream = ShaStream(2024, "bot-world/P", n_bits)
+        reference = list(range(size))
+        for i in range(size - 1, 0, -1):
+            j = stream.bounded(i + 1)
+            reference[i], reference[j] = reference[j], reference[i]
+        assert table.tolist() == reference
+        monkeypatch.undo()
+        assert table.tolist() != fisher_yates_table(2024, "bot-world/P", n_bits).tolist()
+
+    def test_word_below_limit_is_kept(self, monkeypatch):
+        bound = 253
+        limit = (1 << 64) - (1 << 64) % bound
+        monkeypatch.setattr(ShaStream, "_words", lambda self, count: np.full(count, limit - 1, dtype=np.uint64))
+        assert ShaStream(0, "x", 1).bounded(bound) == (limit - 1) % bound
