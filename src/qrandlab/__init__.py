@@ -48,8 +48,8 @@ from .oracles import (
     bot_oracle_eval_many,
     bot_oracle_good_set,
     bot_prg_handle,
-    flip_oracle,
     lazy_flip_key,
+    measure_flipped,
     prfqs_from_world,
     sampler_oracle,
     verify_eval_oracle,
@@ -66,27 +66,20 @@ from .primitives import (
     vote_non_bot,
 )
 from .qcore import (
-    DensityOp,
     DimensionMismatchError,
     InvalidDimensionError,
     MemoryBudgetError,
-    RankTwoFlip,
     StateVector,
-    apply_flip,
     born_distribution,
     haar_sample,
     measure_computational,
-    symmetric_moment,
-    trace_distance,
 )
 from .rng import SeededRng, derive_bits, derive_int
 from .tomography import (
     DiagonalEstimate,
     estimate_diagonal,
     exact_diagonal,
-    linf_error,
     sampled_diagonal,
-    tomography_samples_required,
 )
 
 __version__ = "0.1.0"

@@ -39,12 +39,11 @@ from .oracles import (
     bot_oracle_eval,
     bot_prg_handle,
     decode_flip_index,
-    flip_oracle,
-    flip_state_dim,
+    measure_flipped,
     sampler_oracle,
 )
 from .primitives import determinism_audit
-from .qcore import StateVector, apply_flip, haar_sample, measure_computational
+from .qcore import haar_sample
 from .rng import SeededRng
 from .tomography import exact_diagonal
 from .toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
@@ -244,10 +243,7 @@ def cmd_oracle_sim(params: dict, seed: int) -> dict:
             state_bits = query.get("state", "0" * (9 * n + 1))
             if len(state_bits) != 9 * n + 1:
                 raise CliUsageError(f"flip-world queries need a {9 * n + 1}-bit 'state' field")
-            swapped = apply_flip(
-                flip_oracle(world, n), StateVector.basis(flip_state_dim(n), int(state_bits, 2))
-            )
-            lead, x, y = decode_flip_index(measure_computational(swapped, child), n)
+            lead, x, y = decode_flip_index(measure_flipped(world, n, int(state_bits, 2), child), n)
             responses.append({"query": i, "lead": lead, "x": x, "y": y})
     return {"world": world.to_record(), "responses": responses}
 

@@ -425,12 +425,15 @@ def moment_distance_ci(
     n_batches: int = 25,
     n_boot: int = 200,
 ) -> tuple[float, tuple[float, float]]:
-    """Monte-Carlo moment distance with a batch-bootstrap 95% interval.
+    """Monte-Carlo moment distance with a batch-bootstrap spread interval.
 
-    The interval is the bootstrap spread centered at the point estimate:
-    the plug-in statistic carries an upward noise bias that is common to
-    the estimate and every resampled replicate, so the replicate spread,
-    not the replicate location, is what measures sampling variability.
+    The interval is the central 95% bootstrap spread, centred on the
+    plug-in estimate: it shows how far the estimate moves under
+    resampling.  It is not a confidence interval for the true distance.
+    The plug-in statistic carries an upward noise bias, and the interval
+    sits on the biased estimate, so it can miss the truth: for
+    random-function phase states at N = 8, t = 2 and 2000 keys it gives
+    [0.0994, 0.1176], and the closed form is 7/72 = 0.0972.
     Keeps one partial moment per batch, so it is restricted to small
     state dimensions (the acceptance study uses it at dim 8).
     """

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .qcore import DimensionMismatchError, InvalidDimensionError, StateVector, haar_sample
 from .rng import SeededRng
@@ -126,6 +125,10 @@ def gaussian_block_check(d: int, n_states: int, rng: SeededRng) -> BlockStats:
         diag = exact_diagonal(haar_sample(d, rng))
         sums[i] = block_sums(diag, params)
         good += good_set_member(diag, params)
+    # imported here, its one use: scipy.stats takes over a second to load,
+    # and every CLI run would pay it at import time
+    from scipy import stats
+
     pooled = sums.ravel()
     model_std = np.sqrt(params.r) / d
     ks = stats.kstest(pooled, "norm", args=(params.threshold, model_std)).statistic

@@ -32,7 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from .primitives import BOT, BotValue, GeneratorHandle, as_bot
-from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, RankTwoFlip, StateVector
+from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, sample_index
 from .rng import IMAGE_SEARCH_SEED, OWSG_SEARCH_SEED, SeededRng, derive_int, fisher_yates_table, int_to_bits
 
 WORLD_KINDS = ("flip-world", "bot-world", "sampler-world")
@@ -43,8 +43,8 @@ DERIVATION_ID = "sha256ctr/fisher-yates/v1"
 MAX_PRG_KEY_BITS = 20
 MAX_OWSG_KEY_BITS = 16
 
-_MAX_DENSE_FLIP_N = 2  # 2^(9n+1) amplitudes: n=2 is 8 MB, n=3 is 4 GB
-_MAX_GOOD_SET_N = 20
+# exhaustive 2^n-entry tables (the good set, the flipped support) stop here
+_MAX_ENUM_N = 20
 
 
 class WrongWorldKindError(ValueError):
@@ -196,7 +196,10 @@ def _permutation_table(seed: int, n: int) -> np.ndarray:
     return table
 
 
-@lru_cache(maxsize=1 << 20)
+# Keys carry the world's seed, so entries of worlds no longer queried
+# stay until evicted; at about 264 B an entry, 1 << 14 entries cap them
+# at about 4 MB and still hold the ~41 lookups of ~400 abort-vote requests.
+@lru_cache(maxsize=1 << 14)
 def _derived_value(seed: int, function_id: str, n: int, x: int, nbits: int) -> int:
     # pure function of its arguments; caching only spares repeated hashing
     return derive_int(seed, function_id, n, x, nbits)
@@ -250,8 +253,8 @@ def bot_oracle_good_set(world: OracleWorld, n: int) -> set[str]:
     """Exact good set by exhaustive enumeration (n <= 20)."""
     if world.kind != "bot-world":
         raise WrongWorldKindError(f"good set needs a bot-world, got {world.kind}")
-    if n > _MAX_GOOD_SET_N:
-        raise MemoryBudgetError(f"exhaustive good set capped at n <= {_MAX_GOOD_SET_N}")
+    if n > _MAX_ENUM_N:
+        raise MemoryBudgetError(f"exhaustive good set capped at n <= {_MAX_ENUM_N}")
     params = world.bot_params(n)
     table = world.permutation(n)
     good = np.nonzero(table >> (n - params.w) != 0)[0]
@@ -290,29 +293,44 @@ def decode_flip_index(index: int, n: int) -> tuple[int, str, str]:
     return lead, int_to_bits(x, n), int_to_bits(y, 8 * n)
 
 
-def flip_target_state(world: OracleWorld, n: int) -> StateVector:
-    """The swap target: uniform superposition over (1, x, O_n(x))."""
-    amps = np.zeros(flip_state_dim(n), dtype=complex)
-    amp = 2.0 ** (-n / 2)
-    for x in range(1 << n):
-        amps[_flip_index(n, x, world.o_value(n, x))] = amp
-    return StateVector(amps)
+def measure_flipped(world: OracleWorld, n: int, basis_index: int, rng: SeededRng) -> int:
+    """Measure the swap unitary F applied to the basis state |basis_index>.
 
+    F = I - dd^dag with d = |0...0> - target, where the target is the
+    uniform superposition over (1, x, O_n(x)) with amplitude 2^(-n/2).
+    F|s> is sparse, so it is written in closed form:
 
-def flip_oracle(world: OracleWorld, n: int) -> RankTwoFlip:
-    """Dense swap unitary between the all-zeros state and the flip target.
+    * s = 0 gives the target, in x order;
+    * s on the target, F|s> = |s> + 2^(-n/2) (|0...0> - target), gives
+      index 0 plus the target;
+    * any other s is orthogonal to d and is left as it is.
 
-    Dense construction is capped at n <= 2 (n = 3 would need 4 GB of
-    amplitudes); use ``lazy_flip_key`` beyond that.
+    The amplitudes are the float values the dense rank-1 update produces,
+    and ``sample_index`` draws one uniform(), so the outcome and the
+    stream match measuring the dense 2^(9n+1)-amplitude state.  A query
+    derives at most two O_n values.
     """
     if world.kind != "flip-world":
-        raise WrongWorldKindError(f"flip_oracle needs a flip-world, got {world.kind}")
-    if n > _MAX_DENSE_FLIP_N:
-        raise MemoryBudgetError(
-            f"dense flip needs 2^{9 * n + 1} amplitudes; use lazy_flip_key for n > {_MAX_DENSE_FLIP_N}"
-        )
-    dim = flip_state_dim(n)
-    return RankTwoFlip(a=StateVector.basis(dim, 0), b=flip_target_state(world, n))
+        raise WrongWorldKindError(f"measure_flipped needs a flip-world, got {world.kind}")
+    world._check_n(n)
+    if n > _MAX_ENUM_N:
+        raise MemoryBudgetError(f"flipped support has 2^{n} + 1 outcomes; capped at n <= {_MAX_ENUM_N}")
+    if not 0 <= basis_index < flip_state_dim(n):
+        raise ValueError(f"basis index {basis_index} outside [0, 2^{9 * n + 1})")
+    amp = 2.0 ** (-n / 2)
+    lead = basis_index >> (9 * n)
+    x0 = (basis_index >> (8 * n)) & ((1 << n) - 1)
+    if basis_index == 0:
+        head, amps = 0, np.full(1 << n, amp, dtype=complex)
+    elif lead == 1 and world.o_value(n, x0) == basis_index & ((1 << (8 * n)) - 1):
+        head, amps = 1, np.full(1 + (1 << n), -amp * amp, dtype=complex)
+        amps[0] = amp
+        amps[1 + x0] = 1 - amp * amp
+    else:
+        rng.uniform()  # the outcome is certain, but the measurement still draws
+        return basis_index
+    x = sample_index(np.abs(amps) ** 2, rng) - head
+    return 0 if x < 0 else _flip_index(n, x, world.o_value(n, x))
 
 
 def lazy_flip_key(world: OracleWorld, n: int, rng: SeededRng) -> tuple[str, str]:

@@ -1,10 +1,9 @@
-"""Dense complex statevector and density-operator engine.
+"""Dense complex statevector engine.
 
 Everything downstream (tomography, extraction, oracle worlds, the
 experiment harness) manipulates states through the handful of
 operations defined here: Haar sampling, computational-basis Born
-statistics and measurement, trace distance, rank-2 flip unitaries, and
-symmetric-subspace moment operators.
+statistics and measurement, and fidelity.
 
 Numerical contract: exact linear-algebra identities hold to ATOL =
 1e-10; anything sampled is judged by Monte-Carlo intervals, never by
@@ -13,9 +12,7 @@ ATOL.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -23,8 +20,10 @@ from .rng import SeededRng
 
 ATOL = 1e-10
 
-# symmetric_moment materializes a dim**t square matrix; cap the tensor
-# dimension so the matrix stays under ~270 MB.
+# Caps the t-copy moment matrix (dim**t <= MAX_TENSOR_DIM; its
+# symmetric-coordinate side C(dim+t-1, t) is smaller still) and the
+# brute-force candidate-state table (at most MAX_TENSOR_DIM**2
+# amplitudes, 268 MB of complex128).
 MAX_TENSOR_DIM = 4096
 
 
@@ -77,68 +76,10 @@ class StateVector:
         amps[index] = 1.0
         return cls(amps)
 
-    def density(self) -> "DensityOp":
-        return DensityOp(np.outer(self.amplitudes, self.amplitudes.conj()))
-
     def fidelity(self, other: "StateVector") -> float:
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dims {self.dim} vs {other.dim}")
         return float(abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
-
-
-@dataclass(frozen=True)
-class DensityOp:
-    """Hermitian, unit-trace, positive-semidefinite matrix.
-
-    Positivity is an O(dim^3) eigencheck, so it is only enforced at
-    construction for dim <= 256; larger operators are produced
-    internally by constructions whose positivity holds by algebra.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
-            raise InvalidDimensionError(f"density operator needs a square matrix, got {mat.shape}")
-        if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0):
-            raise ValueError("matrix is not Hermitian within 1e-10")
-        tr = np.trace(mat).real
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"trace {tr} deviates from 1 by more than {ATOL}")
-        if mat.shape[0] <= 256:
-            if np.linalg.eigvalsh(mat).min() < -ATOL:
-                raise ValueError("matrix has an eigenvalue below -1e-10")
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class RankTwoFlip:
-    """Unitary that swaps orthogonal states a <-> b and fixes their complement.
-
-    Stored as the two defining vectors only; applying it is a rank-1
-    update, so no dim x dim matrix ever materializes.
-    """
-
-    a: StateVector
-    b: StateVector
-
-    def __post_init__(self):
-        if self.a.dim != self.b.dim:
-            raise DimensionMismatchError(f"dims {self.a.dim} vs {self.b.dim}")
-        overlap = abs(np.vdot(self.a.amplitudes, self.b.amplitudes))
-        if overlap > ATOL:
-            raise ValueError(f"flip endpoints overlap by {overlap} > {ATOL}")
-
-    @property
-    def dim(self) -> int:
-        return self.a.dim
 
 
 def haar_sample(dim: int, rng: SeededRng) -> StateVector:
@@ -154,53 +95,16 @@ def born_distribution(psi: StateVector) -> np.ndarray:
     return np.abs(psi.amplitudes) ** 2
 
 
-def measure_computational(psi: StateVector, rng: SeededRng) -> int:
-    """One computational-basis measurement; returns the outcome index."""
-    probs = born_distribution(psi)
+def sample_index(probs: np.ndarray, rng: SeededRng) -> int:
+    """Index drawn from the weights probs with one uniform().
+
+    The running sum is sequential, so zero weights add exactly: dropping
+    them and mapping the drawn position back gives the same outcome.
+    """
     cdf = np.cumsum(probs)
     return int(np.searchsorted(cdf, rng.uniform() * cdf[-1], side="right"))
 
 
-def trace_distance(rho: DensityOp, sigma: DensityOp) -> float:
-    if rho.dim != sigma.dim:
-        raise DimensionMismatchError(f"dims {rho.dim} vs {sigma.dim}")
-    eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(0.5 * np.abs(eigs).sum())
-
-
-def apply_flip(flip: RankTwoFlip, psi: StateVector) -> StateVector:
-    """Apply the flip unitary: psi - <a-b|psi>(a-b) since F = I - dd^dag, d = a-b."""
-    if flip.dim != psi.dim:
-        raise DimensionMismatchError(f"dims {flip.dim} vs {psi.dim}")
-    d = flip.a.amplitudes - flip.b.amplitudes
-    out = psi.amplitudes - np.vdot(d, psi.amplitudes) * d
-    return StateVector(out)
-
-
-def symmetric_projector(dim: int, t: int) -> np.ndarray:
-    """Projector onto the symmetric subspace of (C^dim)^{tensor t}."""
-    size = dim**t
-    proj = np.zeros((size, size))
-    digits = np.empty((size, t), dtype=np.int64)
-    rem = np.arange(size)
-    for pos in range(t - 1, -1, -1):
-        digits[:, pos] = rem % dim
-        rem //= dim
-    weights = dim ** np.arange(t - 1, -1, -1)
-    rows = np.arange(size)
-    for perm in permutations(range(t)):
-        cols = digits[:, list(perm)] @ weights
-        proj[rows, cols] += 1.0
-    return proj / math.factorial(t)
-
-
-def symmetric_moment(dim: int, t: int) -> DensityOp:
-    """Haar t-copy average E[|phi><phi|^{tensor t}]: sym projector / binom(dim+t-1, t)."""
-    if dim < 2 or t < 1:
-        raise InvalidDimensionError(f"need dim >= 2 and t >= 1, got dim={dim}, t={t}")
-    if dim**t > MAX_TENSOR_DIM:
-        raise MemoryBudgetError(
-            f"dim**t = {dim ** t} exceeds the tensor budget {MAX_TENSOR_DIM}"
-        )
-    proj = symmetric_projector(dim, t)
-    return DensityOp(proj.astype(complex) / math.comb(dim + t - 1, t))
+def measure_computational(psi: StateVector, rng: SeededRng) -> int:
+    """One computational-basis measurement; returns the outcome index."""
+    return sample_index(born_distribution(psi), rng)

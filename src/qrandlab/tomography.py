@@ -11,7 +11,6 @@ vectors, the norm the rounding thresholds actually respond to.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,20 +80,3 @@ def estimate_diagonal(
             raise ValueError("sampled mode needs a copy count t and an rng")
         return sampled_diagonal(psi, t, rng)
     raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
-
-
-def tomography_samples_required(lam: int, d: int, delta: float) -> int:
-    """Copy count ceil(36 * lam * d^3 / delta) guaranteeing estimation error delta."""
-    if not 0 < delta <= 1:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if lam < 1:
-        raise ValueError(f"lam must be >= 1, got {lam}")
-    return math.ceil(36 * lam * d**3 / delta)
-
-
-def linf_error(estimate: DiagonalEstimate, reference: DiagonalEstimate) -> float:
-    if estimate.dim != reference.dim:
-        raise ValueError(f"dims {estimate.dim} vs {reference.dim}")
-    return float(np.abs(estimate.probs - reference.probs).max())

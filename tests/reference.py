@@ -1,0 +1,182 @@
+"""Dense references that only the tests read.
+
+The library measures flipped states sparsely (``oracles.measure_flipped``)
+and computes moments in symmetric-subspace coordinates; the dense
+versions here are the independent computations those are checked
+against, together with the density-operator algebra and tomography
+bounds the tests state their claims in.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import permutations
+
+import numpy as np
+
+from qrandlab.oracles import OracleWorld, WrongWorldKindError, _flip_index, flip_state_dim
+from qrandlab.qcore import (
+    ATOL,
+    MAX_TENSOR_DIM,
+    DimensionMismatchError,
+    InvalidDimensionError,
+    MemoryBudgetError,
+    StateVector,
+)
+from qrandlab.tomography import DiagonalEstimate
+
+MAX_DENSE_FLIP_N = 2  # 2^(9n+1) amplitudes: n=2 is 8 MB, n=3 is 4 GB
+
+
+# -- density operators ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DensityOp:
+    """Hermitian, unit-trace, positive-semidefinite matrix.
+
+    Positivity is an O(dim^3) eigencheck, so it is only enforced at
+    construction for dim <= 256.
+    """
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        mat = np.asarray(self.matrix, dtype=complex)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 2:
+            raise InvalidDimensionError(f"density operator needs a square matrix, got {mat.shape}")
+        if not np.allclose(mat, mat.conj().T, atol=ATOL, rtol=0):
+            raise ValueError("matrix is not Hermitian within 1e-10")
+        tr = np.trace(mat).real
+        if abs(tr - 1.0) > ATOL:
+            raise ValueError(f"trace {tr} deviates from 1 by more than {ATOL}")
+        if mat.shape[0] <= 256:
+            if np.linalg.eigvalsh(mat).min() < -ATOL:
+                raise ValueError("matrix has an eigenvalue below -1e-10")
+        mat = mat.copy()
+        mat.setflags(write=False)
+        object.__setattr__(self, "matrix", mat)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+def density(psi: StateVector) -> DensityOp:
+    return DensityOp(np.outer(psi.amplitudes, psi.amplitudes.conj()))
+
+
+def trace_distance(rho: DensityOp, sigma: DensityOp) -> float:
+    if rho.dim != sigma.dim:
+        raise DimensionMismatchError(f"dims {rho.dim} vs {sigma.dim}")
+    eigs = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
+    return float(0.5 * np.abs(eigs).sum())
+
+
+# -- Haar moments in the full tensor space ---------------------------------------
+
+
+def symmetric_projector(dim: int, t: int) -> np.ndarray:
+    """Projector onto the symmetric subspace of (C^dim)^{tensor t}."""
+    size = dim**t
+    proj = np.zeros((size, size))
+    digits = np.empty((size, t), dtype=np.int64)
+    rem = np.arange(size)
+    for pos in range(t - 1, -1, -1):
+        digits[:, pos] = rem % dim
+        rem //= dim
+    weights = dim ** np.arange(t - 1, -1, -1)
+    rows = np.arange(size)
+    for perm in permutations(range(t)):
+        cols = digits[:, list(perm)] @ weights
+        proj[rows, cols] += 1.0
+    return proj / math.factorial(t)
+
+
+def symmetric_moment(dim: int, t: int) -> DensityOp:
+    """Haar t-copy average E[|phi><phi|^{tensor t}]: sym projector / binom(dim+t-1, t)."""
+    if dim < 2 or t < 1:
+        raise InvalidDimensionError(f"need dim >= 2 and t >= 1, got dim={dim}, t={t}")
+    if dim**t > MAX_TENSOR_DIM:
+        raise MemoryBudgetError(
+            f"dim**t = {dim ** t} exceeds the tensor budget {MAX_TENSOR_DIM}"
+        )
+    proj = symmetric_projector(dim, t)
+    return DensityOp(proj.astype(complex) / math.comb(dim + t - 1, t))
+
+
+# -- tomography bounds -------------------------------------------------------------
+
+
+def tomography_samples_required(lam: int, d: int, delta: float) -> int:
+    """Copy count ceil(36 * lam * d^3 / delta) guaranteeing estimation error delta."""
+    if not 0 < delta <= 1:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
+    if lam < 1:
+        raise ValueError(f"lam must be >= 1, got {lam}")
+    return math.ceil(36 * lam * d**3 / delta)
+
+
+def linf_error(estimate: DiagonalEstimate, reference: DiagonalEstimate) -> float:
+    if estimate.dim != reference.dim:
+        raise ValueError(f"dims {estimate.dim} vs {reference.dim}")
+    return float(np.abs(estimate.probs - reference.probs).max())
+
+
+# -- the dense flip unitary --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RankTwoFlip:
+    """Unitary that swaps orthogonal states a <-> b and fixes their complement.
+
+    Stored as the two defining vectors only; applying it is a rank-1
+    update, so no dim x dim matrix ever materializes.
+    """
+
+    a: StateVector
+    b: StateVector
+
+    def __post_init__(self):
+        if self.a.dim != self.b.dim:
+            raise DimensionMismatchError(f"dims {self.a.dim} vs {self.b.dim}")
+        overlap = abs(np.vdot(self.a.amplitudes, self.b.amplitudes))
+        if overlap > ATOL:
+            raise ValueError(f"flip endpoints overlap by {overlap} > {ATOL}")
+
+    @property
+    def dim(self) -> int:
+        return self.a.dim
+
+
+def apply_flip(flip: RankTwoFlip, psi: StateVector) -> StateVector:
+    """Apply the flip unitary: psi - <a-b|psi>(a-b) since F = I - dd^dag, d = a-b."""
+    if flip.dim != psi.dim:
+        raise DimensionMismatchError(f"dims {flip.dim} vs {psi.dim}")
+    d = flip.a.amplitudes - flip.b.amplitudes
+    out = psi.amplitudes - np.vdot(d, psi.amplitudes) * d
+    return StateVector(out)
+
+
+def flip_target_state(world: OracleWorld, n: int) -> StateVector:
+    """The swap target: uniform superposition over (1, x, O_n(x))."""
+    amps = np.zeros(flip_state_dim(n), dtype=complex)
+    amp = 2.0 ** (-n / 2)
+    for x in range(1 << n):
+        amps[_flip_index(n, x, world.o_value(n, x))] = amp
+    return StateVector(amps)
+
+
+def flip_oracle(world: OracleWorld, n: int) -> RankTwoFlip:
+    """Dense swap unitary between the all-zeros state and the flip target (n <= 2)."""
+    if world.kind != "flip-world":
+        raise WrongWorldKindError(f"flip_oracle needs a flip-world, got {world.kind}")
+    if n > MAX_DENSE_FLIP_N:
+        raise MemoryBudgetError(
+            f"dense flip needs 2^{9 * n + 1} amplitudes; capped at n <= {MAX_DENSE_FLIP_N}"
+        )
+    dim = flip_state_dim(n)
+    return RankTwoFlip(a=StateVector.basis(dim, 0), b=flip_target_state(world, n))

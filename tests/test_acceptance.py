@@ -29,15 +29,14 @@ from qrandlab.oracles import (
     bot_oracle_eval_many,
     bot_oracle_good_set,
     bot_prg_handle,
-    flip_oracle,
-    flip_target_state,
     prfqs_from_world,
 )
 from qrandlab.primitives import determinism_audit
-from qrandlab.qcore import StateVector, apply_flip, born_distribution, haar_sample
+from qrandlab.qcore import StateVector, born_distribution, haar_sample
 from qrandlab.rng import SeededRng, int_to_bits
 from qrandlab.tomography import exact_diagonal
 from qrandlab.toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
+from reference import apply_flip, flip_oracle, flip_target_state
 
 
 def check(num: int, description: str, ok: bool, detail: str) -> None:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qrandlab
 from qrandlab.cli import canonical_json, main, strip_timing_fields as strip_timing
 
 
@@ -22,6 +27,15 @@ class TestCanonicalJson:
 
     def test_keys_sorted(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs over a second to import; only gaussian_block_check needs it
+    src = str(Path(qrandlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, qrandlab.cli; print('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestExtractCommand:
@@ -142,12 +156,31 @@ class TestOracleSim:
             assert resp["lead"] == 1
             assert int(resp["y"], 2) == world.o_value(2, int(resp["x"], 2))
 
-    def test_flip_world_dense_budget(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["oracle-sim", "--world", "flip", "--n", "3", "--seed", "1", "--draws", "1"]
-        )
-        assert code == 2
-        assert "lazy" in err or "amplitudes" in err
+    def test_flip_world_above_dense_size(self, capsys, tmp_path):
+        # n = 3 would need 2^28 dense amplitudes; the sparse measurement answers every n
+        from qrandlab.oracles import OracleWorld
+
+        for n in (3, 8):
+            world = OracleWorld("flip-world", seed=17, n_max=n)
+            target = (1 << (9 * n)) | (5 << (8 * n)) | world.o_value(n, 5)
+            queries = tmp_path / f"queries{n}.jsonl"
+            queries.write_text((json.dumps({"state": format(target, f"0{9 * n + 1}b")}) + "\n") * 6)
+            for source in (["--draws", "6"], ["--queries", str(queries)]):
+                out = tmp_path / f"run{n}{source[0]}.jsonl"
+                argv = ["oracle-sim", "--world", "flip", "--n", str(n), "--seed", "17", *source]
+                code, _, _ = run_cli(capsys, [*argv, "--out", str(out)])
+                assert code == 0
+                record = json.loads(out.read_text())
+                for resp in record["result"]["responses"]:
+                    if resp["lead"] == 0:  # F|target> keeps weight 2^-n on index 0
+                        assert "--queries" in source and resp["x"] + resp["y"] == "0" * (9 * n)
+                    else:
+                        assert int(resp["y"], 2) == world.o_value(n, int(resp["x"], 2))
+                code, replay, _ = run_cli(capsys, ["rerun", "--record", str(out)])
+                assert code == 0
+                assert canonical_json(strip_timing(parse_lines(replay)[0])) == canonical_json(
+                    strip_timing(record)
+                )
 
     def test_unknown_world(self, capsys):
         code, _, err = run_cli(capsys, ["oracle-sim", "--world", "warp", "--n", "4", "--seed", "1"])

@@ -27,7 +27,7 @@ from qrandlab.experiments import (
 )
 from qrandlab.oracles import OracleWorld, bot_prg_handle, candidate_image
 from qrandlab.primitives import GeneratorHandle
-from qrandlab.qcore import haar_sample, symmetric_moment
+from qrandlab.qcore import haar_sample
 from qrandlab.rng import SeededRng
 from qrandlab.toys import (
     constant_state_sprs,
@@ -40,6 +40,7 @@ from qrandlab.toys import (
     toy_prg,
     zero_padding_prg,
 )
+from reference import symmetric_moment
 
 
 def record_without_wallclock(report):

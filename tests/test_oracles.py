@@ -16,17 +16,18 @@ from qrandlab.oracles import (
     bot_prg_handle,
     candidate_states,
     decode_flip_index,
-    flip_oracle,
     flip_state_dim,
-    flip_target_state,
+    _derived_value,
     lazy_flip_key,
+    measure_flipped,
     prfqs_from_world,
     sampler_oracle,
     verify_eval_oracle,
 )
-from qrandlab.qcore import MemoryBudgetError, StateVector, apply_flip, born_distribution, haar_sample
+from qrandlab.qcore import MemoryBudgetError, StateVector, born_distribution, haar_sample, measure_computational
 from qrandlab.rng import OWSG_SEARCH_SEED, SeededRng, int_to_bits
 from qrandlab.toys import constant_owsg, toy_owsg_basis, toy_owsg_haar, toy_prg
+from reference import apply_flip, flip_oracle, flip_target_state
 
 
 class TestBotOracleParams:
@@ -206,6 +207,71 @@ class TestFlipOracle:
         x, y = lazy_flip_key(world, 3, SeededRng(5))
         assert len(x) == 3 and len(y) == 24
         assert int(y, 2) == world.o_value(3, int(x, 2))
+
+
+class TestMeasureFlipped:
+    n = 2
+
+    @staticmethod
+    def target_indices(world, n):
+        return [(1 << (9 * n)) | (x << (8 * n)) | world.o_value(n, x) for x in range(1 << n)]
+
+    def test_matches_dense_measurement_and_stream(self):
+        # the dense swap of each basis state is the reference for outcome and draw
+        n, dim = self.n, flip_state_dim(self.n)
+        outcomes_from_target = set()
+        for seed in range(10):
+            world = OracleWorld("flip-world", seed=300 + seed, n_max=n)
+            flip = flip_oracle(world, n)
+            target = self.target_indices(world, n)
+            # off the support: a one-bit slip in y, a lead-0 index, the top index
+            off = [target[1] ^ 1, target[2] ^ (1 << (8 * n - 1)), 1, 5 << (8 * n), dim - 1]
+            for s in [0, *target, *off]:
+                swapped = apply_flip(flip, StateVector.basis(dim, s))
+                for stream in range(6):
+                    dense_rng, sparse_rng = SeededRng(seed, stream), SeededRng(seed, stream)
+                    expected = measure_computational(swapped, dense_rng)
+                    got = measure_flipped(world, n, s, sparse_rng)
+                    assert got == expected, (seed, s, stream)
+                    assert sparse_rng.uniform() == dense_rng.uniform()
+                    if s in target:
+                        outcomes_from_target.add("self" if got == s else "zero" if got == 0 else "other")
+        assert outcomes_from_target == {"self", "zero", "other"}
+
+    def test_zero_state_lands_on_oracle_pairs_above_dense_size(self):
+        world = OracleWorld("flip-world", seed=41, n_max=8)
+        for n in (3, 8):
+            for stream in range(20):
+                lead, x, y = decode_flip_index(measure_flipped(world, n, 0, SeededRng(5, stream)), n)
+                assert lead == 1
+                assert int(y, 2) == world.o_value(n, int(x, 2))
+
+    def test_off_support_state_is_fixed(self):
+        world = OracleWorld("flip-world", seed=43, n_max=8)
+        s = self.target_indices(world, 8)[17] ^ 1
+        assert measure_flipped(world, 8, s, SeededRng(1)) == s
+
+    def test_rejects_wrong_world_and_range(self):
+        with pytest.raises(WrongWorldKindError):
+            measure_flipped(OracleWorld("sampler-world", 1, n_max=4), 2, 0, SeededRng(0))
+        world = OracleWorld("flip-world", seed=1, n_max=4)
+        with pytest.raises(ValueError):
+            measure_flipped(world, 2, flip_state_dim(2), SeededRng(0))
+        with pytest.raises(ValueError):
+            measure_flipped(world, 5, 0, SeededRng(0))
+        with pytest.raises(MemoryBudgetError):  # 2^21 + 1 outcomes
+            measure_flipped(OracleWorld("flip-world", seed=1, n_max=21), 21, 0, SeededRng(0))
+
+
+class TestDerivedValueCache:
+    def test_bounded_and_still_caching(self):
+        for seed in range(20_000):
+            OracleWorld("sampler-world", seed=10**6 + seed, n_max=4).o_value(4, 3)
+        info = _derived_value.cache_info()
+        assert info.maxsize == 1 << 14
+        assert info.currsize <= 1 << 14
+        OracleWorld("sampler-world", seed=10**6 + 19_999, n_max=4).o_value(4, 3)
+        assert _derived_value.cache_info().hits == info.hits + 1
 
 
 class TestVerifyEvalOracle:

@@ -11,10 +11,9 @@ from qrandlab.tomography import (
     DiagonalEstimate,
     InvalidSampleCountError,
     exact_diagonal,
-    linf_error,
     sampled_diagonal,
-    tomography_samples_required,
 )
+from reference import linf_error, tomography_samples_required
 
 
 def uniform_state(dim):
