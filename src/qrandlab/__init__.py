@@ -30,7 +30,7 @@ from .experiments import (
     exp_prg,
     merge_reports,
     moment_distance,
-    moment_distance_ci,
+    moment_hs2,
 )
 from .extraction import (
     BlockStats,
@@ -48,7 +48,6 @@ from .oracles import (
     bot_oracle_eval_many,
     bot_oracle_good_set,
     bot_prg_handle,
-    lazy_flip_key,
     measure_flipped,
     prfqs_from_world,
     sampler_oracle,

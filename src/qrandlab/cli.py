@@ -226,7 +226,7 @@ def cmd_oracle_sim(params: dict, seed: int) -> dict:
         raise CliUsageError(f"unknown world {params['world']!r}; pick flip, bot, or sampler")
     n = params["n"]
     world = OracleWorld(kind, seed, n_max=n, c=params["c"])
-    queries = _load_queries(params["queries"]) if params["queries"] else [{}] * params["draws"]
+    queries = _load_queries(params["queries"]) if params["queries"] else [{}] * _count(params, "draws")
     rng = SeededRng(seed, 1)
     responses = []
     for i, query in enumerate(queries):
@@ -287,7 +287,7 @@ def cmd_experiment(params: dict, seed: int) -> dict:
         report = exp_owsg(gen, adversary, params["t"], params["trials"], rng)
     elif name == "moment":
         gen = random_phase_sprs(params["N"])
-        dist = moment_distance(gen, params["t"], params["keys"], "monte-carlo", rng)
+        dist = moment_distance(gen, params["t"], _count(params, "keys"), "monte-carlo", rng)
         return {"name": "moment", "N": params["N"], "t": params["t"], "keys": params["keys"], "distance": dist}
     else:
         raise CliUsageError(f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}")

@@ -354,6 +354,14 @@ def _key_iter(gen: GeneratorHandle, n_keys: int, mode: str, rng: SeededRng):
     raise ValueError(f"mode must be 'exact-enum' or 'monte-carlo', got {mode!r}")
 
 
+def _key_states(gen: GeneratorHandle, keys, rng: SeededRng, start: int, stop: int) -> np.ndarray:
+    """Amplitudes of keys[start:stop], one row per key.  Key j evaluates on
+    ``rng.child(len(keys) + j)``, past the key-sampling streams, so a
+    stochastic generator never replays the draws that produced its key."""
+    block = enumerate(keys[start:stop], len(keys) + start)
+    return np.array([gen.eval(k, rng.child(j)).amplitudes for j, k in block])
+
+
 def _moment_gramians(gen: GeneratorHandle, t: int, keys, rng: SeededRng, chunk: int):
     """Unnormalised t-copy gramian of each ``chunk`` consecutive keys.
 
@@ -361,9 +369,7 @@ def _moment_gramians(gen: GeneratorHandle, t: int, keys, rng: SeededRng, chunk: 
     tensor powers live entirely in that subspace: the coordinate of
     psi^{tensor t} on a multiset m of t indices is
     sqrt(t!/prod m_i!) * prod_{i in m} psi_i.  For t = 2 these are the
-    upper-triangle pairs with weights 1 and sqrt(2).  Evaluation rng
-    streams are offset past the key-sampling streams so a stochastic
-    generator never replays the draws that produced its key.
+    upper-triangle pairs with weights 1 and sqrt(2).
     """
     multisets = list(combinations_with_replacement(range(gen.dim), t))
     columns = np.array(multisets, dtype=np.intp).T
@@ -374,21 +380,12 @@ def _moment_gramians(gen: GeneratorHandle, t: int, keys, rng: SeededRng, chunk: 
         ]
     )
     for start in range(0, len(keys), chunk):
-        block = enumerate(keys[start : start + chunk], len(keys) + start)
-        states = np.array([gen.eval(k, rng.child(j)).amplitudes for j, k in block])
+        states = _key_states(gen, keys, rng, start, start + chunk)
         w = states[:, columns[0]]
         for column in columns[1:]:
             w = w * states[:, column]
         w = w * weights
         yield w.conj().T @ w
-
-
-def _distance_to_haar(moment: np.ndarray) -> float:
-    """Trace distance from a t-copy moment in symmetric-subspace coordinates
-    to the Haar t-copy moment, which is maximally mixed there."""
-    size = len(moment)
-    eigs = np.linalg.eigvalsh(moment - np.eye(size) / size)
-    return float(0.5 * np.abs(eigs).sum())
 
 
 def moment_distance(
@@ -399,8 +396,14 @@ def moment_distance(
     rng: Optional[SeededRng] = None,
     chunk: int = 2000,
 ) -> float:
-    """Trace distance between the generator's key-averaged t-copy moment
-    and the Haar t-copy moment."""
+    """Plug-in trace distance between the generator's key-averaged t-copy
+    moment and the Haar t-copy moment.
+
+    Exact under ``exact-enum``; under ``monte-carlo`` sampling noise biases
+    it upward at few keys: random-function phase states at N = 64, t = 2
+    and 100 000 keys read 0.0672 against the closed form 63/4160 = 0.0151.
+    ``moment_hs2`` estimates the squared Hilbert-Schmidt distance without bias.
+    """
     if rng is None:
         rng = SeededRng(0)
     keys = _key_iter(gen, n_keys, mode, rng)
@@ -414,42 +417,48 @@ def moment_distance(
     for gram in _moment_gramians(gen, t, keys, rng, chunk):
         avg += gram  # in place: one accumulator, not one matrix per chunk
     avg /= len(keys)
-    return _distance_to_haar(avg)
+    avg -= np.eye(size) / size
+    return float(0.5 * np.abs(np.linalg.eigvalsh(avg)).sum())
 
 
-def moment_distance_ci(
-    gen: GeneratorHandle,
-    t: int,
-    n_keys: int,
-    rng: SeededRng,
-    n_batches: int = 25,
-    n_boot: int = 200,
+_HS2_ROW_BLOCK = 128  # overlap rows formed at a time by moment_hs2
+
+
+def moment_hs2(
+    gen: GeneratorHandle, t: int, n_keys: int, rng: SeededRng
 ) -> tuple[float, tuple[float, float]]:
-    """Monte-Carlo moment distance with a batch-bootstrap spread interval.
+    """Unbiased squared Hilbert-Schmidt distance from the generator's key-averaged
+    t-copy moment to the Haar one, with a 95% leave-one-key-out jackknife interval.
 
-    The interval is the central 95% bootstrap spread, centred on the
-    plug-in estimate: it shows how far the estimate moves under
-    resampling.  It is not a confidence interval for the true distance.
-    The plug-in statistic carries an upward noise bias, and the interval
-    sits on the biased estimate, so it can miss the truth: for
-    random-function phase states at N = 8, t = 2 and 2000 keys it gives
-    [0.0994, 0.1176], and the closed form is 7/72 = 0.0972.
-    Keeps one partial moment per batch, so it is restricted to small
-    state dimensions (the acceptance study uses it at dim 8).
+    With S the sum of |<psi_k|psi_l>|^{2t} over ordered pairs of the K keys,
+    S / (K(K-1)) - 1/C(dim+t-1, t) is unbiased.  The pair overlaps are formed
+    a row block at a time, so no C x C moment is built and only the K x dim
+    states are capped.  Leaving key k out removes its row sum r_k twice from
+    S, so the replicates need no resampling.  Keys and evaluation streams are
+    those of ``moment_distance``; random-function phase states at t = 2 have
+    HS^2 = (N-1)/(N^3 (N+1)).
     """
-    dim = gen.dim
-    if t != 2 or dim > 22:
-        raise MemoryBudgetError("bootstrap interval supported for t=2, dim <= 22 only")
-    per_batch = n_keys // n_batches
-    if per_batch < 1:
-        raise ValueError("need at least one key per batch")
-    keys = _key_iter(gen, n_batches * per_batch, "monte-carlo", rng)
-    batches = np.array([gram / per_batch for gram in _moment_gramians(gen, t, keys, rng, per_batch)])
-    est = _distance_to_haar(batches.mean(axis=0))
-    boot_rng = rng.child(2**31)  # clear of every key/eval child stream
-    draws = []
-    for _ in range(n_boot):
-        idx = boot_rng.integers(0, n_batches, size=n_batches)
-        draws.append(_distance_to_haar(batches[idx].mean(axis=0)))
-    half = float(np.percentile(draws, 97.5) - np.percentile(draws, 2.5)) / 2
-    return est, (est - half, est + half)
+    if t < 1:
+        raise ValueError("need t >= 1 copies")
+    if n_keys < 3:
+        raise ValueError(f"the jackknife needs at least 3 keys, got {n_keys}")
+    if n_keys * gen.dim > MAX_TENSOR_DIM**2:
+        raise MemoryBudgetError(f"{n_keys} x {gen.dim} states exceed {MAX_TENSOR_DIM**2} amplitudes")
+    keys = _key_iter(gen, n_keys, "monte-carlo", rng)
+    states = _key_states(gen, keys, rng, 0, n_keys)
+    rows = np.zeros(n_keys)
+    for start in range(0, n_keys, _HS2_ROW_BLOCK):
+        # pairs k < l only: each pair adds to the row sums of both keys
+        overlaps = states[start : start + _HS2_ROW_BLOCK].conj() @ states[start:].T
+        powers = (overlaps.real**2 + overlaps.imag**2) ** t
+        size = len(powers)
+        powers[:, :size] = np.triu(powers[:, :size], 1)
+        rows[start : start + size] += powers.sum(axis=1)
+        rows[start:] += powers.sum(axis=0)
+    total = float(rows.sum())
+    inv_c = 1 / math.comb(gen.dim + t - 1, t)
+    k = n_keys
+    estimate = total / (k * (k - 1)) - inv_c
+    replicates = (total - 2 * rows) / ((k - 1) * (k - 2)) - inv_c
+    half = Z95 * math.sqrt((k - 1) / k * float(np.sum((replicates - replicates.mean()) ** 2)))
+    return estimate, (estimate - half, estimate + half)

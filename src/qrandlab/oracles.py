@@ -333,18 +333,6 @@ def measure_flipped(world: OracleWorld, n: int, basis_index: int, rng: SeededRng
     return 0 if x < 0 else _flip_index(n, x, world.o_value(n, x))
 
 
-def lazy_flip_key(world: OracleWorld, n: int, rng: SeededRng) -> tuple[str, str]:
-    """Measure swap(|0...0>) without materializing the state.
-
-    The swapped state is the uniform superposition over (1, x, O_n(x)),
-    so the measurement is exactly a uniform x paired with O_n(x).
-    """
-    if world.kind != "flip-world":
-        raise WrongWorldKindError(f"lazy_flip_key needs a flip-world, got {world.kind}")
-    x = int(rng.integers(0, 1 << n))
-    return int_to_bits(x, n), int_to_bits(world.o_value(n, x), 8 * n)
-
-
 # -- verify/eval channel (flip and sampler worlds) ---------------------------
 
 
@@ -381,14 +369,17 @@ def sampler_oracle(world: OracleWorld, n: int, rng: SeededRng) -> tuple[str, str
 def prfqs_from_world(world: OracleWorld, n: int) -> GeneratorHandle:
     """Keyed pseudorandom function backed by a flip or sampler world.
 
-    Key sampling measures the world's key channel to obtain (x, O_n(x));
-    a flip world's key is drawn by ``lazy_flip_key`` at every n, which
-    has exactly the law of measuring swap(|0...0>).  Evaluation on input
-    a runs the verify/eval channel, which equals P_n(x, a) for any
-    honestly sampled key -- exactly deterministic, since the same key is
-    reused across evaluations.
+    Key sampling measures the world's key channel to obtain (x, O_n(x)):
+    a flip world's key is ``measure_flipped`` of the all-zeros state
+    (so n <= 20), a sampler world's is one ``sampler_oracle`` call.
+    Evaluation on input a runs the verify/eval channel, which equals
+    P_n(x, a) for any honestly sampled key -- exactly deterministic,
+    since the same key is reused across evaluations.
     """
-    key_channel = {"flip-world": lazy_flip_key, "sampler-world": sampler_oracle}.get(world.kind)
+    key_channel = {
+        "flip-world": lambda world, n, rng: decode_flip_index(measure_flipped(world, n, 0, rng), n)[1:],
+        "sampler-world": sampler_oracle,
+    }.get(world.kind)
     if key_channel is None:
         raise WrongWorldKindError(f"no keyed-function construction over {world.kind}")
 

@@ -7,8 +7,6 @@ that consumes them is reproducible from its seed.
 
 from __future__ import annotations
 
-import math
-
 from .constructions import phase_state, table_slices
 from .primitives import BOT, BotValue, GeneratorHandle
 from .qcore import StateVector, haar_sample
@@ -116,8 +114,10 @@ def uniform_state_sprs(d: int, key_len: int = 8) -> GeneratorHandle:
 
 def random_phase_sprs(N: int) -> GeneratorHandle:
     """Phase states with a truly random function: the key is the function
-    table itself, N words of ceil(log2 N) bits drawn fresh by qsamp."""
-    word = max(1, math.ceil(math.log2(N)))
+    table itself, N words of log2 N bits drawn fresh by qsamp."""
+    if N < 2 or N & (N - 1) != 0:  # as Con3Params: words and N-th roots align
+        raise ValueError(f"N must be a power of two at desk scale, got {N}")
+    word = N.bit_length() - 1
 
     def stategen(key: str, rng=None) -> StateVector:
         return phase_state(table_slices(key, N, word), N)

@@ -19,8 +19,7 @@ from qrandlab.experiments import (
     exp_botprg,
     exp_owsg,
     exp_prg,
-    moment_distance,
-    moment_distance_ci,
+    moment_hs2,
     owsg_coin_flip_adversary,
 )
 from qrandlab.extraction import RoundParams, extract, gaussian_block_check, good_set_member
@@ -204,19 +203,25 @@ def test_criterion_06_flip_oracle_and_keyed_function():
 
 
 def test_criterion_07_phase_state_moment_closeness():
-    n_keys = 100_000
-    est8, (lo, hi) = moment_distance_ci(random_phase_sprs(8), 2, n_keys, SeededRng(107))
-    half_width = (hi - lo) / 2
-    dist64 = moment_distance(
-        random_phase_sprs(64), 2, n_keys, "monte-carlo", SeededRng(1070)
+    # squared Hilbert-Schmidt distance to the Haar 2-copy moment; for
+    # random-function phase states it is (N-1)/(N^3 (N+1)) exactly
+    n_keys = 10_000
+    truth8, truth64 = 7 / 4608, 63 / 17039360
+    est8, (lo8, hi8) = moment_hs2(random_phase_sprs(8), 2, n_keys, SeededRng(107))
+    est64, (lo64, hi64) = moment_hs2(random_phase_sprs(64), 2, n_keys, SeededRng(1070))
+    ok = (
+        lo8 <= truth8 <= hi8
+        and lo64 <= truth64 <= hi64
+        and est8 - est64 > (hi8 - lo8) + (hi64 - lo64)
+        and (hi8 - lo8) / 2 <= 0.1 * truth8
+        and (hi64 - lo64) / 2 <= 0.25 * truth64
     )
-    ok = est8 <= 0.25 and half_width <= 0.02 and dist64 < est8
     check(
         7,
         "random-function phase states approach the Haar 2-copy moment",
         ok,
-        f"distance(N=8)={est8:.4f} (<= 0.25, CI half-width {half_width:.2e}), "
-        f"distance(N=64)={dist64:.4f} (strictly smaller)",
+        f"HS^2(N=8)={est8:.4e} in [{lo8:.4e}, {hi8:.4e}] (truth {truth8:.4e}), "
+        f"HS^2(N=64)={est64:.4e} in [{lo64:.4e}, {hi64:.4e}] (truth {truth64:.4e})",
     )
 
 

@@ -83,6 +83,9 @@ class TestCountFlags:
             (["prg-qs", "--from", "bot-oracle", "--keys", "-3"], "--keys"),
             (["prg-qs", "--from", "bot-oracle", "--keys", "0"], "--keys"),
             (["sprs-qs", "--from", "prg-qs", "--keys", "-3"], "--keys"),
+            (["experiment", "--name", "moment", "--keys", "0"], "--keys"),
+            (["oracle-sim", "--world", "sampler", "--n", "4", "--draws", "0"], "--draws"),
+            (["oracle-sim", "--world", "flip", "--n", "2", "--draws", "-2"], "--draws"),
         ],
     )
     def test_count_below_one_is_usage_error(self, capsys, argv, flag):
@@ -91,6 +94,12 @@ class TestCountFlags:
         assert out == ""
         assert f"{flag} must be at least 1" in err
         assert "Traceback" not in err
+
+    def test_moment_phase_count_not_power_of_two_is_usage_error(self, capsys):
+        argv = ["experiment", "--name", "moment", "--N", "3", "--keys", "50", "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "N must be a power of two" in err
 
 class TestRerun:
     def test_rerun_reproduces_non_timing_fields(self, capsys, tmp_path):

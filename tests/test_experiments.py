@@ -7,6 +7,8 @@ from scipy import stats
 
 from qrandlab.cli import canonical_json
 from qrandlab.experiments import (
+    _key_iter,
+    _moment_gramians,
     AdversaryHandle,
     BudgetExceededError,
     CallBudget,
@@ -21,7 +23,7 @@ from qrandlab.experiments import (
     exp_prg,
     merge_reports,
     moment_distance,
-    moment_distance_ci,
+    moment_hs2,
     owsg_coin_flip_adversary,
     padding_check_adversary,
 )
@@ -304,11 +306,6 @@ class TestMomentDistance:
         dist = moment_distance(random_phase_sprs(8), 2, 20_000, "monte-carlo", SeededRng(18))
         assert abs(dist - 7 / 72) <= 2e-3
 
-    def test_bootstrap_interval(self):
-        est, (lo, hi) = moment_distance_ci(random_phase_sprs(8), 2, 5000, SeededRng(19))
-        assert lo <= est <= hi
-        assert hi - lo <= 0.1
-
     def test_random_phase_states_exact_second_moment_closed_form(self):
         # For random-function phase states with N a power of two >= 4 the
         # exact t=2 trace distance to Haar is (N-1)/(N(N+1)); see Ji-Liu-Song
@@ -325,6 +322,38 @@ class TestMomentDistance:
         gen = random_phase_sprs(8)  # 24-bit keys
         with pytest.raises(Exception):
             moment_distance(gen, 2, 0, "exact-enum", SeededRng(0))
+
+
+class TestMomentHs2:
+    @pytest.mark.parametrize("N, t", [(4, 2), (8, 2), (64, 2), (8, 1)])
+    def test_interval_covers_closed_form(self, N, t):
+        # t = 2: HS^2 = (N-1)/(N^3 (N+1)) for random-function phase states;
+        # t = 1: their key-averaged state is exactly I/N
+        truth = (N - 1) / (N**3 * (N + 1)) if t == 2 else 0.0
+        gen = random_phase_sprs(N)
+        covered = 0
+        for seed in range(20):
+            _, (lo, hi) = moment_hs2(gen, t, 500, SeededRng(seed))
+            covered += lo <= truth <= hi
+        assert covered >= 17
+
+    @pytest.mark.parametrize("t", [1, 2, 3])
+    def test_equals_gramian_purity_u_statistic(self, t):
+        # the same keys through the symmetric-coordinate moment: with
+        # unit-norm states, K^2 ||M||_F^2 = K + sum over pairs k != l
+        for gen in (random_phase_sprs(8), haar_keyed_sprs(4), haar_sprs_reference(8)):
+            k = 300
+            est, _ = moment_hs2(gen, t, k, SeededRng(5))
+            rng = SeededRng(5)
+            moment = sum(_moment_gramians(gen, t, _key_iter(gen, k, "monte-carlo", rng), rng, 128)) / k
+            purity = (k * np.sum(np.abs(moment) ** 2) - 1) / (k - 1)
+            assert est == pytest.approx(purity - 1 / math.comb(gen.dim + t - 1, t), abs=1e-12)
+
+    def test_rejects_too_few_copies_or_keys(self):
+        with pytest.raises(ValueError, match="t >= 1"):
+            moment_hs2(random_phase_sprs(8), 0, 10, SeededRng(0))
+        with pytest.raises(ValueError, match="at least 3 keys"):
+            moment_hs2(random_phase_sprs(8), 2, 2, SeededRng(0))
 
 
 class TestReportShape:

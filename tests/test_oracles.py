@@ -18,7 +18,6 @@ from qrandlab.oracles import (
     decode_flip_index,
     flip_state_dim,
     _derived_value,
-    lazy_flip_key,
     measure_flipped,
     prfqs_from_world,
     sampler_oracle,
@@ -204,7 +203,8 @@ class TestFlipOracle:
 
     def test_lazy_key_consistent(self):
         world = OracleWorld("flip-world", seed=23, n_max=4)
-        x, y = lazy_flip_key(world, 3, SeededRng(5))
+        key = prfqs_from_world(world, 3).qsamp(SeededRng(5))
+        x, y = key[:3], key[3:]
         assert len(x) == 3 and len(y) == 24
         assert int(y, 2) == world.o_value(3, int(x, 2))
 
@@ -382,22 +382,16 @@ class TestPrfFromWorld:
             assert gen.eval(x + bad_y, int_to_bits(a_int, 2)).is_bot
 
     def test_lazy_keys_follow_dense_measurement_law(self):
-        # the dense swap of |0...0> is the reference for the lazy key law
+        # the dense swap of |0...0> is the reference for every key and the next draw
         world = OracleWorld("flip-world", seed=59, n_max=2)
         swapped = apply_flip(flip_oracle(world, 2), StateVector.basis(flip_state_dim(2), 0))
-        probs = born_distribution(swapped)
-        law = {}
-        for idx in np.nonzero(probs)[0]:
-            lead, x, y = decode_flip_index(int(idx), 2)
-            assert lead == 1
-            law[x + y] = probs[idx]
         gen = prfqs_from_world(world, 2)
-        rng = SeededRng(12)
-        counts = dict.fromkeys(law, 0)
-        for i in range(2000):
-            counts[gen.qsamp(rng.child(i))] += 1  # KeyError if off the support
-        expected = [2000 * law[k] for k in counts]
-        assert stats.chisquare(list(counts.values()), expected).pvalue >= 0.01
+        for stream in range(40):
+            dense_rng, key_rng = SeededRng(12, stream), SeededRng(12, stream)
+            lead, x, y = decode_flip_index(measure_computational(swapped, dense_rng), 2)
+            assert lead == 1
+            assert gen.qsamp(key_rng) == x + y
+            assert key_rng.uniform() == dense_rng.uniform()
 
     def test_lazy_sampling_above_dense_budget(self):
         world = OracleWorld("flip-world", seed=55, n_max=4)

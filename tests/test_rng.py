@@ -10,7 +10,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qrandlab.experiments import moment_distance, moment_distance_ci
+from qrandlab.experiments import moment_distance, moment_hs2
 from qrandlab.oracles import OracleWorld, prfqs_from_world
 from qrandlab.rng import ShaStream, SeededRng, derive_bits, derive_int, fisher_yates_table
 from qrandlab.toys import random_phase_sprs
@@ -98,15 +98,15 @@ class TestPinnedStatistics:
         dist = moment_distance(random_phase_sprs(8), 2, 3000, "monte-carlo", SeededRng(3, 2), 700)
         assert dist == pytest.approx(0.10446886260421989, rel=1e-12)
 
-    def test_moment_distance_ci(self):
-        est, (lo, hi) = moment_distance_ci(random_phase_sprs(8), 2, 2013, SeededRng(4), 25, 50)
-        assert est == pytest.approx(0.107362464815749, rel=1e-12)
-        assert lo == pytest.approx(0.10011969108182874, rel=1e-12)
-        assert hi == pytest.approx(0.11460523854966927, rel=1e-12)
+    def test_moment_hs2(self):
+        est, (lo, hi) = moment_hs2(random_phase_sprs(8), 2, 2013, SeededRng(4))
+        assert est == pytest.approx(0.0015101797227599217, rel=1e-12)
+        assert lo == pytest.approx(0.0014026783624289472, rel=1e-12)
+        assert hi == pytest.approx(0.0016176810830908963, rel=1e-12)
 
     def test_flip_world_key(self):
         world = OracleWorld("flip-world", 2024, n_max=2)
-        assert prfqs_from_world(world, 2).qsamp(SeededRng(2024, 1)) == "11" + "0001010100110011"
+        assert prfqs_from_world(world, 2).qsamp(SeededRng(2024, 1)) == "00" + "0111111000011001"
 
 
 class TestLazyGenerator:
