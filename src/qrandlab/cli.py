@@ -157,6 +157,8 @@ def cmd_prg_qs(params: dict, seed: int) -> dict:
     stride = 10**6  # key i samples on child(i) and is audited on child(stride + i)
     if _count(params, "keys") > stride:
         raise CliUsageError(f"--keys must be at most {stride}, or key sampling reuses an audit stream")
+    if params["evals"] < 2:
+        raise CliUsageError(f"--evals must be at least 2, got {params['evals']}")
     n = params["n"]
     world = OracleWorld("bot-world", seed, n_max=n, c=params["c"])
     con = Con1Params(lam=n, inner=bot_prg_handle(world, n))

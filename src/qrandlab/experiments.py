@@ -404,14 +404,16 @@ def moment_distance(
     and 100 000 keys read 0.0672 against the closed form 63/4160 = 0.0151.
     ``moment_hs2`` estimates the squared Hilbert-Schmidt distance without bias.
     """
+    if t < 1:
+        raise ValueError("need t >= 1 copies")
+    if mode == "monte-carlo" and n_keys < 1:
+        raise ValueError(f"need at least 1 key, got {n_keys}")
+    dim = gen.dim
+    if dim**t > MAX_TENSOR_DIM:
+        raise MemoryBudgetError(f"dim**t = {dim ** t} exceeds the tensor budget")
     if rng is None:
         rng = SeededRng(0)
     keys = _key_iter(gen, n_keys, mode, rng)
-    dim = gen.dim
-    if t < 1:
-        raise ValueError("need t >= 1 copies")
-    if dim**t > MAX_TENSOR_DIM:
-        raise MemoryBudgetError(f"dim**t = {dim ** t} exceeds the tensor budget")
     size = math.comb(dim + t - 1, t)
     avg = np.zeros((size, size), dtype=complex)
     for gram in _moment_gramians(gen, t, keys, rng, chunk):

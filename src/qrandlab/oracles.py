@@ -249,6 +249,13 @@ def bot_oracle_eval_many(world: OracleWorld, x: str, rng: SeededRng, k: int) -> 
     return [BOT if u < p_x else value for u in rng.generator.random(k).tolist()]
 
 
+def bot_oracle_fixed(world: OracleWorld, x: str) -> BotValue | None:
+    """O_n(x) if x is good, which every query on x returns without drawing;
+    None if x is bad."""
+    value, p_x = _bot_lookup(world, x)
+    return value if p_x is None else None
+
+
 def bot_oracle_good_set(world: OracleWorld, n: int) -> set[str]:
     """Exact good set by exhaustive enumeration (n <= 20)."""
     if world.kind != "bot-world":
@@ -270,6 +277,7 @@ def bot_prg_handle(world: OracleWorld, n: int) -> GeneratorHandle:
         output_len=params.m,
         eval=lambda key, rng: bot_oracle_eval(world, key, rng),
         eval_many=lambda key, rng, k: bot_oracle_eval_many(world, key, rng, k),
+        fixed=lambda key: bot_oracle_fixed(world, key),
         description=f"bot-world seed={world.seed} n={n}",
     )
 

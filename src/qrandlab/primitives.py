@@ -106,6 +106,8 @@ class GeneratorHandle:
     'prf-qs' it maps (key, x, rng).  ``qsamp`` is the key sampler for
     quantum-input-sampling kinds.  ``eval_many``, if given, maps
     (key, rng, k) to the k outputs of k ``eval`` calls on that one rng.
+    ``fixed``, if given, maps key to the output every ``eval(key, rng)``
+    returns without drawing from rng, or to None when evaluation is random.
     Handles are immutable and safe to share; all randomness comes in
     through the per-call rng.
     """
@@ -118,6 +120,7 @@ class GeneratorHandle:
     dim: Optional[int] = None
     description: str = ""
     eval_many: Optional[Callable] = field(default=None, compare=False)
+    fixed: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
@@ -174,9 +177,16 @@ def _cluster_states(outputs: Iterable[StateVector]):
 def determinism_audit(
     gen: GeneratorHandle, key, trials: int, rng: SeededRng
 ) -> DeterminismAudit:
-    """Evaluate ``gen`` on ``key`` repeatedly; report the modal output's frequency."""
+    """Evaluate ``gen`` on ``key`` repeatedly; report the modal output's frequency.
+
+    A key whose output ``gen.fixed`` reports is audited without evaluating:
+    every trial would return that output and draw nothing.
+    """
     if trials < 2:
         raise ValueError(f"audit needs at least 2 trials, got {trials}")
+    value = gen.fixed(key) if gen.fixed is not None else None
+    if value is not None:
+        return DeterminismAudit(key, trials, value, 1.0)
     outputs = [gen.eval(key, rng.child(i)) for i in range(trials)]
     if isinstance(outputs[0], StateVector):
         modal, count = _cluster_states(outputs)

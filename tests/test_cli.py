@@ -95,6 +95,14 @@ class TestCountFlags:
         assert f"{flag} must be at least 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("evals", ["1", "0"])
+    def test_prg_qs_evals_below_two_is_usage_error(self, capsys, evals):
+        argv = ["prg-qs", "--from", "bot-oracle", "--n", "8", "--keys", "2", "--evals", evals]
+        code, out, err = run_cli(capsys, argv + ["--seed", "1"])
+        assert (code, out) == (2, "")
+        assert f"--evals must be at least 2, got {evals}" in err
+        assert "Traceback" not in err
+
     def test_moment_phase_count_not_power_of_two_is_usage_error(self, capsys):
         argv = ["experiment", "--name", "moment", "--N", "3", "--keys", "50", "--seed", "1"]
         code, out, err = run_cli(capsys, argv)

@@ -23,7 +23,14 @@ from qrandlab.constructions import (
 )
 from qrandlab.extraction import good_set_member
 from qrandlab.oracles import OracleWorld, bot_prg_handle
-from qrandlab.primitives import BOT, BotValue, GeneratorHandle, determinism_audit
+from qrandlab.primitives import (
+    BOT,
+    BotValue,
+    DeterminismAudit,
+    GeneratorHandle,
+    _plurality,
+    determinism_audit,
+)
 from qrandlab.rng import SeededRng
 from qrandlab.tomography import exact_diagonal
 from qrandlab.toys import (
@@ -113,6 +120,56 @@ class TestCon1:
         assert "".join("1" if v.is_bot else "0" for v in outputs) == "1010010100111100101110111001111101111010"
         assert {v.payload for v in outputs if not v.is_bot} == {"110011001110010110011100"}
         assert stream.uniform() == 0.19071621107276104
+
+def looped_audit(handle, key, trials, rng):
+    """The audit as one evaluation per child stream, without the fixed-output hook."""
+    outputs = [handle.eval(key, rng.child(i)) for i in range(trials)]
+    modal = _plurality(outputs)
+    return DeterminismAudit(key, trials, modal, outputs.count(modal) / trials)
+
+
+class TestCon1FixedOutput:
+    def test_audit_equals_per_trial_loop(self):
+        world = OracleWorld("bot-world", seed=5, n_max=12)
+        handle = con1_handle(Con1Params(lam=12, inner=bot_prg_handle(world, 12)))
+        table = world.permutation(12)
+        w = world.bot_params(12).w
+        bad = next(x for x in range(1 << 12) if int(table[x]) >> (12 - w) == 0)
+        rng = SeededRng(8)
+        good_keys = [handle.qsamp(rng.child(i)) for i in range(5)]
+        bad_key = BotValue.of(format(bad, "012b"))
+        assert all(handle.fixed(k) is not None for k in good_keys)
+        assert handle.fixed(bad_key) is None
+        for i, key in enumerate(good_keys + [bad_key, BOT]):
+            stream = rng.child(100 + i)
+            assert determinism_audit(handle, key, 100, stream) == looped_audit(handle, key, 100, stream)
+
+    def test_good_key_audit_makes_no_child_stream(self, monkeypatch):
+        handle = con1_handle(bot_world_con1())
+        key = handle.qsamp(SeededRng(9))
+        calls = []
+        child = SeededRng.child
+
+        def counted_child(rng, i):
+            calls.append(i)
+            return child(rng, i)
+
+        monkeypatch.setattr(SeededRng, "child", counted_child)
+        audit = determinism_audit(handle, key, 100, SeededRng(10))
+        assert (audit.modal_frequency, calls) == (1.0, [])
+
+    def test_wrong_key_length_raises_like_eval(self):
+        params = bot_world_con1()
+        handle = con1_handle(params)
+        short = BotValue.of("0101")
+        with pytest.raises(ValueError) as from_eval:
+            con1_eval(params, short, SeededRng(0))
+        with pytest.raises(ValueError) as from_fixed:
+            handle.fixed(short)
+        assert str(from_fixed.value) == str(from_eval.value) == "key must be 12 bits, got 4"
+        with pytest.raises(ValueError, match="key must be 12 bits"):
+            determinism_audit(handle, short, 10, SeededRng(0))
+
 
 class TestCon2:
     def test_qsamp_returns_good_key(self):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -315,8 +316,17 @@ class TestMomentDistance:
         assert dist == pytest.approx((N - 1) / (N * (N + 1)), abs=1e-12)
 
     def test_rejects_fewer_than_one_copy(self):
+        def no_sampling(rng):
+            raise AssertionError("a key was sampled")
+
+        gen = dataclasses.replace(random_phase_sprs(8), qsamp=no_sampling)
         with pytest.raises(ValueError, match="t >= 1"):
-            moment_distance(random_phase_sprs(8), 0, 10, "monte-carlo", SeededRng(0))
+            moment_distance(gen, 0, 10, "monte-carlo", SeededRng(0))
+
+    @pytest.mark.parametrize("n_keys", [0, -3])
+    def test_rejects_fewer_than_one_sampled_key(self, n_keys):
+        with pytest.raises(ValueError, match="at least 1 key"):
+            moment_distance(random_phase_sprs(4), 2, n_keys, "monte-carlo", SeededRng(0))
 
     def test_exact_enum_key_space_cap(self):
         gen = random_phase_sprs(8)  # 24-bit keys

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from qrandlab.primitives import (
     BotValue,
     DeterminismAudit,
     GeneratorHandle,
+    _plurality,
     determinism_audit,
     is_bot,
     vote,
@@ -166,6 +169,29 @@ class TestDeterminismAudit:
         gen = haar_sprs_reference(64, key_len=8)
         audit = determinism_audit(gen, "00000000", 20, SeededRng(4))
         assert audit.modal_frequency == pytest.approx(1 / 20)
+
+    def test_handle_without_fixed_evaluates_every_trial(self, monkeypatch):
+        gen = fair_coin_bot_prg(4, 8)
+        assert gen.fixed is None
+        children = []
+        child = SeededRng.child
+
+        def counted_child(rng, i):
+            children.append(i)
+            return child(rng, i)
+
+        monkeypatch.setattr(SeededRng, "child", counted_child)
+        audit = determinism_audit(gen, "0000", 30, SeededRng(6))
+        assert children == list(range(30))
+        outputs = [gen.eval("0000", SeededRng(6).child(i)) for i in range(30)]
+        modal = _plurality(outputs)
+        assert (audit.modal_value, audit.modal_frequency) == (modal, outputs.count(modal) / 30)
+
+    def test_fixed_output_is_audited_without_streams(self, monkeypatch):
+        value = BotValue.of("10101010")
+        gen = dataclasses.replace(constant_bot_prg(4, "10101010"), fixed=lambda key: value)
+        monkeypatch.setattr(SeededRng, "child", lambda rng, i: pytest.fail("child stream made"))
+        assert determinism_audit(gen, "0000", 50, SeededRng(7)) == DeterminismAudit("0000", 50, value, 1.0)
 
     def test_needs_two_trials(self):
         with pytest.raises(ValueError):
