@@ -7,7 +7,6 @@ from .constructions import (
     Con2Params,
     Con3Params,
     con1_eval,
-    con1_fixed,
     con1_handle,
     con1_qsamp,
     con2_eval,
@@ -47,7 +46,6 @@ from .oracles import (
     OracleWorld,
     bot_oracle_eval,
     bot_oracle_eval_many,
-    bot_oracle_fixed,
     bot_oracle_good_set,
     bot_prg_handle,
     measure_flipped,

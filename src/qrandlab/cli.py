@@ -220,6 +220,14 @@ def _load_queries(path: str) -> list[dict]:
         return [json.loads(line) for line in fh if line.strip()]
 
 
+def _query_bits(query: dict, index: int, field: str, width: int, default: str | None = None) -> str:
+    """A query's bitstring field, which must be exactly ``width`` '0'/'1' characters."""
+    bits = query.get(field, default)
+    if not isinstance(bits, str) or len(bits) != width or bits.strip("01"):
+        raise CliUsageError(f"query {index}: {field!r} must be {width} '0'/'1' characters, got {bits!r}")
+    return bits
+
+
 def cmd_oracle_sim(params: dict, seed: int) -> dict:
     kind = {"flip": "flip-world", "bot": "bot-world", "sampler": "sampler-world"}.get(
         params["world"]
@@ -234,17 +242,13 @@ def cmd_oracle_sim(params: dict, seed: int) -> dict:
     for i, query in enumerate(queries):
         child = rng.child(i)
         if kind == "bot-world":
-            if "x" not in query or len(query["x"]) != n:
-                raise CliUsageError(f"bot-world queries need an n-bit 'x' field (n={n})")
-            out = bot_oracle_eval(world, query["x"], child)
-            responses.append({"query": i, "x": query["x"], "value": str(out)})
+            x = _query_bits(query, i, "x", n)
+            responses.append({"query": i, "x": x, "value": str(bot_oracle_eval(world, x, child))})
         elif kind == "sampler-world":
             x, y = sampler_oracle(world, n, child)
             responses.append({"query": i, "x": x, "y": y})
         else:
-            state_bits = query.get("state", "0" * (9 * n + 1))
-            if len(state_bits) != 9 * n + 1:
-                raise CliUsageError(f"flip-world queries need a {9 * n + 1}-bit 'state' field")
+            state_bits = _query_bits(query, i, "state", 9 * n + 1, default="0" * (9 * n + 1))
             lead, x, y = decode_flip_index(measure_flipped(world, n, int(state_bits, 2), child), n)
             responses.append({"query": i, "lead": lead, "x": x, "y": y})
     return {"world": world.to_record(), "responses": responses}

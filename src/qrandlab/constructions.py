@@ -70,29 +70,13 @@ def con1_qsamp(params: Con1Params, rng: SeededRng) -> BotValue:
     return BOT
 
 
-def _check_con1_key(params: Con1Params, key: BotValue) -> None:
-    if len(key.payload) != params.lam:
-        raise ValueError(f"key must be {params.lam} bits, got {len(key.payload)}")
-
-
 def con1_eval(params: Con1Params, key: BotValue, rng: SeededRng) -> BotValue:
     """Plurality of lam inner evaluations; an aborted key maps to 0^m."""
     if key.is_bot:
         return BotValue.of("0" * params.m)
-    _check_con1_key(params, key)
+    if len(key.payload) != params.lam:
+        raise ValueError(f"key must be {params.lam} bits, got {len(key.payload)}")
     return vote_non_bot(params.inner.eval_repeated(key.payload, rng, params.lam))
-
-
-def con1_fixed(params: Con1Params, key: BotValue) -> BotValue | None:
-    """The output every ``con1_eval`` on key returns without drawing, or None.
-
-    A fixed inner output v votes to itself: vote_non_bot([v] * lam) is v.
-    """
-    if key.is_bot:
-        return BotValue.of("0" * params.m)
-    _check_con1_key(params, key)
-    inner_fixed = params.inner.fixed
-    return None if inner_fixed is None else inner_fixed(key.payload)
 
 
 def con1_handle(params: Con1Params) -> GeneratorHandle:
@@ -102,7 +86,6 @@ def con1_handle(params: Con1Params) -> GeneratorHandle:
         output_len=params.m,
         eval=lambda key, rng: con1_eval(params, key, rng),
         qsamp=lambda rng: con1_qsamp(params, rng),
-        fixed=lambda key: con1_fixed(params, key),
         description=f"retry-and-vote over [{params.inner.description}]",
     )
 

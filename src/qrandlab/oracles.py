@@ -151,6 +151,8 @@ class OracleWorld:
         self._check_n(n)
         if self.kind != "bot-world":
             raise WrongWorldKindError(f"{self.kind} has no permutation table")
+        if n > _MAX_ENUM_N:
+            raise MemoryBudgetError(f"the 2^{n}-entry permutation table is capped at n <= {_MAX_ENUM_N}")
         return _permutation_table(self.seed, n)
 
     def bot_params(self, n: int) -> BotOracleParams:
@@ -208,60 +210,36 @@ def _derived_value(seed: int, function_id: str, n: int, x: int, nbits: int) -> i
 # -- bot-world ---------------------------------------------------------------
 
 
-def _bot_lookup(world: OracleWorld, x: str) -> tuple[BotValue, float | None]:
-    """O_n(x) as a BotValue, and x's abort probability Q_n(x)/2^n if x is
-    bad (the first w bits of P_n(x) are all zero) or None if x is good."""
+def bot_oracle_eval(world: OracleWorld, x: str, rng: SeededRng) -> BotValue:
+    """One abort-oracle query: the k = 1 batch, whose one draw is ``rng.uniform()``."""
+    return bot_oracle_eval_many(world, x, rng, 1)[0]
+
+
+def bot_oracle_eval_many(world: OracleWorld, x: str, rng: SeededRng, k: int) -> list[BotValue]:
+    """k abort-oracle queries on the n-bit input x, in sequence on rng.
+
+    A good x (P_n(x) outside the all-zeros w-prefix) returns O_n(x) and
+    draws nothing.  A bad x aborts each query with probability Q_n(x)/2^n
+    on k uniforms drawn in one call: on Philox, k ``uniform()`` draws.
+    """
     if world.kind != "bot-world":
         raise WrongWorldKindError(f"bot_oracle_eval needs a bot-world, got {world.kind}")
+    if k < 0:
+        raise ValueError(f"query count must be non-negative, got {k}")
     n = len(x)
     params = world.bot_params(n)
     xi = int(x, 2)
     value = BotValue.of(int_to_bits(world.o_value(n, xi), params.m))
-    if int(world.permutation(n)[xi]) >> (n - params.w) == 0:
-        return value, world.q_value(n, xi) / (1 << n)
-    return value, None
-
-
-def bot_oracle_eval(world: OracleWorld, x: str, rng: SeededRng) -> BotValue:
-    """One abort-oracle query on the n-bit input x.
-
-    Good inputs (P_n(x) outside the all-zeros w-prefix) return O_n(x)
-    with certainty and draw nothing; bad inputs draw one uniform and
-    abort with probability Q_n(x)/2^n.
-    """
-    value, p_x = _bot_lookup(world, x)
-    if p_x is not None and rng.uniform() < p_x:
-        return BOT
-    return value
-
-
-def bot_oracle_eval_many(world: OracleWorld, x: str, rng: SeededRng, k: int) -> list[BotValue]:
-    """k abort-oracle queries on x, equal to k ``bot_oracle_eval`` calls on rng.
-
-    x is looked up once.  A bad input draws its k uniforms in one call,
-    which on the counter-based Philox stream are the k single draws.
-    """
-    if k < 0:
-        raise ValueError(f"query count must be non-negative, got {k}")
-    value, p_x = _bot_lookup(world, x)
-    if p_x is None:
+    if int(world.permutation(n)[xi]) >> (n - params.w) != 0:
         return [value] * k
+    p_x = world.q_value(n, xi) / (1 << n)
     return [BOT if u < p_x else value for u in rng.generator.random(k).tolist()]
 
 
-def bot_oracle_fixed(world: OracleWorld, x: str) -> BotValue | None:
-    """O_n(x) if x is good, which every query on x returns without drawing;
-    None if x is bad."""
-    value, p_x = _bot_lookup(world, x)
-    return value if p_x is None else None
-
-
 def bot_oracle_good_set(world: OracleWorld, n: int) -> set[str]:
-    """Exact good set by exhaustive enumeration (n <= 20)."""
+    """Exact good set by exhaustive enumeration (n <= 20, as the permutation table)."""
     if world.kind != "bot-world":
         raise WrongWorldKindError(f"good set needs a bot-world, got {world.kind}")
-    if n > _MAX_ENUM_N:
-        raise MemoryBudgetError(f"exhaustive good set capped at n <= {_MAX_ENUM_N}")
     params = world.bot_params(n)
     table = world.permutation(n)
     good = np.nonzero(table >> (n - params.w) != 0)[0]
@@ -277,7 +255,6 @@ def bot_prg_handle(world: OracleWorld, n: int) -> GeneratorHandle:
         output_len=params.m,
         eval=lambda key, rng: bot_oracle_eval(world, key, rng),
         eval_many=lambda key, rng, k: bot_oracle_eval_many(world, key, rng, k),
-        fixed=lambda key: bot_oracle_fixed(world, key),
         description=f"bot-world seed={world.seed} n={n}",
     )
 

@@ -106,10 +106,11 @@ class GeneratorHandle:
     'prf-qs' it maps (key, x, rng).  ``qsamp`` is the key sampler for
     quantum-input-sampling kinds.  ``eval_many``, if given, maps
     (key, rng, k) to the k outputs of k ``eval`` calls on that one rng.
-    ``fixed``, if given, maps key to the output every ``eval(key, rng)``
-    returns without drawing from rng, or to None when evaluation is random.
     Handles are immutable and safe to share; all randomness comes in
-    through the per-call rng.
+    through the per-call rng.  ``eval`` draws only from that rng, never
+    from a child of it: ``determinism_audit`` takes an evaluation that left
+    its rng undrawn as fixed by the key, so a missed draw would report a
+    random evaluation as fixed, while a spurious draw costs a full audit.
     """
 
     kind: str
@@ -120,7 +121,6 @@ class GeneratorHandle:
     dim: Optional[int] = None
     description: str = ""
     eval_many: Optional[Callable] = field(default=None, compare=False)
-    fixed: Optional[Callable] = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
@@ -177,17 +177,17 @@ def _cluster_states(outputs: Iterable[StateVector]):
 def determinism_audit(
     gen: GeneratorHandle, key, trials: int, rng: SeededRng
 ) -> DeterminismAudit:
-    """Evaluate ``gen`` on ``key`` repeatedly; report the modal output's frequency.
-
-    A key whose output ``gen.fixed`` reports is audited without evaluating:
-    every trial would return that output and draw nothing.
+    """Evaluate ``gen`` on ``key``, trial i on ``rng.child(i)``; report the
+    modal output's frequency.  A trial 0 that draws nothing is a function
+    of the key alone, which every trial would repeat: the audit stops there.
     """
     if trials < 2:
         raise ValueError(f"audit needs at least 2 trials, got {trials}")
-    value = gen.fixed(key) if gen.fixed is not None else None
-    if value is not None:
-        return DeterminismAudit(key, trials, value, 1.0)
-    outputs = [gen.eval(key, rng.child(i)) for i in range(trials)]
+    first = rng.child(0)
+    output = gen.eval(key, first)
+    if not first.drawn:
+        return DeterminismAudit(key, trials, output, 1.0)
+    outputs = [output] + [gen.eval(key, rng.child(i)) for i in range(1, trials)]
     if isinstance(outputs[0], StateVector):
         modal, count = _cluster_states(outputs)
     else:

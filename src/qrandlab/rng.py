@@ -72,6 +72,11 @@ class SeededRng:
             self._gen = np.random.Generator(np.random.Philox(key=self.seed, counter=self.counter << 128))
         return self._gen
 
+    @property
+    def drawn(self) -> bool:
+        """True once a draw, or reading ``generator``, has built the Philox generator."""
+        return self._gen is not None
+
     def child(self, index: int) -> "SeededRng":
         """Independent stream for sub-task ``index`` (e.g. one trial).
 

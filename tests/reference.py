@@ -4,7 +4,8 @@ The library measures flipped states sparsely (``oracles.measure_flipped``)
 and computes moments in symmetric-subspace coordinates; the dense
 versions here are the independent computations those are checked
 against, together with the density-operator algebra and tomography
-bounds the tests state their claims in.
+bounds the tests state their claims in.  ``looped_audit`` is the
+determinism audit without its early exit: every trial evaluated.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from itertools import permutations
 import numpy as np
 
 from qrandlab.oracles import OracleWorld, WrongWorldKindError, _flip_index, flip_state_dim
+from qrandlab.primitives import DeterminismAudit, _cluster_states, _plurality
 from qrandlab.qcore import (
     ATOL,
     MAX_TENSOR_DIM,
@@ -24,6 +26,7 @@ from qrandlab.qcore import (
     MemoryBudgetError,
     StateVector,
 )
+from qrandlab.rng import SeededRng
 from qrandlab.tomography import DiagonalEstimate
 
 MAX_DENSE_FLIP_N = 2  # 2^(9n+1) amplitudes: n=2 is 8 MB, n=3 is 4 GB
@@ -180,3 +183,17 @@ def flip_oracle(world: OracleWorld, n: int) -> RankTwoFlip:
         )
     dim = flip_state_dim(n)
     return RankTwoFlip(a=StateVector.basis(dim, 0), b=flip_target_state(world, n))
+
+
+# -- the determinism audit, one evaluation per trial ---------------------------------
+
+
+def looped_audit(handle, key, trials: int, rng: SeededRng) -> DeterminismAudit:
+    """``determinism_audit`` as a plain loop: trial i on ``rng.child(i)``, all trials run."""
+    outputs = [handle.eval(key, rng.child(i)) for i in range(trials)]
+    if isinstance(outputs[0], StateVector):
+        modal, count = _cluster_states(outputs)
+    else:
+        modal = _plurality(outputs)
+        count = outputs.count(modal)
+    return DeterminismAudit(key, trials, modal, count / trials)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import qrandlab
+from qrandlab import oracles
 from qrandlab.cli import canonical_json, main, strip_timing_fields as strip_timing
 
 
@@ -199,6 +200,29 @@ class TestOracleSim:
                     strip_timing(record)
                 )
 
+    @pytest.mark.parametrize(
+        "world, query",
+        [
+            ("bot", {"x": "0b010101"}),
+            ("bot", {"x": "0000_001"}),
+            ("bot", {"x": " 0000001"}),
+            ("bot", {"x": 12}),
+            ("bot", {}),
+            ("flip", {"state": "0b" + "0" * 17}),
+            ("flip", {"state": "0" * 18 + "2"}),
+        ],
+    )
+    def test_malformed_bitstring_is_usage_error(self, capsys, tmp_path, world, query):
+        field = "x" if world == "bot" else "state"
+        queries = tmp_path / "queries.jsonl"
+        good = {"x": "0101" * 2} if world == "bot" else {}
+        queries.write_text(json.dumps(good) + "\n" + json.dumps(query) + "\n")
+        argv = ["oracle-sim", "--world", world, "--n", "8" if world == "bot" else "2", "--queries", str(queries)]
+        code, out, err = run_cli(capsys, [*argv, "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert f"query 1: {field!r} must be" in err
+        assert "Traceback" not in err
+
     def test_unknown_world(self, capsys):
         code, _, err = run_cli(capsys, ["oracle-sim", "--world", "warp", "--n", "4", "--seed", "1"])
         assert code == 2
@@ -303,6 +327,14 @@ class TestGeneratorCommands:
         assert code == 2
         assert out == ""
         assert "--keys must be at most 1000000" in err
+
+    def test_prg_qs_permutation_table_cap(self, capsys, monkeypatch):
+        # a 2^21-entry table is refused before it is built
+        monkeypatch.setattr(oracles, "fisher_yates_table", lambda *a: pytest.fail("table built"))
+        argv = ["prg-qs", "--from", "bot-oracle", "--n", "21", "--keys", "2", "--evals", "3", "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "capped at n <= 20" in err
 
     def test_unknown_source_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["prg-qs", "--from", "thin-air", "--seed", "1"])

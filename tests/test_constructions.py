@@ -22,24 +22,28 @@ from qrandlab.constructions import (
     table_slices,
 )
 from qrandlab.extraction import good_set_member
-from qrandlab.oracles import OracleWorld, bot_prg_handle
-from qrandlab.primitives import (
-    BOT,
-    BotValue,
-    DeterminismAudit,
-    GeneratorHandle,
-    _plurality,
-    determinism_audit,
-)
+from qrandlab.oracles import OracleWorld, bot_oracle_good_set, bot_prg_handle
+from qrandlab.primitives import BOT, BotValue, GeneratorHandle, determinism_audit
+from qrandlab.qcore import StateVector
 from qrandlab.rng import SeededRng
 from qrandlab.tomography import exact_diagonal
 from qrandlab.toys import (
     always_bot_prg,
+    constant_bot_prg,
+    constant_owsg,
+    constant_state_sprs,
     derived_bot_prg,
+    fair_coin_bot_prg,
     haar_keyed_sprs,
+    haar_sprs_reference,
+    random_phase_sprs,
+    toy_owsg_basis,
+    toy_owsg_haar,
     toy_prg,
     uniform_state_sprs,
+    zero_padding_prg,
 )
+from reference import looped_audit
 
 # seed 10: all four keys sit in the rounding good set with block-sum
 # margins >= 1.3e-3, so sampled rounding at t = 1e6 agrees with exact
@@ -121,30 +125,90 @@ class TestCon1:
         assert {v.payload for v in outputs if not v.is_bot} == {"110011001110010110011100"}
         assert stream.uniform() == 0.19071621107276104
 
-def looped_audit(handle, key, trials, rng):
-    """The audit as one evaluation per child stream, without the fixed-output hook."""
-    outputs = [handle.eval(key, rng.child(i)) for i in range(trials)]
-    modal = _plurality(outputs)
-    return DeterminismAudit(key, trials, modal, outputs.count(modal) / trials)
+def bad_bot_key(world, n):
+    """The bad input of the bot world with the highest abort probability."""
+    table, w = world.permutation(n), world.bot_params(n).w
+    bad = [x for x in range(1 << n) if int(table[x]) >> (n - w) == 0]
+    return format(max(bad, key=lambda x: world.q_value(n, x)), f"0{n}b")
+
+
+def con1_audit_case(kind):
+    world = OracleWorld("bot-world", seed=5, n_max=12)
+    handle = con1_handle(Con1Params(lam=12, inner=bot_prg_handle(world, 12)))
+    if kind == "good":
+        return handle, [handle.qsamp(SeededRng(8).child(i)) for i in range(5)], False
+    if kind == "bad":
+        return handle, [BotValue.of(bad_bot_key(world, 12))], True
+    return handle, [BOT], False
+
+
+def bot_prg_audit_case(kind):
+    world = OracleWorld("bot-world", seed=5, n_max=12)
+    handle = bot_prg_handle(world, 12)
+    if kind == "good":
+        return handle, [sorted(bot_oracle_good_set(world, 12))[0]], False
+    return handle, [bad_bot_key(world, 12)], True
+
+
+def keys_from_qsamp(handle, count=2, draws=False):
+    return handle, [handle.qsamp(SeededRng(3).child(i)) for i in range(count)], draws
+
+
+CON2_SAMPLED = Con2Params(lam=2, c=12.0, inner=CON2_INNER, mode="sampled", t=10**6, attempts=8)
+
+# name -> () -> (handle, keys, whether an evaluation draws from its stream)
+AUDIT_CASES = {
+    "toy-prg": lambda: (toy_prg(8, 24), ["01011100"], False),
+    "zero-padding-prg": lambda: (zero_padding_prg(8, 24), ["01011100"], False),
+    "derived-bot-prg": lambda: (derived_bot_prg(8, 16), ["01011100"], False),
+    "constant-bot-prg": lambda: (constant_bot_prg(4, "10101010"), ["0000"], False),
+    "always-bot-prg": lambda: (always_bot_prg(4, 8), ["0000"], False),
+    "fair-coin-bot-prg": lambda: (fair_coin_bot_prg(4, 8), ["0000"], True),
+    "bot-prg-good": lambda: bot_prg_audit_case("good"),
+    "bot-prg-bad": lambda: bot_prg_audit_case("bad"),
+    "con1-good": lambda: con1_audit_case("good"),
+    "con1-bad": lambda: con1_audit_case("bad"),
+    "con1-bot": lambda: con1_audit_case("bot"),
+    "toy-owsg-haar": lambda: (toy_owsg_haar(4, 16), ["0110"], False),
+    "toy-owsg-basis": lambda: (toy_owsg_basis(4), ["0110"], False),
+    "constant-owsg": lambda: (constant_owsg(4, 16), ["0110"], False),
+    "haar-keyed-sprs": lambda: keys_from_qsamp(haar_keyed_sprs(64, key_len=8)),
+    "haar-sprs-reference": lambda: keys_from_qsamp(haar_sprs_reference(64, key_len=8), draws=True),
+    "uniform-state-sprs": lambda: keys_from_qsamp(uniform_state_sprs(16)),
+    "constant-state-sprs": lambda: keys_from_qsamp(constant_state_sprs(16)),
+    "random-phase-sprs": lambda: keys_from_qsamp(random_phase_sprs(8)),
+    "con2-exact": lambda: (con2_handle(CON2), [con2_qsamp(CON2, SeededRng(17))], False),
+    "con2-sampled": lambda: (con2_handle(CON2_SAMPLED), [con2_qsamp(CON2, SeededRng(17))], True),
+    "con3-over-con1": lambda: keys_from_qsamp(
+        con3_handle(Con3Params(lam=12, c=4.0, N=8, inner=con1_audit_case("good")[0]))
+    ),
+    "con3-over-toy-prg": lambda: keys_from_qsamp(con3_handle(Con3Params(lam=2, c=3.0, N=8, inner=toy_prg(4, 24)))),
+}
+
+
+@pytest.mark.parametrize("case", list(AUDIT_CASES))
+def test_audit_equals_looped_reference(case, monkeypatch):
+    """The audit stops after trial 0 exactly when that trial drew nothing,
+    and reports what evaluating every trial reports."""
+    handle, keys, draws = AUDIT_CASES[case]()
+    trials = 8
+    wants = [looped_audit(handle, key, trials, SeededRng(40, i)) for i, key in enumerate(keys)]
+    children = []
+    child = SeededRng.child
+    monkeypatch.setattr(SeededRng, "child", lambda rng, j: children.append(j) or child(rng, j))
+    for i, (key, want) in enumerate(zip(keys, wants)):
+        children.clear()
+        got = determinism_audit(handle, key, trials, SeededRng(40, i))
+        assert children == (list(range(trials)) if draws else [0])
+        assert (got.key, got.trials, got.modal_frequency) == (want.key, want.trials, want.modal_frequency)
+        if isinstance(want.modal_value, StateVector):
+            np.testing.assert_array_equal(got.modal_value.amplitudes, want.modal_value.amplitudes)
+        else:
+            assert got.modal_value == want.modal_value
 
 
 class TestCon1FixedOutput:
-    def test_audit_equals_per_trial_loop(self):
-        world = OracleWorld("bot-world", seed=5, n_max=12)
-        handle = con1_handle(Con1Params(lam=12, inner=bot_prg_handle(world, 12)))
-        table = world.permutation(12)
-        w = world.bot_params(12).w
-        bad = next(x for x in range(1 << 12) if int(table[x]) >> (12 - w) == 0)
-        rng = SeededRng(8)
-        good_keys = [handle.qsamp(rng.child(i)) for i in range(5)]
-        bad_key = BotValue.of(format(bad, "012b"))
-        assert all(handle.fixed(k) is not None for k in good_keys)
-        assert handle.fixed(bad_key) is None
-        for i, key in enumerate(good_keys + [bad_key, BOT]):
-            stream = rng.child(100 + i)
-            assert determinism_audit(handle, key, 100, stream) == looped_audit(handle, key, 100, stream)
-
-    def test_good_key_audit_makes_no_child_stream(self, monkeypatch):
+    def test_good_key_audit_makes_one_child_stream(self, monkeypatch):
         handle = con1_handle(bot_world_con1())
         key = handle.qsamp(SeededRng(9))
         calls = []
@@ -156,18 +220,15 @@ class TestCon1FixedOutput:
 
         monkeypatch.setattr(SeededRng, "child", counted_child)
         audit = determinism_audit(handle, key, 100, SeededRng(10))
-        assert (audit.modal_frequency, calls) == (1.0, [])
+        assert (audit.modal_frequency, calls) == (1.0, [0])
 
     def test_wrong_key_length_raises_like_eval(self):
         params = bot_world_con1()
         handle = con1_handle(params)
         short = BotValue.of("0101")
-        with pytest.raises(ValueError) as from_eval:
+        with pytest.raises(ValueError, match="^key must be 12 bits, got 4$"):
             con1_eval(params, short, SeededRng(0))
-        with pytest.raises(ValueError) as from_fixed:
-            handle.fixed(short)
-        assert str(from_fixed.value) == str(from_eval.value) == "key must be 12 bits, got 4"
-        with pytest.raises(ValueError, match="key must be 12 bits"):
+        with pytest.raises(ValueError, match="^key must be 12 bits, got 4$"):
             determinism_audit(handle, short, 10, SeededRng(0))
 
 
@@ -257,7 +318,6 @@ class TestCon3:
 
     def test_two_copy_moment_close_to_haar(self):
         from qrandlab.experiments import moment_distance
-        from qrandlab.toys import random_phase_sprs
 
         dist = moment_distance(random_phase_sprs(8), 2, 20_000, "monte-carlo", SeededRng(23))
         assert dist <= 0.25

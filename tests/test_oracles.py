@@ -152,6 +152,18 @@ class TestBotOracleEvalMany:
         assert batched.uniform() == single.uniform()
         assert any(v.is_bot for v in many) == (kind == "bad")
 
+    @pytest.mark.parametrize("kind", ["good", "bad"])
+    def test_single_query_draws_one_uniform(self, kind):
+        # the k = 1 batch, random(1) on Philox, is one uniform() draw
+        x = self.inputs()[kind]
+        p_x = self.world.q_value(12, int(x, 2)) / (1 << 12) if kind == "bad" else 0.0
+        queried, reference = SeededRng(8, 3), SeededRng(8, 3)
+        for _ in range(200):
+            aborted = bot_oracle_eval(self.world, x, queried).is_bot
+            assert aborted == (kind == "bad" and reference.uniform() < p_x)
+        assert queried.drawn == (kind == "bad")
+        assert queried.uniform() == reference.uniform()
+
     def test_handle_batches_through_eval_many(self):
         x = self.inputs()["bad"]
         gen = bot_prg_handle(self.world, 12)

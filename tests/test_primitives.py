@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -172,7 +170,6 @@ class TestDeterminismAudit:
 
     def test_handle_without_fixed_evaluates_every_trial(self, monkeypatch):
         gen = fair_coin_bot_prg(4, 8)
-        assert gen.fixed is None
         children = []
         child = SeededRng.child
 
@@ -187,11 +184,17 @@ class TestDeterminismAudit:
         modal = _plurality(outputs)
         assert (audit.modal_value, audit.modal_frequency) == (modal, outputs.count(modal) / 30)
 
-    def test_fixed_output_is_audited_without_streams(self, monkeypatch):
+    def test_output_without_draws_is_audited_on_child_zero(self, monkeypatch):
+        # the one evaluation sees child 0; no other child stream is made
         value = BotValue.of("10101010")
-        gen = dataclasses.replace(constant_bot_prg(4, "10101010"), fixed=lambda key: value)
-        monkeypatch.setattr(SeededRng, "child", lambda rng, i: pytest.fail("child stream made"))
+        seen = []
+        gen = GeneratorHandle(
+            kind="bot-prg", input_len=4, output_len=8, eval=lambda key, rng: seen.append(rng) or value
+        )
+        child = SeededRng.child
+        monkeypatch.setattr(SeededRng, "child", lambda rng, i: child(rng, i) if i == 0 else pytest.fail("child made"))
         assert determinism_audit(gen, "0000", 50, SeededRng(7)) == DeterminismAudit("0000", 50, value, 1.0)
+        assert seen == [SeededRng(7).child(0)]
 
     def test_needs_two_trials(self):
         with pytest.raises(ValueError):

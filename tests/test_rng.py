@@ -137,6 +137,35 @@ class TestLazyGenerator:
         assert builds == []
 
 
+class TestDrawnFlag:
+    DRAWS = {
+        "uniform": lambda r: r.uniform(),
+        "integers": lambda r: r.integers(0, 5),
+        "standard_normal": lambda r: r.standard_normal(2),
+        "bit": lambda r: r.bit(),
+        "bits": lambda r: r.bits(3),
+        "multinomial": lambda r: r.multinomial(4, [0.5, 0.5]),
+        "generator": lambda r: r.generator,
+    }
+
+    def test_fresh_stream_and_child_are_not_drawn(self):
+        rng = SeededRng(2024, 3)
+        assert not rng.drawn
+        assert not rng.child(5).drawn
+        assert not rng.drawn
+
+    @pytest.mark.parametrize("draw", list(DRAWS))
+    def test_each_draw_helper_marks_drawn(self, draw):
+        rng = SeededRng(2024, 3)
+        self.DRAWS[draw](rng)
+        assert rng.drawn
+        assert not rng.child(0).drawn
+
+    def test_drawn_is_read_only(self):
+        with pytest.raises(AttributeError):
+            SeededRng(1).drawn = True
+
+
 def _table_digest(table) -> str:
     return hashlib.sha256(table.tobytes()).hexdigest()
 
