@@ -1,9 +1,12 @@
 """The three separation-oracle worlds and the brute-force search tables.
 
 A world is a seed plus a kind; every function the world exposes is
-derived lazily from the seed by the keyed SHA-256 derivation in
-``rng``, so exponential tables never materialize and two runs (or two
-implementations) with the same seed see bit-identical worlds.
+derived from the seed by the keyed SHA-256 derivation in ``rng``, so
+two runs (or two implementations) with the same seed see bit-identical
+worlds.  O_n, P_n and Q_n values are derived lazily, one input at a
+time; the one exponential table is the bot world's permutation P_n, a
+2^n-entry Fisher-Yates table built whole on first use and capped at
+n <= 20.
 
 Kinds:
 
@@ -191,16 +194,20 @@ def _bot_params(n: int, c: float) -> BotOracleParams:
     return BotOracleParams(n, c)
 
 
-@lru_cache(maxsize=8)
+# A command queries one world at one n, so one table (8 MB at n = 20)
+# is all a run reuses; an older world's table would only hold memory.
+@lru_cache(maxsize=1)
 def _permutation_table(seed: int, n: int) -> np.ndarray:
     table = fisher_yates_table(seed, "bot-world/P", n)
     table.setflags(write=False)
     return table
 
 
-# Keys carry the world's seed, so entries of worlds no longer queried
-# stay until evicted; at about 264 B an entry, 1 << 14 entries cap them
-# at about 4 MB and still hold the ~41 lookups of ~400 abort-vote requests.
+# Keys carry the world's seed, so only the current world's entries are
+# hit again (an abort-vote request looks up about 41 values and hits each
+# about once more).  Entries of earlier worlds stay until evicted: at
+# about 264 B an entry, 1 << 14 entries cap them at about 4 MB, which a
+# run reaches after about 400 abort-vote requests.
 @lru_cache(maxsize=1 << 14)
 def _derived_value(seed: int, function_id: str, n: int, x: int, nbits: int) -> int:
     # pure function of its arguments; caching only spares repeated hashing
@@ -226,6 +233,8 @@ def bot_oracle_eval_many(world: OracleWorld, x: str, rng: SeededRng, k: int) -> 
         raise WrongWorldKindError(f"bot_oracle_eval needs a bot-world, got {world.kind}")
     if k < 0:
         raise ValueError(f"query count must be non-negative, got {k}")
+    if x.strip("01"):  # int(x, 2) alone would also read "0b1" or "0_1"
+        raise ValueError(f"x must be '0'/'1' characters, got x={x!r}")
     n = len(x)
     params = world.bot_params(n)
     xi = int(x, 2)
@@ -325,6 +334,8 @@ def verify_eval_oracle(world: OracleWorld, x: str, y: str, a: str) -> BotValue:
     """Return P_n(x, a) if O_n(x) = y, abort otherwise."""
     if world.kind not in ("flip-world", "sampler-world"):
         raise WrongWorldKindError(f"verify/eval channel undefined for {world.kind}")
+    if (x + y + a).strip("01"):  # int(s, 2) alone would also read "0b1" or "0_1"
+        raise ValueError(f"x, y and a must be '0'/'1' characters, got x={x!r}, y={y!r}, a={a!r}")
     n = len(x)
     if len(a) != n or len(y) != world.o_output_len(n):
         raise ValueError(

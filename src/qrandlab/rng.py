@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,6 +134,9 @@ def derive_int(seed: int, function_id: str, n: int, x: int, nbits: int) -> int:
     return int(derive_bits(seed, function_id, n, x, nbits), 2)
 
 
+_BLOCK = struct.Struct(">Q")  # ShaStream's block counter
+
+
 class ShaStream:
     """Deterministic byte stream (SHA-256 counter mode) with bounded draws.
 
@@ -146,16 +148,21 @@ class ShaStream:
     """
 
     def __init__(self, seed: int, function_id: str, n: int):
-        self._prefix = _derivation_prefix(seed, function_id, n)
+        self._prefixed = hashlib.sha256(_derivation_prefix(seed, function_id, n))
         self._block = 0
         self._buf = b""
+
+    def _digest(self, block: int) -> bytes:
+        h = self._prefixed.copy()  # the prefix is hashed once per stream
+        h.update(_BLOCK.pack(block))
+        return h.digest()
 
     def _words(self, count: int) -> np.ndarray:
         """The next ``count`` words as a uint64 array."""
         need = 8 * count - len(self._buf)
         if need > 0:
             blocks = range(self._block, self._block + -(-need // 32))
-            self._buf += b"".join(hashlib.sha256(self._prefix + struct.pack(">Q", b)).digest() for b in blocks)
+            self._buf += b"".join(map(self._digest, blocks))
             self._block = blocks.stop
         data, self._buf = self._buf[: 8 * count], self._buf[8 * count :]
         return np.frombuffer(data, dtype=">u8").astype(np.uint64)
@@ -197,23 +204,50 @@ class ShaStream:
         return int(self.bounded_many(np.array([bound], dtype=np.uint64))[0])
 
 
-_FISHER_YATES_CHUNK = 4096  # bounded draws per bulk call; bounds the j array's memory
+_FISHER_YATES_CHUNK = 4096  # bounded draws per bulk call; bounds the word buffer's memory
 
 
 def fisher_yates_table(seed: int, function_id: str, n_bits: int) -> np.ndarray:
     """Seeded permutation table on {0,1}^n_bits as a uint64 array.
 
-    Position i, from the top down, swaps with j = stream.bounded(i + 1).
+    Position i, from the top down, swaps with j_i = stream.bounded(i + 1).
+    The swaps are drawn first and then resolved without a Python loop.
+    Position i is final after its own swap, which moves there the value
+    that position j_i holds at that time: j_i itself, unless a step k > i
+    with j_k = j_i ran earlier.  The smallest such k (the most recent)
+    left there the value position k held just before its own swap, and
+    that value is found the same way: position k holds k unless a step
+    above k swapped with it, and then it holds what the smallest such
+    step found.  Those chains only go up, so pointer jumping resolves
+    them in log2(longest chain) rounds.
     """
     size = 1 << n_bits
-    table = array("Q", range(size))
     stream = ShaStream(seed, function_id, n_bits)
+    swap = np.zeros(size, dtype=np.int32)  # swap[i] = j_i; step 0 is the no-op j_0 = 0
     for top in range(size - 1, 0, -_FISHER_YATES_CHUNK):
-        positions = range(top, max(top - _FISHER_YATES_CHUNK, 0), -1)
-        bounds = np.arange(top + 1, positions.stop + 1, -1, dtype=np.uint64)
-        for i, j in zip(positions, stream.bounded_many(bounds).tolist()):
-            table[i], table[j] = table[j], table[i]
-    return np.frombuffer(table, dtype=np.uint64)
+        low = max(top - _FISHER_YATES_CHUNK, 0)
+        swap[top:low:-1] = stream.bounded_many(np.arange(top + 1, low + 1, -1, dtype=np.uint64))
+
+    # Steps sorted by the position they swap with, each group in ascending step order.
+    order = np.argsort(swap.astype(np.min_scalar_type(size - 1)), kind="stable").astype(np.int32)
+    grouped = swap[order]
+    same = grouped[1:] == grouped[:-1]
+    later = np.full(size, -1, dtype=np.int32)  # later[i]: next step above i with the same j, or -1
+    later[order[:-1][same]] = order[1:][same]
+    # up[p]: the smallest step above p that swaps with position p (the head of p's
+    # group), or p itself when none does.  A step p with j_p = p heads its own group,
+    # so up[p] = p there too; no chain reads it, as every step in a chain is above its j.
+    up = np.arange(size, dtype=np.int32)
+    heads = np.flatnonzero(np.concatenate(([True], ~same)))
+    up[grouped[heads]] = order[heads]
+    del order, grouped, same, heads
+    while True:
+        jumped = up[up]
+        if np.array_equal(jumped, up):
+            break
+        up = jumped
+    del jumped
+    return np.where(later >= 0, up[later], swap).astype(np.uint64)
 
 
 def int_to_bits(value: int, width: int) -> str:

@@ -6,6 +6,8 @@ versions here are the independent computations those are checked
 against, together with the density-operator algebra and tomography
 bounds the tests state their claims in.  ``looped_audit`` is the
 determinism audit without its early exit: every trial evaluated.
+``fisher_yates_reference`` is the permutation table as the plain
+top-down swap loop, one bounded draw per step.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from qrandlab.qcore import (
     MemoryBudgetError,
     StateVector,
 )
-from qrandlab.rng import SeededRng
+from qrandlab.rng import SeededRng, ShaStream
 from qrandlab.tomography import DiagonalEstimate
 
 MAX_DENSE_FLIP_N = 2  # 2^(9n+1) amplitudes: n=2 is 8 MB, n=3 is 4 GB
@@ -197,3 +199,17 @@ def looped_audit(handle, key, trials: int, rng: SeededRng) -> DeterminismAudit:
         modal = _plurality(outputs)
         count = outputs.count(modal)
     return DeterminismAudit(key, trials, modal, count / trials)
+
+
+# -- the Fisher-Yates table, one swap at a time ---------------------------------------
+
+
+def fisher_yates_reference(seed: int, function_id: str, n_bits: int) -> list[int]:
+    """Durstenfeld's shuffle of range(2^n_bits): position i, from the top down,
+    swaps with j = ``ShaStream.bounded(i + 1)``."""
+    stream = ShaStream(seed, function_id, n_bits)
+    table = list(range(1 << n_bits))
+    for i in range(len(table) - 1, 0, -1):
+        j = stream.bounded(i + 1)
+        table[i], table[j] = table[j], table[i]
+    return table

@@ -18,6 +18,7 @@ from qrandlab.oracles import (
     decode_flip_index,
     flip_state_dim,
     _derived_value,
+    _permutation_table,
     measure_flipped,
     prfqs_from_world,
     sampler_oracle,
@@ -171,6 +172,17 @@ class TestBotOracleEvalMany:
         assert gen.eval_repeated(x, a, 40) == [gen.eval(x, b) for _ in range(40)]
         assert a.uniform() == b.uniform()
 
+    @pytest.mark.parametrize("x", ["0b010101", "0001_101"])
+    def test_rejects_malformed_bitstrings(self, x):
+        # int(x, 2) reads these 8-character strings as "00010101" and "00001101"
+        world = OracleWorld("bot-world", seed=5, n_max=8)
+        rng = SeededRng(0)
+        with pytest.raises(ValueError, match="'0'/'1' characters"):
+            bot_oracle_eval(world, x, rng)
+        with pytest.raises(ValueError, match="'0'/'1' characters"):
+            bot_oracle_eval_many(world, x, rng, 3)
+        assert not rng.drawn
+
     def test_rejects_negative_count_and_wrong_world(self):
         with pytest.raises(ValueError):
             bot_oracle_eval_many(self.world, "0" * 12, SeededRng(0), -1)
@@ -286,6 +298,16 @@ class TestDerivedValueCache:
         assert _derived_value.cache_info().hits == info.hits + 1
 
 
+class TestPermutationTableCache:
+    def test_holds_only_the_latest_table(self):
+        first = OracleWorld("bot-world", seed=71, n_max=8).permutation(8)
+        latest = OracleWorld("bot-world", seed=72, n_max=8)
+        assert latest.permutation(8) is latest.permutation(8)
+        info = _permutation_table.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
+        assert OracleWorld("bot-world", seed=71, n_max=8).permutation(8) is not first
+
+
 class TestVerifyEvalOracle:
     world = OracleWorld("flip-world", seed=31, n_max=4)
 
@@ -316,6 +338,16 @@ class TestVerifyEvalOracle:
     def test_length_validation(self):
         with pytest.raises(ValueError):
             verify_eval_oracle(self.world, "01", "0000", "01")
+
+    @pytest.mark.parametrize("field", ["x", "y", "a"])
+    def test_rejects_malformed_bitstrings(self, field):
+        # int("0b1", 2) == 1: with x = "0b1" the triple used to answer as x = "001"
+        x, a = "001", "110"
+        triple = {"x": x, "y": int_to_bits(self.world.o_value(3, int(x, 2)), 24), "a": a}
+        assert not verify_eval_oracle(self.world, **triple).is_bot
+        triple[field] = "0b1" + triple[field][3:]
+        with pytest.raises(ValueError, match=f"{field}='0b1"):
+            verify_eval_oracle(self.world, **triple)
 
     def test_sampler_world_lengths(self):
         world = OracleWorld("sampler-world", seed=33, n_max=4)

@@ -9,11 +9,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qrandlab.experiments import moment_distance, moment_hs2
 from qrandlab.oracles import OracleWorld, prfqs_from_world
 from qrandlab.rng import ShaStream, SeededRng, derive_bits, derive_int, fisher_yates_table
 from qrandlab.toys import random_phase_sprs
+from reference import fisher_yates_reference
 
 
 class TestSeededRngStreams:
@@ -177,17 +180,26 @@ class TestBulkFisherYates:
             (12, "21fcf2fa5a54fd2350d30a84cffd1c64d5a7fcc1cb23966faa8e0b2a4a745fda"),
             (13, "113dd335c9bc7c6ec3d125fe86be4faefaaf7d982b7829b657274b405f827d1b"),
             (16, "87edf7ec783f201d7cc2ebf679e29bb8da96d223e7756d93092deca84b0db9c5"),
+            (1, "4cbbd8ca5215b8d161aec181a74b694f4e24b001d5b081dc0030ed797a8973e0"),
+            (2, "6bea2dbe6c90de32fb23d57777278a9404c073bec9d68266568279e275ea2f24"),
+            (20, "b86648c7dde963bf6166d8f9787deb9d164eecebc520847f5899fe6bce2069af"),
         ],
     )
     def test_known_answers(self, n_bits, digest):
         assert _table_digest(fisher_yates_table(2024, "bot-world/P", n_bits)) == digest
 
+    @settings(max_examples=30, deadline=None)
+    @given(n_bits=st.integers(1, 12), seed=st.integers(0, (1 << 64) - 1))
+    def test_equals_swap_loop(self, n_bits, seed):
+        table = fisher_yates_table(seed, "bot-world/P", n_bits)
+        assert table.dtype == np.uint64
+        assert table.tolist() == fisher_yates_reference(seed, "bot-world/P", n_bits)
+
     @pytest.mark.parametrize("n_bits, position", [(8, 3), (13, 4095)])
     def test_forced_rejection_matches_scalar_loop(self, monkeypatch, n_bits, position):
         # Word `position` of every stream is set to the rejection limit of
         # the bound it is drawn for, so that draw takes the following word.
-        size = 1 << n_bits
-        bound = size - position
+        bound = (1 << n_bits) - position
         limit = (1 << 64) - (1 << 64) % bound
         words = ShaStream._words
 
@@ -201,12 +213,7 @@ class TestBulkFisherYates:
 
         monkeypatch.setattr(ShaStream, "_words", forced)
         table = fisher_yates_table(2024, "bot-world/P", n_bits)
-        stream = ShaStream(2024, "bot-world/P", n_bits)
-        reference = list(range(size))
-        for i in range(size - 1, 0, -1):
-            j = stream.bounded(i + 1)
-            reference[i], reference[j] = reference[j], reference[i]
-        assert table.tolist() == reference
+        assert table.tolist() == fisher_yates_reference(2024, "bot-world/P", n_bits)
         monkeypatch.undo()
         assert table.tolist() != fisher_yates_table(2024, "bot-world/P", n_bits).tolist()
 
