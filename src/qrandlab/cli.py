@@ -119,7 +119,8 @@ def _count(params: dict, name: str) -> int:
 def cmd_extract(params: dict, seed: int) -> dict:
     d = params["d"]
     rparams = RoundParams(d)
-    mode, t = params["mode"], params["t"]
+    mode = params["mode"]
+    t = params["t"] if mode == "sampled" else None  # None: the exact diagonal
     if mode == "sampled" and not t:
         raise CliUsageError("sampled mode needs --t copies")
     rng = SeededRng(seed)
@@ -132,15 +133,15 @@ def cmd_extract(params: dict, seed: int) -> dict:
         psi = haar_sample(d, child)
         if good_set_member(exact_diagonal(psi), rparams):
             good += 1
-        first = extract(psi, rparams, mode=mode, t=t, rng=child)
-        second = extract(psi, rparams, mode=mode, t=t, rng=child)
+        first = extract(psi, rparams, t, child)
+        second = extract(psi, rparams, t, child)
         agree += first == second
         bit_ones += np.array([b == "1" for b in first])
     return {
         "d": d,
         "n_states": n_states,
         "mode": mode,
-        "t": t if mode == "sampled" else None,
+        "t": t,
         "good_fraction": good / n_states,
         "bit_frequencies": list(bit_ones / n_states),
         "repeat_agreement": agree / n_states,
@@ -161,7 +162,7 @@ def cmd_prg_qs(params: dict, seed: int) -> dict:
         raise CliUsageError(f"--evals must be at least 2, got {params['evals']}")
     n = params["n"]
     world = OracleWorld("bot-world", seed, n_max=n, c=params["c"])
-    con = Con1Params(lam=n, inner=bot_prg_handle(world, n))
+    con = Con1Params(bot_prg_handle(world, n))
     handle = con1_handle(con)
     rng = SeededRng(seed, 1)
     bots = 0
@@ -193,7 +194,7 @@ def cmd_sprs_qs(params: dict, seed: int) -> dict:
     n = params["n"]
     N = params["N"]
     world = OracleWorld("bot-world", seed, n_max=n, c=params["c"])
-    inner = con1_handle(Con1Params(lam=n, inner=bot_prg_handle(world, n)))
+    inner = con1_handle(Con1Params(bot_prg_handle(world, n)))
     con = Con3Params(lam=n, c=params["con3_c"], N=N, inner=inner)
     handle = con3_handle(con)
     rng = SeededRng(seed, 1)

@@ -37,22 +37,19 @@ from .tomography import estimate_diagonal
 class Con1Params:
     """Retry-and-vote construction over an abort-capable generator.
 
-    lam is both the retry/vote count and the inner key length; the
-    output length m is the inner's and must exceed lam.
+    lam, the inner key length, is also the retry/vote count; the output
+    length m is the inner's, which exceeds lam.
     """
 
-    lam: int
     inner: GeneratorHandle
 
     def __post_init__(self):
-        if self.lam < 1:
-            raise ValueError(f"lam must be >= 1, got {self.lam}")
         if self.inner.kind != "bot-prg":
             raise ValueError(f"inner must be a bot-prg, got {self.inner.kind}")
-        if self.inner.input_len != self.lam:
-            raise ValueError(
-                f"inner key length {self.inner.input_len} must equal lam {self.lam}"
-            )
+
+    @property
+    def lam(self) -> int:
+        return self.inner.input_len
 
     @property
     def m(self) -> int:
@@ -103,8 +100,7 @@ class Con2Params:
     lam: int
     c: float
     inner: GeneratorHandle
-    mode: str = "exact"
-    t: int | None = None
+    t: int | None = None  # copies per diagonal estimate; None reads the exact diagonal
     attempts: int | None = None  # key-sampling retries; nominally lam
     round_params: RoundParams = field(init=False)
     flags: tuple[str, ...] = field(init=False)
@@ -114,10 +110,6 @@ class Con2Params:
             raise ValueError(f"inner must be a sprs-qs, got {self.inner.kind}")
         d = self.inner.dim
         object.__setattr__(self, "round_params", RoundParams(d))  # validates the dimension shape
-        if self.mode not in ("exact", "sampled"):
-            raise ValueError(f"mode must be 'exact' or 'sampled', got {self.mode!r}")
-        if self.mode == "sampled" and (self.t is None or self.t < 1):
-            raise ValueError("sampled mode needs a positive copy count t")
         if self.attempts is not None and self.attempts < 1:
             raise ValueError("attempts must be positive")
         flags = []
@@ -155,7 +147,7 @@ def con2_qsamp(params: Con2Params, rng: SeededRng) -> BotValue:
     for _ in range(params.attempts or params.lam):
         key = params.inner.qsamp(rng)
         psi = params.inner.eval(key, rng)
-        diag = estimate_diagonal(psi, params.mode, params.t, rng)
+        diag = estimate_diagonal(psi, params.t, rng)
         if good_set_member(diag, params.round_params):
             return BotValue.of(key)
     return BOT
@@ -166,7 +158,7 @@ def con2_eval(params: Con2Params, key: BotValue, rng: SeededRng) -> BotValue:
     if key.is_bot:
         return BOT
     psi = params.inner.eval(key.payload, rng)
-    bits = extract(psi, params.round_params, mode=params.mode, t=params.t, rng=rng)
+    bits = extract(psi, params.round_params, t=params.t, rng=rng)
     return BotValue.of(bits)
 
 
@@ -259,20 +251,17 @@ def con3_handle(params: Con3Params) -> GeneratorHandle:
     )
 
 
-def prfqs_from_prgqs(
-    inner: GeneratorHandle, domain_size: int, word_len: int | None = None
-) -> GeneratorHandle:
+def prfqs_from_prgqs(inner: GeneratorHandle, domain_size: int) -> GeneratorHandle:
     """The inner generator's output read as a complete keyed function table.
 
     Evaluation on x in [domain_size] returns the x-th word slice of the
-    inner output; distinct inputs read disjoint slices.
+    inner output, whose words are output_len // domain_size bits; distinct
+    inputs read disjoint slices.
     """
-    if word_len is None:
-        word_len = inner.output_len // domain_size
-    if word_len < 1 or inner.output_len < domain_size * word_len:
+    word_len = inner.output_len // domain_size
+    if word_len < 1:
         raise ValueError(
-            f"inner output {inner.output_len} bits cannot hold a table of "
-            f"{domain_size} x {word_len}-bit words"
+            f"inner output {inner.output_len} bits cannot hold a word for each of {domain_size} inputs"
         )
 
     def eval_fn(key, x: int, rng: SeededRng | None = None):

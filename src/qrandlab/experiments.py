@@ -362,8 +362,11 @@ def _key_states(gen: GeneratorHandle, keys, rng: SeededRng, start: int, stop: in
     return np.array([gen.eval(k, rng.child(j)).amplitudes for j, k in block])
 
 
-def _moment_gramians(gen: GeneratorHandle, t: int, keys, rng: SeededRng, chunk: int):
-    """Unnormalised t-copy gramian of each ``chunk`` consecutive keys.
+_MOMENT_KEY_BLOCK = 2000  # keys whose symmetric-subspace rows are formed at a time
+
+
+def _moment_gramians(gen: GeneratorHandle, t: int, keys, rng: SeededRng):
+    """Unnormalised t-copy gramian of each ``_MOMENT_KEY_BLOCK`` consecutive keys.
 
     The rows are in symmetric-subspace coordinates, which is exact since
     tensor powers live entirely in that subspace: the coordinate of
@@ -379,8 +382,8 @@ def _moment_gramians(gen: GeneratorHandle, t: int, keys, rng: SeededRng, chunk: 
             for m in multisets
         ]
     )
-    for start in range(0, len(keys), chunk):
-        states = _key_states(gen, keys, rng, start, start + chunk)
+    for start in range(0, len(keys), _MOMENT_KEY_BLOCK):
+        states = _key_states(gen, keys, rng, start, start + _MOMENT_KEY_BLOCK)
         w = states[:, columns[0]]
         for column in columns[1:]:
             w = w * states[:, column]
@@ -394,7 +397,6 @@ def moment_distance(
     n_keys: int,
     mode: str = "monte-carlo",
     rng: Optional[SeededRng] = None,
-    chunk: int = 2000,
 ) -> float:
     """Plug-in trace distance between the generator's key-averaged t-copy
     moment and the Haar t-copy moment.
@@ -416,8 +418,8 @@ def moment_distance(
     keys = _key_iter(gen, n_keys, mode, rng)
     size = math.comb(dim + t - 1, t)
     avg = np.zeros((size, size), dtype=complex)
-    for gram in _moment_gramians(gen, t, keys, rng, chunk):
-        avg += gram  # in place: one accumulator, not one matrix per chunk
+    for gram in _moment_gramians(gen, t, keys, rng):
+        avg += gram  # in place: one accumulator, not one matrix per block
     avg /= len(keys)
     avg -= np.eye(size) / size
     return float(0.5 * np.abs(np.linalg.eigvalsh(avg)).sum())

@@ -86,16 +86,12 @@ def good_set_member(diag: DiagonalEstimate, params: RoundParams) -> bool:
 
 
 def extract(
-    psi: StateVector,
-    params: RoundParams,
-    mode: str = "exact",
-    t: int | None = None,
-    rng: SeededRng | None = None,
+    psi: StateVector, params: RoundParams, t: int | None = None, rng: SeededRng | None = None
 ) -> str:
-    """Diagonal estimation (exact, or from t sampled copies) followed by rounding."""
+    """Diagonal estimation (from t sampled copies, or exact when t is None) followed by rounding."""
     if psi.dim != params.d:
         raise DimensionMismatchError(f"state dim {psi.dim} != params d {params.d}")
-    return round_bits(estimate_diagonal(psi, mode, t, rng), params)
+    return round_bits(estimate_diagonal(psi, t, rng), params)
 
 
 @dataclass(frozen=True)

@@ -135,20 +135,20 @@ class OracleWorld:
 
     def o_value(self, n: int, x: int) -> int:
         self._check_n(n)
-        return _derived_value(self.seed, f"{self.kind}/O", n, x, self.o_output_len(n))
+        return derive_int(self.seed, f"{self.kind}/O", n, x, self.o_output_len(n))
 
     def p_value(self, n: int, xa: int) -> int:
         """P_n: 2n -> n bits for flip/sampler worlds."""
         self._check_n(n)
         if self.kind == "bot-world":
             raise WrongWorldKindError("bot-world's P_n is a permutation; use permutation()")
-        return _derived_value(self.seed, f"{self.kind}/P", n, xa, n)
+        return derive_int(self.seed, f"{self.kind}/P", n, xa, n)
 
     def q_value(self, n: int, x: int) -> int:
         self._check_n(n)
         if self.kind != "bot-world":
             raise WrongWorldKindError(f"{self.kind} has no Q_n")
-        return _derived_value(self.seed, f"{self.kind}/Q", n, x, n)
+        return derive_int(self.seed, f"{self.kind}/Q", n, x, n)
 
     def permutation(self, n: int) -> np.ndarray:
         self._check_n(n)
@@ -194,6 +194,8 @@ def _bot_params(n: int, c: float) -> BotOracleParams:
     return BotOracleParams(n, c)
 
 
+# The permutation is the one world function held in memory; O_n, P_n and
+# Q_n values are hashed again on each lookup, at a few microseconds each.
 # A command queries one world at one n, so one table (8 MB at n = 20)
 # is all a run reuses; an older world's table would only hold memory.
 @lru_cache(maxsize=1)
@@ -201,17 +203,6 @@ def _permutation_table(seed: int, n: int) -> np.ndarray:
     table = fisher_yates_table(seed, "bot-world/P", n)
     table.setflags(write=False)
     return table
-
-
-# Keys carry the world's seed, so only the current world's entries are
-# hit again (an abort-vote request looks up about 41 values and hits each
-# about once more).  Entries of earlier worlds stay until evicted: at
-# about 264 B an entry, 1 << 14 entries cap them at about 4 MB, which a
-# run reaches after about 400 abort-vote requests.
-@lru_cache(maxsize=1 << 14)
-def _derived_value(seed: int, function_id: str, n: int, x: int, nbits: int) -> int:
-    # pure function of its arguments; caching only spares repeated hashing
-    return derive_int(seed, function_id, n, x, nbits)
 
 
 # -- bot-world ---------------------------------------------------------------
@@ -355,6 +346,8 @@ def sampler_oracle(world: OracleWorld, n: int, rng: SeededRng) -> tuple[str, str
     if world.kind != "sampler-world":
         raise WrongWorldKindError(f"sampler_oracle needs a sampler-world, got {world.kind}")
     world._check_n(n)
+    if n > 63:  # numpy draws integers below 2^63 only
+        raise ValueError(f"the sampler world draws x below 2^63, so n must be at most 63, got {n}")
     x = int(rng.integers(0, 1 << n))
     return int_to_bits(x, n), int_to_bits(world.o_value(n, x), n)
 

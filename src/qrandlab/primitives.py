@@ -125,6 +125,8 @@ class GeneratorHandle:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}")
+        if self.input_len < 1:
+            raise ValueError(f"key length must be at least 1, got {self.input_len}")
         if self.kind in ("prg", "prg-qs", "bot-prg") and self.output_len <= self.input_len:
             raise ValueError(
                 f"{self.kind} must expand: output {self.output_len} <= input {self.input_len}"

@@ -57,10 +57,10 @@ def test_criterion_01_extract_determinism():
         if not good_set_member(exact_diagonal(psi), params):
             continue
         found += 1
-        first = extract(psi, params, mode="exact")
-        second = extract(psi, params, mode="exact")
+        first = extract(psi, params)
+        second = extract(psi, params)
         exact_same += first == second
-        sampled = extract(psi, params, mode="sampled", t=10**6, rng=child)
+        sampled = extract(psi, params, t=10**6, rng=child)
         sampled_same += sampled == first
     ok = exact_same == wanted and sampled_same >= math.ceil(0.99 * wanted)
     check(
@@ -143,7 +143,7 @@ def test_criterion_04_bot_oracle_law():
 def test_criterion_05_construction1_end_to_end():
     n = 16  # mu = n^-1 = 2^-4
     world = OracleWorld("bot-world", seed=105, n_max=n, c=1.0)
-    handle = con1_handle(Con1Params(lam=n, inner=bot_prg_handle(world, n)))
+    handle = con1_handle(Con1Params(bot_prg_handle(world, n)))
     rng = SeededRng(1050)
     bots = sum(handle.qsamp(rng.child(i)).is_bot for i in range(10_000))
     key_rng = SeededRng(1051)

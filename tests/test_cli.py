@@ -223,6 +223,15 @@ class TestOracleSim:
         assert f"query 1: {field!r} must be" in err
         assert "Traceback" not in err
 
+    def test_sampler_world_above_n63_is_usage_error(self, capsys):
+        argv = ["oracle-sim", "--world", "sampler", "--draws", "1", "--seed", "1", "--n"]
+        code, out, err = run_cli(capsys, [*argv, "64"])
+        assert (code, out) == (2, "")
+        assert "n must be at most 63, got 64" in err
+        assert "Traceback" not in err
+        code, out, _ = run_cli(capsys, [*argv, "63"])
+        assert code == 0 and len(parse_lines(out)[0]["result"]["responses"][0]["x"]) == 63
+
     def test_unknown_world(self, capsys):
         code, _, err = run_cli(capsys, ["oracle-sim", "--world", "warp", "--n", "4", "--seed", "1"])
         assert code == 2
@@ -230,6 +239,13 @@ class TestOracleSim:
 
 
 class TestExperimentCommand:
+    @pytest.mark.parametrize("argv", [["prg"], ["owsg"], ["owsg", "--adversary", "bruteforce"]])
+    def test_key_length_below_one_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, ["experiment", "--name", *argv, "--lambda", "0", "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert "key length must be at least 1, got 0" in err
+        assert "Traceback" not in err
+
     def test_owsg_experiment_reports_advantage(self, capsys):
         code, out, _ = run_cli(
             capsys,

@@ -53,18 +53,18 @@ CON2 = Con2Params(lam=2, c=12.0, inner=CON2_INNER, attempts=8)
 
 def bot_world_con1(n=12, seed=5):
     world = OracleWorld("bot-world", seed=seed, n_max=n)
-    return Con1Params(lam=n, inner=bot_prg_handle(world, n))
+    return Con1Params(bot_prg_handle(world, n))
 
 
 class TestCon1:
     def test_never_bot_inner_returns_first_key(self):
-        params = Con1Params(lam=8, inner=derived_bot_prg(8, 16))
+        params = Con1Params(derived_bot_prg(8, 16))
         seed = 31
         key = con1_qsamp(params, SeededRng(seed))
         assert key == BotValue.of(SeededRng(seed).bits(8))
 
     def test_always_bot_inner_aborts(self):
-        params = Con1Params(lam=8, inner=always_bot_prg(8, 16))
+        params = Con1Params(always_bot_prg(8, 16))
         assert con1_qsamp(params, SeededRng(1)).is_bot
 
     def test_bot_oracle_inner_rarely_aborts(self):
@@ -74,13 +74,13 @@ class TestCon1:
         assert bots <= 1
 
     def test_eval_on_bot_key_gives_zeros(self):
-        params = Con1Params(lam=8, inner=derived_bot_prg(8, 16))
+        params = Con1Params(derived_bot_prg(8, 16))
         out = con1_eval(params, BOT, SeededRng(0))
         assert out == BotValue.of("0" * 16)
 
     def test_eval_reproduces_deterministic_inner(self):
         inner = derived_bot_prg(8, 16)
-        params = Con1Params(lam=8, inner=inner)
+        params = Con1Params(inner)
         key = "01011100"
         expected = inner.eval(key, SeededRng(0))
         assert con1_eval(params, BotValue.of(key), SeededRng(9)) == expected
@@ -101,10 +101,6 @@ class TestCon1:
         out = con1_eval(params, key, SeededRng(12))
         assert len(out.payload) == params.m
         assert params.m > params.lam
-
-    def test_inner_key_length_must_match(self):
-        with pytest.raises(ValueError):
-            Con1Params(lam=4, inner=derived_bot_prg(8, 16))
 
 
     def test_known_answers_over_bot_world(self):
@@ -134,7 +130,7 @@ def bad_bot_key(world, n):
 
 def con1_audit_case(kind):
     world = OracleWorld("bot-world", seed=5, n_max=12)
-    handle = con1_handle(Con1Params(lam=12, inner=bot_prg_handle(world, 12)))
+    handle = con1_handle(Con1Params(bot_prg_handle(world, 12)))
     if kind == "good":
         return handle, [handle.qsamp(SeededRng(8).child(i)) for i in range(5)], False
     if kind == "bad":
@@ -154,7 +150,7 @@ def keys_from_qsamp(handle, count=2, draws=False):
     return handle, [handle.qsamp(SeededRng(3).child(i)) for i in range(count)], draws
 
 
-CON2_SAMPLED = Con2Params(lam=2, c=12.0, inner=CON2_INNER, mode="sampled", t=10**6, attempts=8)
+CON2_SAMPLED = Con2Params(lam=2, c=12.0, inner=CON2_INNER, t=10**6, attempts=8)
 
 # name -> () -> (handle, keys, whether an evaluation draws from its stream)
 AUDIT_CASES = {
@@ -262,7 +258,7 @@ class TestCon2:
 
     def test_sampled_mode_modal(self):
         sampled = Con2Params(
-            lam=2, c=12.0, inner=CON2_INNER, mode="sampled", t=10**6, attempts=8
+            lam=2, c=12.0, inner=CON2_INNER, t=10**6, attempts=8
         )
         rng = SeededRng(19)
         key = con2_qsamp(sampled, rng)
@@ -393,7 +389,7 @@ class TestConstructionInvariants:
     @given(st.integers(0, 2**32))
     @settings(max_examples=10, deadline=None)
     def test_con1_bot_key_always_zeroes(self, seed):
-        params = Con1Params(lam=8, inner=derived_bot_prg(8, 16))
+        params = Con1Params(derived_bot_prg(8, 16))
         assert con1_eval(params, BOT, SeededRng(seed)) == BotValue.of("0" * 16)
 
     @given(st.integers(0, 2**32))

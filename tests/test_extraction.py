@@ -18,9 +18,8 @@ from qrandlab.tomography import DiagonalEstimate, exact_diagonal
 P4096 = RoundParams(4096)
 
 
-def diag_of(probs, mode="exact", samples=0):
-    probs = np.asarray(probs, dtype=float)
-    return DiagonalEstimate(len(probs), probs, mode, samples)
+def diag_of(probs, samples=0):
+    return DiagonalEstimate(np.asarray(probs, dtype=float), samples)
 
 
 def uniform_diag(d):
@@ -107,7 +106,7 @@ class TestGoodSetMember:
         probs[:r] = (r / d + 2 / d) / r
         rest = 1.0 - probs[:r].sum()
         probs[l * r :] = rest / (d - l * r)
-        diag = DiagonalEstimate(d, probs / probs.sum(), "exact", 0)
+        diag = DiagonalEstimate(probs / probs.sum(), 0)
         assert not good_set_member(diag, P4096)
 
     def test_good_fraction_grows_with_dimension(self):
@@ -140,7 +139,7 @@ class TestExtract:
             psi = haar_sample(4096, rng)
         expected = extract(psi, P4096)
         agreements = sum(
-            extract(psi, P4096, mode="sampled", t=10**6, rng=rng.child(i)) == expected
+            extract(psi, P4096, t=10**6, rng=rng.child(i)) == expected
             for i in range(100)
         )
         assert agreements >= 99
@@ -148,7 +147,7 @@ class TestExtract:
     def test_sampled_mode_needs_t_and_rng(self):
         psi = haar_sample(4096, SeededRng(0))
         with pytest.raises(ValueError):
-            extract(psi, P4096, mode="sampled")
+            extract(psi, P4096, t=10**6)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -175,7 +174,7 @@ class TestMarginRobustness:
         perturbed = diag.probs + noise
         if perturbed.min() < 0:
             return
-        shifted = DiagonalEstimate(d, perturbed / perturbed.sum(), "exact", 0)
+        shifted = DiagonalEstimate(perturbed / perturbed.sum(), 0)
         assert round_bits(shifted, params) == round_bits(diag, params)
 
 

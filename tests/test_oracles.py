@@ -17,7 +17,6 @@ from qrandlab.oracles import (
     candidate_states,
     decode_flip_index,
     flip_state_dim,
-    _derived_value,
     _permutation_table,
     measure_flipped,
     prfqs_from_world,
@@ -287,17 +286,6 @@ class TestMeasureFlipped:
             measure_flipped(OracleWorld("flip-world", seed=1, n_max=21), 21, 0, SeededRng(0))
 
 
-class TestDerivedValueCache:
-    def test_bounded_and_still_caching(self):
-        for seed in range(20_000):
-            OracleWorld("sampler-world", seed=10**6 + seed, n_max=4).o_value(4, 3)
-        info = _derived_value.cache_info()
-        assert info.maxsize == 1 << 14
-        assert info.currsize <= 1 << 14
-        OracleWorld("sampler-world", seed=10**6 + 19_999, n_max=4).o_value(4, 3)
-        assert _derived_value.cache_info().hits == info.hits + 1
-
-
 class TestPermutationTableCache:
     def test_holds_only_the_latest_table(self):
         first = OracleWorld("bot-world", seed=71, n_max=8).permutation(8)
@@ -386,6 +374,15 @@ class TestSamplerOracle:
         a = [sampler_oracle(self.world, 12, SeededRng(9, i)) for i in range(20)]
         b = [sampler_oracle(self.world, 12, SeededRng(9, i)) for i in range(20)]
         assert a == b
+
+    def test_rejects_n_above_63_before_drawing(self):
+        world = OracleWorld("sampler-world", seed=41, n_max=64)
+        rng = SeededRng(1)
+        with pytest.raises(ValueError, match="n must be at most 63, got 64"):
+            sampler_oracle(world, 64, rng)
+        assert not rng.drawn
+        x, y = sampler_oracle(world, 63, rng)
+        assert len(x) == len(y) == 63
 
 
 class TestPrfFromWorld:

@@ -139,6 +139,10 @@ class TestGeneratorHandle:
         with pytest.raises(ValueError):
             GeneratorHandle(kind="prp", input_len=4, output_len=8, eval=lambda k, r: k)
 
+    @pytest.mark.parametrize("kind", ["prg", "owsg"])
+    def test_key_length_below_one_rejected(self, kind):
+        with pytest.raises(ValueError, match="key length must be at least 1, got 0"):
+            GeneratorHandle(kind=kind, input_len=0, output_len=8, eval=lambda k, r: k, dim=2)
 
     def test_eval_repeated_without_batch_loops_eval(self):
         gen = fair_coin_bot_prg(4, 8)

@@ -98,7 +98,7 @@ class TestDerivation:
 
 class TestPinnedStatistics:
     def test_moment_distance(self):
-        dist = moment_distance(random_phase_sprs(8), 2, 3000, "monte-carlo", SeededRng(3, 2), 700)
+        dist = moment_distance(random_phase_sprs(8), 2, 3000, "monte-carlo", SeededRng(3, 2))
         assert dist == pytest.approx(0.10446886260421989, rel=1e-12)
 
     def test_moment_hs2(self):

@@ -23,7 +23,7 @@ def uniform_state(dim):
 class TestExactDiagonal:
     def test_basis_state(self):
         diag = exact_diagonal(StateVector.basis(4, 0))
-        assert diag.mode == "exact"
+        assert diag.samples_used == 0
         assert np.array_equal(diag.probs, [1, 0, 0, 0])
 
     def test_uniform_dim8(self):
@@ -39,7 +39,6 @@ class TestExactDiagonal:
 class TestSampledDiagonal:
     def test_basis_state_deterministic(self):
         diag = sampled_diagonal(StateVector.basis(8, 0), 100, SeededRng(1))
-        assert diag.mode == "sampled"
         assert diag.samples_used == 100
         assert np.array_equal(diag.probs, [1, 0, 0, 0, 0, 0, 0, 0])
 
@@ -123,12 +122,8 @@ class TestSamplesRequired:
 class TestDiagonalEstimateInvariants:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
-            DiagonalEstimate(2, np.array([1.2, -0.2]), "exact", 0)
+            DiagonalEstimate(np.array([1.2, -0.2]), 0)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            DiagonalEstimate(2, np.array([0.6, 0.6]), "exact", 0)
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            DiagonalEstimate(2, np.array([0.5, 0.5]), "guessed", 0)
+            DiagonalEstimate(np.array([0.6, 0.6]), 0)
