@@ -73,7 +73,7 @@ from .qcore import (
     haar_sample,
     measure_computational,
 )
-from .rng import SeededRng, derive_bits, derive_int
+from .rng import ParameterError, SeededRng, derive_bits, derive_int, parse_bits
 from .tomography import (
     DiagonalEstimate,
     estimate_diagonal,

@@ -44,17 +44,13 @@ from .oracles import (
 )
 from .primitives import determinism_audit
 from .qcore import haar_sample
-from .rng import SeededRng
+from .rng import ParameterError, SeededRng, parse_bits
 from .tomography import exact_diagonal
 from .toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
 
 USAGE_ERROR = 2
 
 EXPERIMENT_NAMES = ("prg", "bot-prg", "owsg", "moment")
-
-
-class CliUsageError(ValueError):
-    pass
 
 
 def _round12(obj):
@@ -96,11 +92,6 @@ class RunConfig:
     def to_record(self) -> dict:
         return {"subcommand": self.subcommand, "params": self.params, "seed": self.seed}
 
-    @classmethod
-    def from_record(cls, rec: dict) -> "RunConfig":
-        # fields beyond these (such as an older record's "threads") are ignored
-        return cls(subcommand=rec["subcommand"], params=dict(rec["params"]), seed=rec["seed"])
-
 
 def _resolve_seed(seed) -> int:
     return secrets.randbits(63) if seed is None else int(seed)
@@ -109,7 +100,7 @@ def _resolve_seed(seed) -> int:
 def _count(params: dict, name: str) -> int:
     """The count flag --name, which must be at least 1."""
     if params[name] < 1:
-        raise CliUsageError(f"--{name} must be at least 1, got {params[name]}")
+        raise ParameterError(f"--{name} must be at least 1, got {params[name]}")
     return params[name]
 
 
@@ -122,7 +113,7 @@ def cmd_extract(params: dict, seed: int) -> dict:
     mode = params["mode"]
     t = params["t"] if mode == "sampled" else None  # None: the exact diagonal
     if mode == "sampled" and not t:
-        raise CliUsageError("sampled mode needs --t copies")
+        raise ParameterError("sampled mode needs --t copies")
     rng = SeededRng(seed)
     n_states = _count(params, "states")
     good = 0
@@ -154,12 +145,12 @@ def cmd_haar_stats(params: dict, seed: int) -> dict:
 
 def cmd_prg_qs(params: dict, seed: int) -> dict:
     if params["source"] != "bot-oracle":
-        raise CliUsageError("only --from bot-oracle is available")
+        raise ParameterError("only --from bot-oracle is available")
     stride = 10**6  # key i samples on child(i) and is audited on child(stride + i)
     if _count(params, "keys") > stride:
-        raise CliUsageError(f"--keys must be at most {stride}, or key sampling reuses an audit stream")
+        raise ParameterError(f"--keys must be at most {stride}, or key sampling reuses an audit stream")
     if params["evals"] < 2:
-        raise CliUsageError(f"--evals must be at least 2, got {params['evals']}")
+        raise ParameterError(f"--evals must be at least 2, got {params['evals']}")
     n = params["n"]
     world = OracleWorld("bot-world", seed, n_max=n, c=params["c"])
     con = Con1Params(bot_prg_handle(world, n))
@@ -187,10 +178,10 @@ def cmd_prg_qs(params: dict, seed: int) -> dict:
 
 def cmd_sprs_qs(params: dict, seed: int) -> dict:
     if params["source"] != "prg-qs":
-        raise CliUsageError("only --from prg-qs is available")
+        raise ParameterError("only --from prg-qs is available")
     stride = 1000  # key i samples on child(i) and evaluates on child(stride + i), child(2 * stride + i)
     if _count(params, "keys") > stride:
-        raise CliUsageError(f"--keys must be at most {stride}, or key sampling reuses an evaluation stream")
+        raise ParameterError(f"--keys must be at most {stride}, or key sampling reuses an evaluation stream")
     n = params["n"]
     N = params["N"]
     world = OracleWorld("bot-world", seed, n_max=n, c=params["c"])
@@ -216,17 +207,19 @@ def cmd_sprs_qs(params: dict, seed: int) -> dict:
     }
 
 
-def _load_queries(path: str) -> list[dict]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
-def _query_bits(query: dict, index: int, field: str, width: int, default: str | None = None) -> str:
-    """A query's bitstring field, which must be exactly ``width`` '0'/'1' characters."""
-    bits = query.get(field, default)
-    if not isinstance(bits, str) or len(bits) != width or bits.strip("01"):
-        raise CliUsageError(f"query {index}: {field!r} must be {width} '0'/'1' characters, got {bits!r}")
-    return bits
+def _json_lines(path: str):
+    """The JSON objects of a JSON-lines file, one per non-blank line, read lazily."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # invalid JSON or invalid UTF-8
+                raise ParameterError(f"{path} line {number}: not JSON ({exc})") from None
+            if not isinstance(obj, dict):
+                raise ParameterError(f"{path} line {number}: expected a JSON object, got a {type(obj).__name__}")
+            yield obj
 
 
 def cmd_oracle_sim(params: dict, seed: int) -> dict:
@@ -234,23 +227,24 @@ def cmd_oracle_sim(params: dict, seed: int) -> dict:
         params["world"]
     )
     if kind is None:
-        raise CliUsageError(f"unknown world {params['world']!r}; pick flip, bot, or sampler")
+        raise ParameterError(f"unknown world {params['world']!r}; pick flip, bot, or sampler")
     n = params["n"]
     world = OracleWorld(kind, seed, n_max=n, c=params["c"])
-    queries = _load_queries(params["queries"]) if params["queries"] else [{}] * _count(params, "draws")
+    queries = list(_json_lines(params["queries"])) if params["queries"] else [{}] * _count(params, "draws")
     rng = SeededRng(seed, 1)
     responses = []
     for i, query in enumerate(queries):
         child = rng.child(i)
         if kind == "bot-world":
-            x = _query_bits(query, i, "x", n)
+            x = query.get("x")
+            parse_bits(x, n, name=f"query {i}: 'x'")
             responses.append({"query": i, "x": x, "value": str(bot_oracle_eval(world, x, child))})
         elif kind == "sampler-world":
             x, y = sampler_oracle(world, n, child)
             responses.append({"query": i, "x": x, "y": y})
         else:
-            state_bits = _query_bits(query, i, "state", 9 * n + 1, default="0" * (9 * n + 1))
-            lead, x, y = decode_flip_index(measure_flipped(world, n, int(state_bits, 2), child), n)
+            state = parse_bits(query.get("state", "0" * (9 * n + 1)), 9 * n + 1, name=f"query {i}: 'state'")
+            lead, x, y = decode_flip_index(measure_flipped(world, n, state, child), n)
             responses.append({"query": i, "lead": lead, "x": x, "y": y})
     return {"world": world.to_record(), "responses": responses}
 
@@ -262,7 +256,7 @@ def _prg_adversary(name: str, gen) -> AdversaryHandle:
         return coin_flip_adversary()
     if name == "constant-0":
         return constant_adversary(0)
-    raise CliUsageError(f"unknown adversary {name!r}")
+    raise ParameterError(f"unknown adversary {name!r}")
 
 
 def cmd_experiment(params: dict, seed: int) -> dict:
@@ -280,7 +274,7 @@ def cmd_experiment(params: dict, seed: int) -> dict:
         elif params["adversary"] == "coin-flip":
             adversary = coin_flip_adversary()
         else:
-            raise CliUsageError(f"unknown adversary {params['adversary']!r}")
+            raise ParameterError(f"unknown adversary {params['adversary']!r}")
         report = exp_botprg(gen, adversary, params["q"], params["trials"], rng)
     elif name == "owsg":
         if params["adversary"] == "bruteforce":
@@ -290,14 +284,14 @@ def cmd_experiment(params: dict, seed: int) -> dict:
             gen = toy_owsg_basis(params["lam"])
             adversary = owsg_coin_flip_adversary()
         else:
-            raise CliUsageError(f"unknown adversary {params['adversary']!r}")
+            raise ParameterError(f"unknown adversary {params['adversary']!r}")
         report = exp_owsg(gen, adversary, params["t"], params["trials"], rng)
     elif name == "moment":
         gen = random_phase_sprs(params["N"])
         dist = moment_distance(gen, params["t"], _count(params, "keys"), "monte-carlo", rng)
         return {"name": "moment", "N": params["N"], "t": params["t"], "keys": params["keys"], "distance": dist}
     else:
-        raise CliUsageError(f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}")
+        raise ParameterError(f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}")
     return report.to_record()
 
 
@@ -401,23 +395,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    # every subcommand flag is a recorded param, except the run's seed and output file
+    params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "seed", "out")}
+    return RunConfig(args.subcommand, params, _resolve_seed(args.seed))
+
+
+def _replay_config(parser: argparse.ArgumentParser, path: str) -> RunConfig:
+    """The config of the first record in ``path``, parsed as a fresh run's argv.
+
+    Each recorded param becomes ``--flag=value`` under the flag that the
+    subcommand's parser maps to it, so a replay passes the same checks as a
+    fresh run; argparse exits 2 on a value it cannot parse.  The parsed
+    config must equal the recorded one.  Config fields other than
+    subcommand, params and seed (an older record's "threads") are ignored.
+    """
+    config = next(_json_lines(path), {}).get("config")
+    if not isinstance(config, dict) or not isinstance(config.get("params"), dict):
+        raise ParameterError(f"{path}: the first record has no config with a params object")
+    subcommand, params, seed = config.get("subcommand"), config["params"], config.get("seed")
+    if not isinstance(subcommand, str) or subcommand not in _DISPATCH:
+        raise ParameterError(f"{path}: unknown subcommand {subcommand!r}; a record replays {', '.join(_DISPATCH)}")
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        action.dest: action.option_strings[0]
+        for action in subparsers.choices[subcommand]._actions
+        if action.dest not in ("help", "seed", "out")
+    }
+    if params.keys() - flags.keys():
+        raise ParameterError(f"{path}: unknown {subcommand} params {sorted(params.keys() - flags.keys())}")
+    if flags.keys() - params.keys():
+        raise ParameterError(f"{path}: missing {subcommand} params {sorted(flags.keys() - params.keys())}")
+    argv = [f"{flags[name]}={value}" for name, value in params.items() if value is not None]
+    replay = _config_from_args(parser.parse_args([subcommand, *argv, f"--seed={seed}"]))
+    recorded, parsed = {**params, "seed": seed}, {**replay.params, "seed": replay.seed}
+    for name, value in recorded.items():
+        if canonical_json(parsed[name]) != canonical_json(value):
+            raise ParameterError(f"{path}: recorded {name}={value!r} parses as {parsed[name]!r}")
+    return replay
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.subcommand == "rerun":
-            with open(args.record, "r", encoding="utf-8") as fh:
-                first = json.loads(fh.readline())
-            config = RunConfig.from_record(first["config"])
-        else:
-            # every subcommand flag is a recorded param, except the run's seed and output file
-            params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "seed", "out")}
-            config = RunConfig(args.subcommand, params, _resolve_seed(args.seed))
-        record = run_config(config)
-    except (ValueError, BudgetExceededError, FileNotFoundError) as exc:
+        config = _replay_config(parser, args.record) if args.subcommand == "rerun" else _config_from_args(args)
+        _emit(run_config(config), args.out)
+    except (ParameterError, BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    _emit(record, args.out)
     return 0
 
 

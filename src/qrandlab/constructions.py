@@ -29,7 +29,7 @@ import numpy as np
 from .extraction import RoundParams, extract, good_set_member
 from .primitives import BOT, BotValue, GeneratorHandle, as_bot, vote, vote_non_bot
 from .qcore import StateVector
-from .rng import TABLE_EVAL_SEED, SeededRng
+from .rng import TABLE_EVAL_SEED, ParameterError, SeededRng
 from .tomography import estimate_diagonal
 
 
@@ -45,7 +45,7 @@ class Con1Params:
 
     def __post_init__(self):
         if self.inner.kind != "bot-prg":
-            raise ValueError(f"inner must be a bot-prg, got {self.inner.kind}")
+            raise ParameterError(f"inner must be a bot-prg, got {self.inner.kind}")
 
     @property
     def lam(self) -> int:
@@ -72,7 +72,7 @@ def con1_eval(params: Con1Params, key: BotValue, rng: SeededRng) -> BotValue:
     if key.is_bot:
         return BotValue.of("0" * params.m)
     if len(key.payload) != params.lam:
-        raise ValueError(f"key must be {params.lam} bits, got {len(key.payload)}")
+        raise ParameterError(f"key must be {params.lam} bits, got {len(key.payload)}")
     return vote_non_bot(params.inner.eval_repeated(key.payload, rng, params.lam))
 
 
@@ -107,11 +107,11 @@ class Con2Params:
 
     def __post_init__(self):
         if self.inner.kind != "sprs-qs":
-            raise ValueError(f"inner must be a sprs-qs, got {self.inner.kind}")
+            raise ParameterError(f"inner must be a sprs-qs, got {self.inner.kind}")
         d = self.inner.dim
         object.__setattr__(self, "round_params", RoundParams(d))  # validates the dimension shape
         if self.attempts is not None and self.attempts < 1:
-            raise ValueError("attempts must be positive")
+            raise ParameterError("attempts must be positive")
         flags = []
         if self.attempts is not None and self.attempts != self.lam:
             flags.append(f"key sampling retries {self.attempts} != lam {self.lam}")
@@ -190,11 +190,11 @@ class Con3Params:
 
     def __post_init__(self):
         if self.N < 2 or self.N & (self.N - 1) != 0:
-            raise ValueError(f"N must be a power of two at desk scale, got {self.N}")
+            raise ParameterError(f"N must be a power of two at desk scale, got {self.N}")
         if self.inner.kind not in ("prg-qs", "prg"):
-            raise ValueError(f"inner must be an expanding generator, got {self.inner.kind}")
+            raise ParameterError(f"inner must be an expanding generator, got {self.inner.kind}")
         if self.inner.output_len < self.N * self.word_len:
-            raise ValueError(
+            raise ParameterError(
                 f"inner output {self.inner.output_len} bits cannot define a function "
                 f"table of {self.N} values of {self.word_len} bits"
             )
@@ -219,7 +219,7 @@ def table_slices(bits: str, domain: int, word_len: int) -> list[int]:
     """Read ``bits`` as a function table: value i is the integer in the
     zero-based slice bits[i*word_len : (i+1)*word_len], MSB first."""
     if len(bits) < domain * word_len:
-        raise ValueError(f"{len(bits)} bits cannot hold {domain} x {word_len}-bit words")
+        raise ParameterError(f"{len(bits)} bits cannot hold {domain} x {word_len}-bit words")
     return [int(bits[i * word_len : (i + 1) * word_len], 2) for i in range(domain)]
 
 
@@ -227,7 +227,7 @@ def phase_state(f_values, N: int) -> StateVector:
     """(1/sqrt(N)) * sum_x omega_N^f(x) |x>, omega_N = exp(2*pi*i/N)."""
     f = np.asarray(f_values)
     if f.shape != (N,):
-        raise ValueError(f"need exactly {N} phase values, got shape {f.shape}")
+        raise ParameterError(f"need exactly {N} phase values, got shape {f.shape}")
     amps = np.exp(2j * np.pi * f / N) / math.sqrt(N)
     return StateVector(amps)
 
@@ -258,15 +258,17 @@ def prfqs_from_prgqs(inner: GeneratorHandle, domain_size: int) -> GeneratorHandl
     inner output, whose words are output_len // domain_size bits; distinct
     inputs read disjoint slices.
     """
+    if domain_size < 1:
+        raise ParameterError(f"domain size must be at least 1, got {domain_size}")
     word_len = inner.output_len // domain_size
     if word_len < 1:
-        raise ValueError(
+        raise ParameterError(
             f"inner output {inner.output_len} bits cannot hold a word for each of {domain_size} inputs"
         )
 
     def eval_fn(key, x: int, rng: SeededRng | None = None):
         if not 0 <= x < domain_size:
-            raise ValueError(f"input {x} outside domain [0, {domain_size})")
+            raise ParameterError(f"input {x} outside domain [0, {domain_size})")
         y = as_bot(inner.eval(key, rng if rng is not None else SeededRng(TABLE_EVAL_SEED, 0)))
         if y.is_bot:
             return BOT

@@ -26,7 +26,7 @@ import numpy as np
 from .oracles import candidate_image, candidate_states
 from .primitives import BotValue, GeneratorHandle, as_bot, is_bot
 from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, StateVector, measure_computational
-from .rng import SeededRng, int_to_bits
+from .rng import ParameterError, SeededRng, int_to_bits
 
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -117,7 +117,7 @@ def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
     def decide(copies: Sequence[StateVector], budget: CallBudget, rng) -> str:
         budget.charge(1 << gen.input_len)
         if not copies:
-            raise ValueError("need at least one copy")
+            raise ParameterError("need at least one copy")
         overlaps = conj_states @ np.array([copy.amplitudes for copy in copies]).T
         scores = np.prod(np.abs(overlaps) ** 2, axis=1)
         return int_to_bits(int(np.argmax(scores)), gen.input_len)
@@ -179,9 +179,9 @@ class ExperimentReport:
 def advantage_ci(successes: int, trials: int) -> tuple[float, tuple[float, float]]:
     """Wilson 95% interval for the success probability, shifted by -1/2."""
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise ParameterError("need at least one trial")
     if not 0 <= successes <= trials:
-        raise ValueError(f"successes {successes} outside [0, {trials}]")
+        raise ParameterError(f"successes {successes} outside [0, {trials}]")
     p = successes / trials
     z2 = Z95 * Z95
     denom = 1 + z2 / trials
@@ -197,7 +197,7 @@ def merge_reports(reports: Sequence[ExperimentReport]) -> ExperimentReport:
     parameters.
     """
     if not reports:
-        raise ValueError("nothing to merge")
+        raise ParameterError("nothing to merge")
     head = reports[0]
 
     def shared(params):  # shards differ exactly in their trial window
@@ -205,7 +205,7 @@ def merge_reports(reports: Sequence[ExperimentReport]) -> ExperimentReport:
 
     for rep in reports[1:]:
         if rep.name != head.name or shared(rep.parameters) != shared(head.parameters):
-            raise ValueError("cannot merge reports of different experiments")
+            raise ParameterError("cannot merge reports of different experiments")
     parameters = dict(head.parameters)
     if "first_trial" in parameters:
         parameters["first_trial"] = min(r.parameters["first_trial"] for r in reports)
@@ -293,7 +293,7 @@ def exp_botprg(
     uniform string, so abort patterns match across branches.
     """
     if q < 1:
-        raise ValueError("need q >= 1 queries")
+        raise ParameterError("need q >= 1 queries")
     m = gen.output_len
 
     def play(trial: SeededRng, budget: CallBudget) -> bool:
@@ -324,7 +324,7 @@ def exp_owsg(
     regenerated copy.
     """
     if t < 1:
-        raise ValueError("need t >= 1 copies")
+        raise ParameterError("need t >= 1 copies")
 
     def play(trial: SeededRng, budget: CallBudget) -> bool:
         key = trial.bits(gen.input_len)
@@ -351,7 +351,7 @@ def _key_iter(gen: GeneratorHandle, n_keys: int, mode: str, rng: SeededRng):
         return [int_to_bits(k, gen.input_len) for k in range(1 << gen.input_len)]
     if mode == "monte-carlo":
         return [gen.sample_key(rng.child(j)) for j in range(n_keys)]
-    raise ValueError(f"mode must be 'exact-enum' or 'monte-carlo', got {mode!r}")
+    raise ParameterError(f"mode must be 'exact-enum' or 'monte-carlo', got {mode!r}")
 
 
 def _key_states(gen: GeneratorHandle, keys, rng: SeededRng, start: int, stop: int) -> np.ndarray:
@@ -407,9 +407,9 @@ def moment_distance(
     ``moment_hs2`` estimates the squared Hilbert-Schmidt distance without bias.
     """
     if t < 1:
-        raise ValueError("need t >= 1 copies")
+        raise ParameterError("need t >= 1 copies")
     if mode == "monte-carlo" and n_keys < 1:
-        raise ValueError(f"need at least 1 key, got {n_keys}")
+        raise ParameterError(f"need at least 1 key, got {n_keys}")
     dim = gen.dim
     if dim**t > MAX_TENSOR_DIM:
         raise MemoryBudgetError(f"dim**t = {dim ** t} exceeds the tensor budget")
@@ -443,9 +443,9 @@ def moment_hs2(
     HS^2 = (N-1)/(N^3 (N+1)).
     """
     if t < 1:
-        raise ValueError("need t >= 1 copies")
+        raise ParameterError("need t >= 1 copies")
     if n_keys < 3:
-        raise ValueError(f"the jackknife needs at least 3 keys, got {n_keys}")
+        raise ParameterError(f"the jackknife needs at least 3 keys, got {n_keys}")
     if n_keys * gen.dim > MAX_TENSOR_DIM**2:
         raise MemoryBudgetError(f"{n_keys} x {gen.dim} states exceed {MAX_TENSOR_DIM**2} amplitudes")
     keys = _key_iter(gen, n_keys, "monte-carlo", rng)

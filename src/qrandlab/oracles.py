@@ -36,7 +36,16 @@ import numpy as np
 
 from .primitives import BOT, BotValue, GeneratorHandle, as_bot
 from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, sample_index
-from .rng import IMAGE_SEARCH_SEED, OWSG_SEARCH_SEED, SeededRng, derive_int, fisher_yates_table, int_to_bits
+from .rng import (
+    IMAGE_SEARCH_SEED,
+    OWSG_SEARCH_SEED,
+    ParameterError,
+    SeededRng,
+    derive_int,
+    fisher_yates_table,
+    int_to_bits,
+    parse_bits,
+)
 
 WORLD_KINDS = ("flip-world", "bot-world", "sampler-world")
 DERIVATION_ID = "sha256ctr/fisher-yates/v1"
@@ -50,11 +59,11 @@ MAX_OWSG_KEY_BITS = 16
 _MAX_ENUM_N = 20
 
 
-class WrongWorldKindError(ValueError):
+class WrongWorldKindError(ParameterError):
     pass
 
 
-class KeySpaceTooLargeError(ValueError):
+class KeySpaceTooLargeError(ParameterError):
     pass
 
 
@@ -68,11 +77,11 @@ class BotOracleParams:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
+            raise ParameterError(f"n must be >= 2, got {self.n}")
         if self.c <= 0:
-            raise ValueError(f"c must be positive, got {self.c}")
+            raise ParameterError(f"c must be positive, got {self.c}")
         if self.w > self.n:
-            raise ValueError(
+            raise ParameterError(
                 f"bad-prefix width w={self.w} exceeds n={self.n}; mu={self.mu} is too small"
             )
 
@@ -114,15 +123,15 @@ class OracleWorld:
 
     def __post_init__(self):
         if self.kind not in WORLD_KINDS:
-            raise ValueError(f"unknown world kind {self.kind!r}")
+            raise ParameterError(f"unknown world kind {self.kind!r}")
         if self.n_max < 2:
-            raise ValueError(f"n_max must be >= 2, got {self.n_max}")
+            raise ParameterError(f"n_max must be >= 2, got {self.n_max}")
         if self.kind == "bot-world":
             _check_w_window(self.bot_params(self.n_max))
 
     def _check_n(self, n: int) -> None:
         if not 2 <= n <= self.n_max:
-            raise ValueError(f"n={n} outside this world's range [2, {self.n_max}]")
+            raise ParameterError(f"n={n} outside this world's range [2, {self.n_max}]")
 
     # -- derived functions ------------------------------------------------
 
@@ -179,7 +188,7 @@ class OracleWorld:
     @classmethod
     def from_record(cls, rec: dict) -> "OracleWorld":
         if rec.get("derivation-id", DERIVATION_ID) != DERIVATION_ID:
-            raise ValueError(f"unsupported derivation-id {rec.get('derivation-id')!r}")
+            raise ParameterError(f"unsupported derivation-id {rec.get('derivation-id')!r}")
         return cls(
             kind=rec["world-kind"],
             seed=rec["seed"],
@@ -223,12 +232,10 @@ def bot_oracle_eval_many(world: OracleWorld, x: str, rng: SeededRng, k: int) -> 
     if world.kind != "bot-world":
         raise WrongWorldKindError(f"bot_oracle_eval needs a bot-world, got {world.kind}")
     if k < 0:
-        raise ValueError(f"query count must be non-negative, got {k}")
-    if x.strip("01"):  # int(x, 2) alone would also read "0b1" or "0_1"
-        raise ValueError(f"x must be '0'/'1' characters, got x={x!r}")
+        raise ParameterError(f"query count must be non-negative, got {k}")
+    xi = parse_bits(x, name="x")
     n = len(x)
     params = world.bot_params(n)
-    xi = int(x, 2)
     value = BotValue.of(int_to_bits(world.o_value(n, xi), params.m))
     if int(world.permutation(n)[xi]) >> (n - params.w) != 0:
         return [value] * k
@@ -301,7 +308,7 @@ def measure_flipped(world: OracleWorld, n: int, basis_index: int, rng: SeededRng
     if n > _MAX_ENUM_N:
         raise MemoryBudgetError(f"flipped support has 2^{n} + 1 outcomes; capped at n <= {_MAX_ENUM_N}")
     if not 0 <= basis_index < flip_state_dim(n):
-        raise ValueError(f"basis index {basis_index} outside [0, 2^{9 * n + 1})")
+        raise ParameterError(f"basis index {basis_index} outside [0, 2^{9 * n + 1})")
     amp = 2.0 ** (-n / 2)
     lead = basis_index >> (9 * n)
     x0 = (basis_index >> (8 * n)) & ((1 << n) - 1)
@@ -325,16 +332,13 @@ def verify_eval_oracle(world: OracleWorld, x: str, y: str, a: str) -> BotValue:
     """Return P_n(x, a) if O_n(x) = y, abort otherwise."""
     if world.kind not in ("flip-world", "sampler-world"):
         raise WrongWorldKindError(f"verify/eval channel undefined for {world.kind}")
-    if (x + y + a).strip("01"):  # int(s, 2) alone would also read "0b1" or "0_1"
-        raise ValueError(f"x, y and a must be '0'/'1' characters, got x={x!r}, y={y!r}, a={a!r}")
+    xi = parse_bits(x, name="x")
     n = len(x)
-    if len(a) != n or len(y) != world.o_output_len(n):
-        raise ValueError(
-            f"expected |x|=|a|={n} and |y|={world.o_output_len(n)}, got |a|={len(a)}, |y|={len(y)}"
-        )
-    if world.o_value(n, int(x, 2)) != int(y, 2):
+    yi = parse_bits(y, world.o_output_len(n), name="y")
+    ai = parse_bits(a, n, name="a")
+    if world.o_value(n, xi) != yi:
         return BOT
-    xa = (int(x, 2) << n) | int(a, 2)
+    xa = (xi << n) | ai
     return BotValue.of(int_to_bits(world.p_value(n, xa), n))
 
 
@@ -347,7 +351,7 @@ def sampler_oracle(world: OracleWorld, n: int, rng: SeededRng) -> tuple[str, str
         raise WrongWorldKindError(f"sampler_oracle needs a sampler-world, got {world.kind}")
     world._check_n(n)
     if n > 63:  # numpy draws integers below 2^63 only
-        raise ValueError(f"the sampler world draws x below 2^63, so n must be at most 63, got {n}")
+        raise ParameterError(f"the sampler world draws x below 2^63, so n must be at most 63, got {n}")
     x = int(rng.integers(0, 1 << n))
     return int_to_bits(x, n), int_to_bits(world.o_value(n, x), n)
 
@@ -376,7 +380,7 @@ def prfqs_from_world(world: OracleWorld, n: int) -> GeneratorHandle:
 
     def eval_fn(key: str, a: str, rng: SeededRng | None = None) -> BotValue:
         if len(key) != n + y_len:
-            raise ValueError(f"key must be {n + y_len} bits, got {len(key)}")
+            raise ParameterError(f"key must be {n + y_len} bits, got {len(key)}")
         return verify_eval_oracle(world, key[:n], key[n:], a)
 
     return GeneratorHandle(
@@ -417,7 +421,7 @@ def candidate_states(gen: GeneratorHandle) -> np.ndarray:
     result is a 2^lambda x dim array.
     """
     if gen.kind != "owsg":
-        raise ValueError(f"expected an owsg handle, got {gen.kind}")
+        raise ParameterError(f"expected an owsg handle, got {gen.kind}")
     if gen.input_len > MAX_OWSG_KEY_BITS:
         raise KeySpaceTooLargeError(
             f"key space 2^{gen.input_len} exceeds the 2^{MAX_OWSG_KEY_BITS} search budget"

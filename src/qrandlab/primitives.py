@@ -16,7 +16,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 import numpy as np
 
 from .qcore import StateVector
-from .rng import SeededRng
+from .rng import ParameterError, SeededRng, parse_bits
 
 GENERATOR_KINDS = ("prg", "prg-qs", "bot-prg", "sprs-qs", "prf-qs", "owsg")
 
@@ -32,10 +32,8 @@ class BotValue:
     payload: Optional[str]
 
     def __post_init__(self):
-        if self.payload is not None and (
-            not isinstance(self.payload, str) or self.payload.strip("01")
-        ):
-            raise ValueError(f"payload must be a '0'/'1' string, got {self.payload!r}")
+        if self.payload is not None:
+            parse_bits(self.payload, name="payload")
 
     @classmethod
     def bot(cls) -> "BotValue":
@@ -83,14 +81,14 @@ def _plurality(values: Sequence[Hashable]):
 def vote(values: Sequence[BotValue]) -> BotValue:
     """Plurality over all entries, the abort symbol included."""
     if not values:
-        raise ValueError("vote needs a nonempty sequence")
+        raise ParameterError("vote needs a nonempty sequence")
     return _plurality(list(values))
 
 
 def vote_non_bot(values: Sequence[BotValue]) -> BotValue:
     """Plurality over non-abort entries; abort only if every entry aborts."""
     if not values:
-        raise ValueError("vote needs a nonempty sequence")
+        raise ParameterError("vote needs a nonempty sequence")
     non_bot = [v for v in values if not v.is_bot]
     if not non_bot:
         return BOT
@@ -124,17 +122,17 @@ class GeneratorHandle:
 
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+            raise ParameterError(f"unknown generator kind {self.kind!r}")
         if self.input_len < 1:
-            raise ValueError(f"key length must be at least 1, got {self.input_len}")
+            raise ParameterError(f"key length must be at least 1, got {self.input_len}")
         if self.kind in ("prg", "prg-qs", "bot-prg") and self.output_len <= self.input_len:
-            raise ValueError(
+            raise ParameterError(
                 f"{self.kind} must expand: output {self.output_len} <= input {self.input_len}"
             )
         if self.kind in ("prg-qs", "sprs-qs", "prf-qs") and self.qsamp is None:
-            raise ValueError(f"{self.kind} needs a qsamp key sampler")
+            raise ParameterError(f"{self.kind} needs a qsamp key sampler")
         if self.kind in ("sprs-qs", "owsg") and self.dim is None:
-            raise ValueError(f"{self.kind} needs a state dimension")
+            raise ParameterError(f"{self.kind} needs a state dimension")
 
     def eval_repeated(self, key, rng: SeededRng, k: int) -> list:
         """k evaluations of ``key`` in sequence on one stream."""
@@ -184,7 +182,7 @@ def determinism_audit(
     of the key alone, which every trial would repeat: the audit stops there.
     """
     if trials < 2:
-        raise ValueError(f"audit needs at least 2 trials, got {trials}")
+        raise ParameterError(f"audit needs at least 2 trials, got {trials}")
     first = rng.child(0)
     output = gen.eval(key, first)
     if not first.drawn:

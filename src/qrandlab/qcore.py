@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import SeededRng
+from .rng import ParameterError, SeededRng
 
 ATOL = 1e-10
 
@@ -27,15 +27,15 @@ ATOL = 1e-10
 MAX_TENSOR_DIM = 4096
 
 
-class InvalidDimensionError(ValueError):
+class InvalidDimensionError(ParameterError):
     pass
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(ParameterError):
     pass
 
 
-class MemoryBudgetError(ValueError):
+class MemoryBudgetError(ParameterError):
     pass
 
 
@@ -53,7 +53,7 @@ class StateVector:
             )
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > ATOL:
-            raise ValueError(f"state norm {norm} deviates from 1 by more than {ATOL}")
+            raise ParameterError(f"state norm {norm} deviates from 1 by more than {ATOL}")
         amps = amps.copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -67,7 +67,7 @@ class StateVector:
         raw = np.asarray(raw, dtype=complex)
         norm = np.linalg.norm(raw)
         if norm == 0:
-            raise ValueError("cannot normalize the zero vector")
+            raise ParameterError("cannot normalize the zero vector")
         return cls(raw / norm)
 
     @classmethod

@@ -61,9 +61,9 @@ class SeededRng:
 
     def __post_init__(self) -> None:
         if not 0 <= self.seed <= _U64:
-            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+            raise ParameterError(f"seed must fit in 64 bits, got {self.seed}")
         if not 0 <= self.counter < _MAX_COUNTER:
-            raise ValueError(f"stream counter must be in [0, 2**128), got {self.counter}")
+            raise ParameterError(f"stream counter must be in [0, 2**128), got {self.counter}")
 
     @property
     def generator(self) -> np.random.Generator:
@@ -84,7 +84,7 @@ class SeededRng:
         children of c never reach the range of c + 1.
         """
         if not 0 <= index < _CHILD_FANOUT:
-            raise ValueError(f"child index must be in [0, 2**32 - 1), got {index}")
+            raise ParameterError(f"child index must be in [0, 2**32 - 1), got {index}")
         return SeededRng(self.seed, (self.counter << 32) + 1 + index)
 
     # Thin draw helpers so call sites read like the math they implement.
@@ -120,7 +120,7 @@ def derive_bits(seed: int, function_id: str, n: int, x: int, nbits: int) -> str:
     ``seed(8B) || len(id)(4B) || id || n(4B) || x(16B) || block(4B)``.
     """
     if nbits <= 0:
-        raise ValueError("nbits must be positive")
+        raise ParameterError("nbits must be positive")
     prefix = _derivation_prefix(seed, function_id, n) + x.to_bytes(16, "big")
     out = bytearray()
     block = 0
@@ -179,7 +179,7 @@ class ShaStream:
         """
         bounds = np.asarray(bounds, dtype=np.uint64)
         if (bounds == 0).any():
-            raise ValueError("bound must be positive")
+            raise ParameterError("bound must be positive")
         # word < 2**64 - r  <=>  word <= ~r, where r = 2**64 % bound = (2**64 - bound) % bound
         highest = ~((~bounds + np.uint64(1)) % bounds)
         out = np.empty(bounds.size, dtype=np.uint64)
@@ -200,7 +200,7 @@ class ShaStream:
     def bounded(self, bound: int) -> int:
         """Uniform integer in [0, bound) by rejection below the largest multiple."""
         if not 0 < bound < 1 << 64:
-            raise ValueError(f"bound must be in [1, 2**64), got {bound}")
+            raise ParameterError(f"bound must be in [1, 2**64), got {bound}")
         return int(self.bounded_many(np.array([bound], dtype=np.uint64))[0])
 
 
@@ -250,7 +250,25 @@ def fisher_yates_table(seed: int, function_id: str, n_bits: int) -> np.ndarray:
     return np.where(later >= 0, up[later], swap).astype(np.uint64)
 
 
+class ParameterError(ValueError):
+    """A caller's argument outside its domain: a library parameter, a CLI
+    flag, a record field or a query.  The CLI exits 2 on it; a plain
+    ``ValueError`` from the library is a bug and keeps its traceback."""
+
+
 def int_to_bits(value: int, width: int) -> str:
     if value < 0 or value >= 1 << width:
-        raise ValueError(f"{value} does not fit in {width} bits")
+        raise ParameterError(f"{value} does not fit in {width} bits")
     return format(value, f"0{width}b")
+
+
+def parse_bits(bits, width: int | None = None, name: str = "bits") -> int:
+    """The integer that the '0'/'1' string ``bits`` spells, most significant bit first.
+
+    The one check of a caller's bitstring: ``int(s, 2)`` alone would also
+    read "0b1", "0_1" or " 1".  With a width, the length must equal it.
+    """
+    if not isinstance(bits, str) or bits.strip("01") or (width is not None and len(bits) != width):
+        chars = "'0'/'1' characters" if width is None else f"{width} '0'/'1' characters"
+        raise ParameterError(f"{name} must be {chars}, got {name}={bits!r}")
+    return int(bits, 2) if bits else 0

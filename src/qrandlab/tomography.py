@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qcore import StateVector, born_distribution
-from .rng import SeededRng
+from .rng import ParameterError, SeededRng
 
 
-class InvalidSampleCountError(ValueError):
+class InvalidSampleCountError(ParameterError):
     pass
 
 
@@ -38,11 +38,11 @@ class DiagonalEstimate:
     def __post_init__(self):
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != 1:
-            raise ValueError(f"probs must be a vector, got shape {probs.shape}")
+            raise ParameterError(f"probs must be a vector, got shape {probs.shape}")
         if probs.min() < 0:
-            raise ValueError("negative probability entry")
+            raise ParameterError("negative probability entry")
         if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {probs.sum()}, not 1")
+            raise ParameterError(f"probabilities sum to {probs.sum()}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -73,5 +73,5 @@ def estimate_diagonal(psi: StateVector, t: int | None, rng: SeededRng | None) ->
     if t is None:
         return exact_diagonal(psi)
     if rng is None:
-        raise ValueError("a t-copy estimate needs an rng")
+        raise ParameterError("a t-copy estimate needs an rng")
     return sampled_diagonal(psi, t, rng)

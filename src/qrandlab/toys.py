@@ -10,7 +10,7 @@ from __future__ import annotations
 from .constructions import phase_state, table_slices
 from .primitives import BOT, BotValue, GeneratorHandle
 from .qcore import StateVector, haar_sample
-from .rng import SeededRng, derive_bits, derive_int
+from .rng import ParameterError, SeededRng, derive_bits, derive_int
 
 
 def toy_prg(lam: int, s: int, seed: int = 7) -> GeneratorHandle:
@@ -116,7 +116,7 @@ def random_phase_sprs(N: int) -> GeneratorHandle:
     """Phase states with a truly random function: the key is the function
     table itself, N words of log2 N bits drawn fresh by qsamp."""
     if N < 2 or N & (N - 1) != 0:  # as Con3Params: words and N-th roots align
-        raise ValueError(f"N must be a power of two at desk scale, got {N}")
+        raise ParameterError(f"N must be a power of two at desk scale, got {N}")
     word = N.bit_length() - 1
 
     def stategen(key: str, rng=None) -> StateVector:

@@ -4,10 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qrandlab
-from qrandlab import oracles
+from qrandlab import cli, oracles
 from qrandlab.cli import canonical_json, main, strip_timing_fields as strip_timing
 
 
@@ -144,6 +145,90 @@ class TestRerun:
         assert code == 2
         assert "error" in err
 
+    PRG_QS = ["prg-qs", "--from", "bot-oracle", "--n", "8", "--keys", "2", "--evals", "3", "--seed", "4"]
+    EXTRACT = ["extract", "--d", "64", "--states", "2", "--seed", "5"]
+
+    @staticmethod
+    def mutated_record(capsys, tmp_path, mutate, argv=PRG_QS):
+        _, out, _ = run_cli(capsys, argv)
+        record = parse_lines(out)[0]
+        mutate(record["config"])
+        path = tmp_path / "mutated.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda c: c.update(subcommand="nosuch"), "unknown subcommand 'nosuch'"),
+            (lambda c: c.update(subcommand="rerun"), "unknown subcommand 'rerun'"),
+            (lambda c: c["params"].pop("keys"), "missing prg-qs params ['keys']"),
+            (lambda c: c["params"].update(n="8"), "recorded n='8' parses as 8"),
+            (lambda c: c["params"].update(c=1), "recorded c=1 parses as 1.0"),
+            (lambda c: c["params"].update(bogus=1), "unknown prg-qs params ['bogus']"),
+            (lambda c: c.update(params=[]), "no config with a params object"),
+            (lambda c: c.clear(), "no config with a params object"),
+        ],
+    )
+    def test_malformed_record_is_usage_error(self, capsys, tmp_path, mutate, message):
+        code, out, err = run_cli(capsys, ["rerun", "--record", self.mutated_record(capsys, tmp_path, mutate)])
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_extract_record_with_string_dimension(self, capsys, tmp_path):
+        path = self.mutated_record(capsys, tmp_path, lambda c: c["params"].update(d="64"), self.EXTRACT)
+        code, out, err = run_cli(capsys, ["rerun", "--record", path])
+        assert (code, out) == (2, "")
+        assert "recorded d='64' parses as 64" in err
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda c: c["params"].update(keys="two"),
+            lambda c: c["params"].update(keys=2.0),
+            lambda c: c.pop("seed"),
+        ],
+    )
+    def test_record_argparse_rejects_exits_2(self, capsys, tmp_path, mutate):
+        with pytest.raises(SystemExit) as exc:
+            main(["rerun", "--record", self.mutated_record(capsys, tmp_path, mutate)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+
+    def test_unknown_mode_is_rejected_by_the_parser(self, capsys, tmp_path):
+        path = self.mutated_record(capsys, tmp_path, lambda c: c["params"].update(mode="weird"), self.EXTRACT)
+        with pytest.raises(SystemExit) as exc:
+            main(["rerun", "--record", path])
+        assert exc.value.code == 2
+        assert "invalid choice: 'weird'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]\n", "{not json\n", "", "\n\n"])
+    def test_record_file_without_a_record(self, capsys, tmp_path, text):
+        path = tmp_path / "record.jsonl"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, ["rerun", "--record", str(path)])
+        assert (code, out) == (2, "")
+        assert str(path) in err and "Traceback" not in err
+
+
+class TestExitStatus:
+    @pytest.mark.parametrize("error", [ValueError("internal"), np.linalg.LinAlgError("internal")])
+    def test_internal_error_propagates(self, monkeypatch, error):
+        def broken(params, seed):
+            raise error
+
+        monkeypatch.setitem(cli._DISPATCH, "haar-stats", broken)
+        with pytest.raises(type(error), match="internal"):
+            main(["haar-stats", "--d", "64", "--seed", "1"])
+
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        argv = ["extract", "--d", "64", "--states", "2", "--seed", "1", "--out", str(tmp_path)]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "Is a directory" in err
+
 
 class TestOracleSim:
     def test_bot_world_replay_is_deterministic(self, capsys, tmp_path):
@@ -222,6 +307,31 @@ class TestOracleSim:
         assert (code, out) == (2, "")
         assert f"query 1: {field!r} must be" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1]\n", "line 2: expected a JSON object, got a list"),
+            ('"abc"\n', "line 2: expected a JSON object, got a str"),
+            ("{\"x\": \n", "line 2: not JSON"),
+            (b"\xff\n", "line 2: not JSON"),
+        ],
+    )
+    def test_malformed_query_line_is_usage_error(self, capsys, tmp_path, text, message):
+        queries = tmp_path / "queries.jsonl"
+        first = json.dumps({"x": "0101" * 2}) + "\n"
+        queries.write_bytes(first.encode() + (text if isinstance(text, bytes) else text.encode()))
+        argv = ["oracle-sim", "--world", "bot", "--n", "8", "--queries", str(queries), "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"{queries} {message}" in err
+        assert "Traceback" not in err
+
+    def test_query_path_is_a_directory(self, capsys, tmp_path):
+        argv = ["oracle-sim", "--world", "bot", "--n", "8", "--queries", str(tmp_path), "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "Is a directory" in err and "Traceback" not in err
 
     def test_sampler_world_above_n63_is_usage_error(self, capsys):
         argv = ["oracle-sim", "--world", "sampler", "--draws", "1", "--seed", "1", "--n"]

@@ -25,7 +25,7 @@ from qrandlab.extraction import good_set_member
 from qrandlab.oracles import OracleWorld, bot_oracle_good_set, bot_prg_handle
 from qrandlab.primitives import BOT, BotValue, GeneratorHandle, determinism_audit
 from qrandlab.qcore import StateVector
-from qrandlab.rng import SeededRng
+from qrandlab.rng import ParameterError, SeededRng
 from qrandlab.tomography import exact_diagonal
 from qrandlab.toys import (
     always_bot_prg,
@@ -383,6 +383,12 @@ class TestPrfFromTable:
     def test_domain_too_large(self):
         with pytest.raises(ValueError):
             prfqs_from_prgqs(toy_prg(8, 24), 32)
+
+    @pytest.mark.parametrize("domain_size", [0, -4])
+    def test_domain_size_below_one(self, domain_size):
+        # checked before output_len // domain_size, which raised ZeroDivisionError at 0
+        with pytest.raises(ParameterError, match=f"domain size must be at least 1, got {domain_size}"):
+            prfqs_from_prgqs(toy_prg(8, 24), domain_size)
 
 
 class TestConstructionInvariants:

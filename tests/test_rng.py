@@ -6,6 +6,7 @@ changes what a recorded seed reproduces.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from hypothesis import strategies as st
 
 from qrandlab.experiments import moment_distance, moment_hs2
 from qrandlab.oracles import OracleWorld, prfqs_from_world
-from qrandlab.rng import ShaStream, SeededRng, derive_bits, derive_int, fisher_yates_table
+from qrandlab.rng import (
+    ParameterError,
+    SeededRng,
+    ShaStream,
+    derive_bits,
+    derive_int,
+    fisher_yates_table,
+    parse_bits,
+)
 from qrandlab.toys import random_phase_sprs
 from reference import fisher_yates_reference
 
@@ -66,6 +75,31 @@ class TestStreamLimits:
         rng.uniform()
         with pytest.raises(ValueError, match=r"2\*\*128"):
             rng.child(0)
+
+
+class TestParseBits:
+    def test_reads_msb_first(self):
+        assert parse_bits("0110") == 6
+        assert parse_bits("0110", 4) == 6
+        assert parse_bits("") == 0
+
+    @pytest.mark.parametrize("bits", ["0b1", "0_1", " 01", "012", "1\n"])
+    def test_rejects_what_int_base_2_would_read(self, bits):
+        with pytest.raises(ParameterError, match="'0'/'1' characters"):
+            parse_bits(bits)
+
+    @pytest.mark.parametrize("bits", ["011", "01101"])
+    def test_width(self, bits):
+        with pytest.raises(ParameterError, match=f"^key must be 4 '0'/'1' characters, got key={bits!r}$"):
+            parse_bits(bits, 4, name="key")
+
+    @pytest.mark.parametrize("bits", [5, None, b"01", ["0", "1"]])
+    def test_non_string(self, bits):
+        with pytest.raises(ParameterError, match=re.escape(f"got bits={bits!r}")):
+            parse_bits(bits)
+
+    def test_is_a_value_error(self):
+        assert issubclass(ParameterError, ValueError)
 
 
 class TestDerivation:
