@@ -10,7 +10,9 @@ canonicalized to 12 significant digits and keys are sorted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import secrets
 import sys
 import time
@@ -325,6 +327,7 @@ def _emit(record: dict, out_path: str | None) -> None:
         print(line)
 
 
+@functools.cache  # parsing leaves a parser unchanged, so one serves every call of main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrandlab",
@@ -395,13 +398,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flags(subcommand: str) -> dict:
+    """The flag that sets each recorded param of ``subcommand``: every flag but --seed and --out."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        action.dest: action.option_strings[0]
+        for action in subparsers.choices[subcommand]._actions
+        if action.dest not in ("help", "seed", "out")
+    }
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     # every subcommand flag is a recorded param, except the run's seed and output file
     params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "seed", "out")}
+    for name, value in params.items():
+        # a record keeps 12 significant digits, so a longer float would replay as another value
+        if isinstance(value, float) and not math.isnan(value) and _round12(value) != value:
+            raise ParameterError(
+                f"{_flags(args.subcommand)[name]} {value!r} has more than the 12 significant digits "
+                f"a record keeps; its rerun would use {_round12(value)!r}"
+            )
     return RunConfig(args.subcommand, params, _resolve_seed(args.seed))
 
 
-def _replay_config(parser: argparse.ArgumentParser, path: str) -> RunConfig:
+def _replay_config(path: str) -> RunConfig:
     """The config of the first record in ``path``, parsed as a fresh run's argv.
 
     Each recorded param becomes ``--flag=value`` under the flag that the
@@ -416,18 +436,13 @@ def _replay_config(parser: argparse.ArgumentParser, path: str) -> RunConfig:
     subcommand, params, seed = config.get("subcommand"), config["params"], config.get("seed")
     if not isinstance(subcommand, str) or subcommand not in _DISPATCH:
         raise ParameterError(f"{path}: unknown subcommand {subcommand!r}; a record replays {', '.join(_DISPATCH)}")
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    flags = {
-        action.dest: action.option_strings[0]
-        for action in subparsers.choices[subcommand]._actions
-        if action.dest not in ("help", "seed", "out")
-    }
+    flags = _flags(subcommand)
     if params.keys() - flags.keys():
         raise ParameterError(f"{path}: unknown {subcommand} params {sorted(params.keys() - flags.keys())}")
     if flags.keys() - params.keys():
         raise ParameterError(f"{path}: missing {subcommand} params {sorted(flags.keys() - params.keys())}")
     argv = [f"{flags[name]}={value}" for name, value in params.items() if value is not None]
-    replay = _config_from_args(parser.parse_args([subcommand, *argv, f"--seed={seed}"]))
+    replay = _config_from_args(build_parser().parse_args([subcommand, *argv, f"--seed={seed}"]))
     recorded, parsed = {**params, "seed": seed}, {**replay.params, "seed": replay.seed}
     for name, value in recorded.items():
         if canonical_json(parsed[name]) != canonical_json(value):
@@ -436,10 +451,9 @@ def _replay_config(parser: argparse.ArgumentParser, path: str) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _replay_config(parser, args.record) if args.subcommand == "rerun" else _config_from_args(args)
+        config = _replay_config(args.record) if args.subcommand == "rerun" else _config_from_args(args)
         _emit(run_config(config), args.out)
     except (ParameterError, BudgetExceededError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

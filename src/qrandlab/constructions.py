@@ -29,7 +29,7 @@ import numpy as np
 from .extraction import RoundParams, extract, good_set_member
 from .primitives import BOT, BotValue, GeneratorHandle, as_bot, vote, vote_non_bot
 from .qcore import StateVector
-from .rng import TABLE_EVAL_SEED, ParameterError, SeededRng
+from .rng import TABLE_EVAL_SEED, ParameterError, SeededRng, check_power
 from .tomography import estimate_diagonal
 
 
@@ -112,6 +112,7 @@ class Con2Params:
         object.__setattr__(self, "round_params", RoundParams(d))  # validates the dimension shape
         if self.attempts is not None and self.attempts < 1:
             raise ParameterError("attempts must be positive")
+        check_power(self.c, self.lam, self.c, "lam^c")
         flags = []
         if self.attempts is not None and self.attempts != self.lam:
             flags.append(f"key sampling retries {self.attempts} != lam {self.lam}")
@@ -198,6 +199,7 @@ class Con3Params:
                 f"inner output {self.inner.output_len} bits cannot define a function "
                 f"table of {self.N} values of {self.word_len} bits"
             )
+        check_power(self.c, self.lam, 2 * self.c + 1, "lam^(2c+1)")  # bounds lam^c too
         flags = []
         if self.c <= 12:
             flags.append(f"c={self.c} <= 12 (nominal constraint relaxed at desk scale)")

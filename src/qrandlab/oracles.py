@@ -41,6 +41,7 @@ from .rng import (
     OWSG_SEARCH_SEED,
     ParameterError,
     SeededRng,
+    check_power,
     derive_int,
     fisher_yates_table,
     int_to_bits,
@@ -80,6 +81,7 @@ class BotOracleParams:
             raise ParameterError(f"n must be >= 2, got {self.n}")
         if self.c <= 0:
             raise ParameterError(f"c must be positive, got {self.c}")
+        check_power(self.c, self.n, -self.c, "mu = n^-c")
         if self.w > self.n:
             raise ParameterError(
                 f"bad-prefix width w={self.w} exceeds n={self.n}; mu={self.mu} is too small"

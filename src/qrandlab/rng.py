@@ -12,18 +12,20 @@ masters:
   below 2**128: four levels of ``child`` below a counter-0 stream fit,
   a fifth is rejected.
 
-* ``derive_bits`` / ``ShaStream`` implement a keyed deterministic
+* ``derive_int`` / ``ShaStream`` implement a keyed deterministic
   derivation (SHA-256 in counter mode over an unambiguous encoding of
   ``seed || function-id || n || input``).  Oracle worlds are built from
   it, so a world is reproducible from its seed alone, across platforms
-  and across reimplementations in other languages.  ``derive_bits``
-  packs its block counter as 4 big-endian bytes and ``ShaStream`` as 8;
-  both widths are part of ``DERIVATION_ID`` v1 and must not change.
+  and across reimplementations in other languages.  ``derive_bits`` is
+  the same value as a '0'/'1' string.  ``derive_int`` packs its block
+  counter as 4 big-endian bytes and ``ShaStream`` as 8; both widths are
+  part of ``DERIVATION_ID`` v1 and must not change.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -42,6 +44,16 @@ _MAX_COUNTER = 1 << 128  # counter << 128 must fit Philox's 256-bit counter
 _CHILD_FANOUT = (1 << 32) - 1  # child indices below this never reach the next parent's range
 
 
+class _ZeroSeedSequence(np.random.bit_generator.ISeedSequence):
+    """All-zero seed words: the Philox it seeds gets its real state set next."""
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.zeros(n_words, dtype=dtype)
+
+
+_ZERO_SEED = _ZeroSeedSequence()
+
+
 @dataclass
 class SeededRng:
     """Named, reproducible randomness stream over Philox4x64-10
@@ -52,7 +64,9 @@ class SeededRng:
     whose position advances with every draw.  Parallel trials should
     each construct their own ``SeededRng`` via ``child``.  The Philox
     generator is built on the first draw, so a stream that never draws
-    costs only its validation.
+    costs only its validation; it is built by setting the documented
+    Philox state (key ``[seed, 0]``, counter ``counter << 128``), so no
+    OS entropy is gathered for it.
     """
 
     seed: int
@@ -68,7 +82,21 @@ class SeededRng:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.Generator(np.random.Philox(key=self.seed, counter=self.counter << 128))
+            # Philox(key=seed, counter=counter << 128) gives the same stream but first
+            # draws an OS-entropy SeedSequence that a given key then discards.
+            philox = np.random.Philox(_ZERO_SEED)
+            philox.state = {
+                "bit_generator": "Philox",
+                "state": {
+                    "counter": np.array([0, 0, self.counter & _U64, self.counter >> 64], dtype=np.uint64),
+                    "key": np.array([self.seed, 0], dtype=np.uint64),
+                },
+                "buffer": np.zeros(4, dtype=np.uint64),
+                "buffer_pos": 4,  # the buffer is empty: the first draw computes block 0
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            self._gen = np.random.Generator(philox)
         return self._gen
 
     @property
@@ -113,25 +141,25 @@ def _derivation_prefix(seed: int, function_id: str, n: int) -> bytes:
     return struct.pack(">QI", seed & _U64, len(fid)) + fid + struct.pack(">I", n)
 
 
-def derive_bits(seed: int, function_id: str, n: int, x: int, nbits: int) -> str:
-    """nbits of keyed pseudorandomness for input ``x``, as a '0'/'1' string.
+def derive_int(seed: int, function_id: str, n: int, x: int, nbits: int) -> int:
+    """nbits of keyed pseudorandomness for input ``x``, as an integer.
 
     SHA-256 in counter mode over the fixed-width encoding
-    ``seed(8B) || len(id)(4B) || id || n(4B) || x(16B) || block(4B)``.
+    ``seed(8B) || len(id)(4B) || id || n(4B) || x(16B) || block(4B)``;
+    the value is the first nbits of the digests, most significant first.
     """
     if nbits <= 0:
         raise ParameterError("nbits must be positive")
     prefix = _derivation_prefix(seed, function_id, n) + x.to_bytes(16, "big")
-    out = bytearray()
-    block = 0
-    while len(out) * 8 < nbits:
+    out = b""
+    for block in range(-(-nbits // 256)):
         out += hashlib.sha256(prefix + struct.pack(">I", block)).digest()
-        block += 1
-    return format(int.from_bytes(out, "big") >> (8 * len(out) - nbits), f"0{nbits}b")
+    return int.from_bytes(out, "big") >> (8 * len(out) - nbits)
 
 
-def derive_int(seed: int, function_id: str, n: int, x: int, nbits: int) -> int:
-    return int(derive_bits(seed, function_id, n, x, nbits), 2)
+def derive_bits(seed: int, function_id: str, n: int, x: int, nbits: int) -> str:
+    """``derive_int``'s value as an nbits-wide '0'/'1' string."""
+    return format(derive_int(seed, function_id, n, x, nbits), f"0{nbits}b")
 
 
 _BLOCK = struct.Struct(">Q")  # ShaStream's block counter
@@ -254,6 +282,20 @@ class ParameterError(ValueError):
     """A caller's argument outside its domain: a library parameter, a CLI
     flag, a record field or a query.  The CLI exits 2 on it; a plain
     ``ValueError`` from the library is a bug and keeps its traceback."""
+
+
+# A power 2^b with |b| up to this stays a normal float, with room for the
+# few factors the parameter classes multiply it by.
+_MAX_POWER_BITS = 1000
+
+
+def check_power(c: float, base: int, exponent: float, what: str) -> None:
+    """Reject an exponent parameter ``c`` whose power ``base ** exponent``
+    (named ``what``, such as ``"n^-c"``) a float cannot hold: a non-finite
+    exponent, or one so large that the power or its reciprocal would
+    underflow to 0 or overflow.  Checked before the power is computed."""
+    if not (math.isfinite(exponent) and abs(exponent) * math.log2(max(base, 2)) <= _MAX_POWER_BITS):
+        raise ParameterError(f"c={c} is out of range: {what} = {base}^{exponent} does not fit a float")
 
 
 def int_to_bits(value: int, width: int) -> str:

@@ -7,10 +7,12 @@ that consumes them is reproducible from its seed.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .constructions import phase_state, table_slices
 from .primitives import BOT, BotValue, GeneratorHandle
-from .qcore import StateVector, haar_sample
-from .rng import ParameterError, SeededRng, derive_bits, derive_int
+from .qcore import MAX_TENSOR_DIM, InvalidDimensionError, StateVector, haar_sample
+from .rng import ParameterError, SeededRng, derive_bits, derive_int, parse_bits
 
 
 def toy_prg(lam: int, s: int, seed: int = 7) -> GeneratorHandle:
@@ -19,7 +21,7 @@ def toy_prg(lam: int, s: int, seed: int = 7) -> GeneratorHandle:
         kind="prg",
         input_len=lam,
         output_len=s,
-        eval=lambda key, rng=None: derive_bits(seed, "toy-prg", lam, int(key, 2), s),
+        eval=lambda key, rng=None: derive_bits(seed, "toy-prg", lam, parse_bits(key, lam, "key"), s),
         description=f"toy-prg lam={lam} s={s} seed={seed}",
     )
 
@@ -36,17 +38,25 @@ def zero_padding_prg(lam: int, s: int) -> GeneratorHandle:
 
 
 def toy_owsg_haar(lam: int, dim: int, seed: int = 11) -> GeneratorHandle:
-    """Keys map to fixed pseudo-Haar states (one per key, derived from the seed)."""
+    """Keys map to fixed pseudo-Haar states (one per key, derived from the seed).
 
-    def eval_fn(key: str, rng=None) -> StateVector:
-        key_seed = derive_int(seed, "toy-owsg-haar", lam, int(key, 2), 64)
-        return haar_sample(dim, SeededRng(key_seed, 0))
+    A key's state depends on the key alone, so the handle keeps each state
+    it builds, at most ``MAX_TENSOR_DIM**2`` amplitudes of them: the budget
+    of a ``candidate_states`` table.  The states are read-only, so sharing
+    one between callers is safe.
+    """
+    if dim < 2:
+        raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
+
+    @lru_cache(maxsize=MAX_TENSOR_DIM**2 // dim)
+    def state(k: int) -> StateVector:
+        return haar_sample(dim, SeededRng(derive_int(seed, "toy-owsg-haar", lam, k, 64), 0))
 
     return GeneratorHandle(
         kind="owsg",
         input_len=lam,
         output_len=0,
-        eval=eval_fn,
+        eval=lambda key, rng=None: state(parse_bits(key, lam, "key")),
         dim=dim,
         description=f"toy-owsg-haar lam={lam} dim={dim} seed={seed}",
     )
@@ -58,7 +68,7 @@ def toy_owsg_basis(lam: int) -> GeneratorHandle:
         kind="owsg",
         input_len=lam,
         output_len=0,
-        eval=lambda key, rng=None: StateVector.basis(1 << lam, int(key, 2)),
+        eval=lambda key, rng=None: StateVector.basis(1 << lam, parse_bits(key, lam, "key")),
         dim=1 << lam,
         description=f"toy-owsg-basis lam={lam}",
     )
@@ -81,7 +91,7 @@ def haar_keyed_sprs(d: int, key_len: int = 32, seed: int = 13) -> GeneratorHandl
     pseudo-Haar state per key (exactly deterministic by key)."""
 
     def stategen(key: str, rng=None) -> StateVector:
-        key_seed = derive_int(seed, "haar-keyed-sprs", d.bit_length(), int(key, 2), 64)
+        key_seed = derive_int(seed, "haar-keyed-sprs", d.bit_length(), parse_bits(key, key_len, "key"), 64)
         return haar_sample(d, SeededRng(key_seed, 0))
 
     return GeneratorHandle(
@@ -204,6 +214,8 @@ def derived_bot_prg(lam: int, m: int, seed: int = 17) -> GeneratorHandle:
         kind="bot-prg",
         input_len=lam,
         output_len=m,
-        eval=lambda key, rng=None: BotValue.of(derive_bits(seed, "derived-bot-prg", lam, int(key, 2), m)),
+        eval=lambda key, rng=None: BotValue.of(
+            derive_bits(seed, "derived-bot-prg", lam, parse_bits(key, lam, "key"), m)
+        ),
         description=f"derived-bot-prg lam={lam} m={m} seed={seed}",
     )

@@ -230,6 +230,15 @@ class TestExitStatus:
         assert "Is a directory" in err
 
 
+def test_one_parser_serves_every_run(capsys, tmp_path, monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", lambda *a, **k: pytest.fail("parser rebuilt"))
+    record = tmp_path / "run.jsonl"
+    assert run_cli(capsys, ["haar-stats", "--d", "64", "--states", "2", "--seed", "1", "--out", str(record)])[0] == 0
+    assert run_cli(capsys, ["rerun", "--record", str(record)])[0] == 0
+    assert cli.build_parser() is parser
+
+
 class TestOracleSim:
     def test_bot_world_replay_is_deterministic(self, capsys, tmp_path):
         queries = tmp_path / "queries.jsonl"
@@ -466,3 +475,40 @@ class TestGeneratorCommands:
         code, _, err = run_cli(capsys, ["prg-qs", "--from", "thin-air", "--seed", "1"])
         assert code == 2
         assert "bot-oracle" in err
+
+
+class TestFloatFlags:
+    PRG_QS = ["prg-qs", "--from", "bot-oracle", "--n", "8", "--keys", "1", "--evals", "2", "--seed", "1"]
+    SPRS_QS = ["sprs-qs", "--from", "prg-qs", "--n", "8", "--N", "4", "--keys", "1", "--seed", "1"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (PRG_QS + ["--c", "inf"], "c=inf is out of range: mu = n^-c"),
+            (PRG_QS + ["--c", "1e300"], "c=1e+300 is out of range: mu = n^-c"),
+            (PRG_QS + ["--c", "nan"], "c=nan is out of range: mu = n^-c"),
+            (SPRS_QS + ["--con3-c", "inf"], "c=inf is out of range: lam^(2c+1)"),
+        ],
+    )
+    def test_exponent_a_float_cannot_hold_is_usage_error(self, capsys, argv, message):
+        # each would otherwise reach a float operation that raises, and exit 1 with a traceback
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_float_a_record_cannot_hold_is_usage_error(self, capsys):
+        # the record would keep con3_c 4.0, so its rerun would run another config
+        code, out, err = run_cli(capsys, self.SPRS_QS + ["--con3-c", "4.00000000000001"])
+        assert (code, out) == (2, "")
+        assert "--con3-c 4.00000000000001 has more than the 12 significant digits" in err
+        assert "its rerun would use 4.0" in err
+
+    def test_twelve_digit_float_reruns_identically(self, capsys, tmp_path):
+        record = tmp_path / "run.jsonl"
+        code, _, _ = run_cli(capsys, self.SPRS_QS + ["--con3-c", "4.00000000001", "--out", str(record)])
+        assert code == 0
+        code, out, _ = run_cli(capsys, ["rerun", "--record", str(record)])
+        assert code == 0
+        original = json.loads(record.read_text().splitlines()[0])
+        assert original["config"]["params"]["con3_c"] == 4.00000000001
+        assert canonical_json(strip_timing(original)) == canonical_json(strip_timing(parse_lines(out)[0]))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -280,6 +281,13 @@ class TestCon2:
         with pytest.raises(ValueError):
             Con2Params(lam=2, c=12.0, inner=derived_bot_prg(8, 16))
 
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, 1e300, 1001.0])
+    def test_exponent_a_float_cannot_hold_rejected(self, c):
+        # 2^1e300 overflows, inf and nan give no finite power; 2^1000 is the largest power admitted
+        with pytest.raises(ParameterError, match=re.escape(f"c={c} is out of range: lam^c = 2^")):
+            Con2Params(lam=2, c=c, inner=CON2_INNER)
+        assert Con2Params(lam=2, c=1000.0, inner=CON2_INNER).m_nominal == math.ceil(2 ** (1000 / 12))
+
 
 class TestCon3:
     def zeros_inner(self, bits):
@@ -325,6 +333,12 @@ class TestCon3:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             Con3Params(lam=2, c=3.0, N=10, inner=self.zeros_inner(64))
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan, 1e300, 340.0])
+    def test_exponent_a_float_cannot_hold_rejected(self, c):
+        # 8^681 (c = 340) overflows a float, inf and nan give no finite power
+        with pytest.raises(ParameterError, match=r"out of range: lam\^\(2c\+1\)"):
+            Con3Params(lam=8, c=c, N=8, inner=toy_prg(4, 24))
 
     def test_nominal_coupling_flagged(self):
         params = Con3Params(lam=2, c=3.0, N=8, inner=toy_prg(4, 24))

@@ -24,7 +24,7 @@ from qrandlab.oracles import (
     verify_eval_oracle,
 )
 from qrandlab.qcore import MemoryBudgetError, StateVector, born_distribution, haar_sample, measure_computational
-from qrandlab.rng import OWSG_SEARCH_SEED, SeededRng, int_to_bits
+from qrandlab.rng import OWSG_SEARCH_SEED, ParameterError, SeededRng, int_to_bits
 from qrandlab.toys import constant_owsg, toy_owsg_basis, toy_owsg_haar, toy_prg
 from reference import apply_flip, flip_oracle, flip_target_state
 
@@ -41,6 +41,14 @@ class TestBotOracleParams:
 
     def test_output_longer_than_input(self):
         assert BotOracleParams(12, 1.0).m > 12
+
+    @pytest.mark.parametrize("c", [math.inf, math.nan, 1e300, 400.0])
+    def test_exponent_a_float_cannot_hold_rejected(self, c):
+        # 8^-1e300 and 8^-400 = 2^-1200 underflow to 0, inf and nan give no finite power
+        with pytest.raises(ParameterError, match=r"out of range: mu = n\^-c"):
+            BotOracleParams(8, c)
+        with pytest.raises(ParameterError, match=r"out of range: mu = n\^-c"):
+            OracleWorld("bot-world", 1, n_max=8, c=c)
 
 
 class TestBotOracle:

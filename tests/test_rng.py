@@ -50,6 +50,20 @@ class TestSeededRngStreams:
         assert int(bits, 2) == 0x5D5831D20704CE3BC283D76028FC2F71999CE587C29FEC8339BE48E4D11C1D05D6A2B897379
 
 
+class TestPhiloxState:
+    @pytest.mark.parametrize("seed", [0, 123, 987654321, (1 << 64) - 1])
+    @pytest.mark.parametrize("counter", [0, 5, (1 << 96) + 7, (1 << 128) - 1])
+    def test_draws_equal_keyed_philox(self, seed, counter):
+        # the stream is the one numpy's Philox(key=seed, counter=counter << 128) gives
+        ours = SeededRng(seed, counter)
+        keyed = np.random.Generator(np.random.Philox(key=seed, counter=counter << 128))
+        for _ in range(3):
+            assert ours.standard_normal(7).tolist() == keyed.standard_normal(7).tolist()
+            assert ours.integers(0, 1 << 40, size=5).tolist() == keyed.integers(0, 1 << 40, size=5).tolist()
+            assert ours.uniform() == keyed.random()
+            assert ours.bit() == keyed.integers(0, 2)
+
+
 class TestStreamLimits:
     def test_child_index_cap(self):
         # index 2**32 would land on child(0).child(0)'s counter
@@ -112,6 +126,19 @@ class TestDerivation:
         assert bits[:24] == derive_bits(2024, "toy-prg", 8, 5, 24)
         assert int(bits, 2) == 0x47C9CC5F15D30016D3EC1E0C2BD7CEB78D7145347BE67BA62FE8AE53AC71D5304F238321A46
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, (1 << 64) - 1),
+        function_id=st.text(max_size=12),
+        n=st.integers(0, (1 << 32) - 1),
+        x=st.integers(0, (1 << 128) - 1),
+        nbits=st.integers(1, 600),
+    )
+    def test_derive_int_is_derive_bits_read_as_binary(self, seed, function_id, n, x, nbits):
+        bits = derive_bits(seed, function_id, n, x, nbits)
+        assert len(bits) == nbits
+        assert derive_int(seed, function_id, n, x, nbits) == int(bits, 2)
+
     def test_sha_stream_words(self):
         stream = ShaStream(2024, "bot-world/P", 8)
         assert [stream._next_word() for _ in range(5)] == [
@@ -153,8 +180,8 @@ class TestLazyGenerator:
         philox = np.random.Philox
 
         def counting(*args, **kwargs):
-            built.append(kwargs)
-            return philox(*args, **kwargs)
+            built.append(philox(*args, **kwargs))
+            return built[-1]
 
         monkeypatch.setattr(np.random, "Philox", counting)
         return built
@@ -165,7 +192,11 @@ class TestLazyGenerator:
         assert builds == []
         assert child.integers(0, 1 << 32, size=4).tolist() == [1241146508, 181044989, 2403135797, 570890450]
         assert child.uniform() == 0.19331473097178065
-        assert builds == [{"key": 2024, "counter": child.counter << 128}]
+        assert len(builds) == 1 and builds[0] is child.generator.bit_generator
+        state = builds[0].state["state"]
+        assert state["key"].tolist() == [2024, 0]
+        # the high half of the 256-bit counter names the stream; the low half counts its blocks
+        assert state["counter"][2:].tolist() == [child.counter & (1 << 64) - 1, child.counter >> 64]
 
     def test_out_of_range_raises_at_construction(self, builds):
         for seed, counter in ((-1, 0), (1 << 64, 0), (1, -1), (1, 1 << 128)):
