@@ -342,31 +342,36 @@ def exp_owsg(
 _MAX_EXACT_ENUM_BITS = 16
 
 
-def _key_iter(gen: GeneratorHandle, n_keys: int, mode: str, rng: SeededRng):
+def _moment_keys(gen: GeneratorHandle, n_keys: int, mode: str, rng: SeededRng):
+    """The key count K and the function that gives key j < K: all 2^input_len
+    inputs in order under ``exact-enum``, ``gen.sample_key(rng.child(j))``
+    under ``monte-carlo``."""
     if mode == "exact-enum":
         if gen.input_len > _MAX_EXACT_ENUM_BITS:
             raise MemoryBudgetError(
                 f"exact enumeration capped at 2^{_MAX_EXACT_ENUM_BITS} keys"
             )
-        return [int_to_bits(k, gen.input_len) for k in range(1 << gen.input_len)]
+        return 1 << gen.input_len, lambda j: int_to_bits(j, gen.input_len)
     if mode == "monte-carlo":
-        return [gen.sample_key(rng.child(j)) for j in range(n_keys)]
+        return n_keys, lambda j: gen.sample_key(rng.child(j))
     raise ParameterError(f"mode must be 'exact-enum' or 'monte-carlo', got {mode!r}")
 
 
-def _key_states(gen: GeneratorHandle, keys, rng: SeededRng, start: int, stop: int) -> np.ndarray:
-    """Amplitudes of keys[start:stop], one row per key.  Key j evaluates on
-    ``rng.child(len(keys) + j)``, past the key-sampling streams, so a
-    stochastic generator never replays the draws that produced its key."""
-    block = enumerate(keys[start:stop], len(keys) + start)
-    return np.array([gen.eval(k, rng.child(j)).amplitudes for j, k in block])
+def _key_states(gen: GeneratorHandle, n_keys: int, key, rng: SeededRng, start: int, stop: int) -> np.ndarray:
+    """Amplitudes of keys start .. stop - 1 of n_keys, one row per key, each
+    key drawn here.  Key j evaluates on ``rng.child(n_keys + j)``, past the
+    key-sampling streams, so a stochastic generator never replays the draws
+    that produced its key."""
+    rows = range(start, min(stop, n_keys))
+    return np.array([gen.eval(key(j), rng.child(n_keys + j)).amplitudes for j in rows])
 
 
 _MOMENT_KEY_BLOCK = 2000  # keys whose symmetric-subspace rows are formed at a time
 
 
-def _moment_gramians(gen: GeneratorHandle, t: int, keys, rng: SeededRng):
-    """Unnormalised t-copy gramian of each ``_MOMENT_KEY_BLOCK`` consecutive keys.
+def _moment_gramians(gen: GeneratorHandle, t: int, n_keys: int, key, rng: SeededRng):
+    """Unnormalised t-copy gramian of each ``_MOMENT_KEY_BLOCK`` consecutive keys,
+    whose keys are drawn with the block.
 
     The rows are in symmetric-subspace coordinates, which is exact since
     tensor powers live entirely in that subspace: the coordinate of
@@ -382,8 +387,8 @@ def _moment_gramians(gen: GeneratorHandle, t: int, keys, rng: SeededRng):
             for m in multisets
         ]
     )
-    for start in range(0, len(keys), _MOMENT_KEY_BLOCK):
-        states = _key_states(gen, keys, rng, start, start + _MOMENT_KEY_BLOCK)
+    for start in range(0, n_keys, _MOMENT_KEY_BLOCK):
+        states = _key_states(gen, n_keys, key, rng, start, start + _MOMENT_KEY_BLOCK)
         w = states[:, columns[0]]
         for column in columns[1:]:
             w = w * states[:, column]
@@ -415,12 +420,12 @@ def moment_distance(
         raise MemoryBudgetError(f"dim**t = {dim ** t} exceeds the tensor budget")
     if rng is None:
         rng = SeededRng(0)
-    keys = _key_iter(gen, n_keys, mode, rng)
+    n_keys, key = _moment_keys(gen, n_keys, mode, rng)
     size = math.comb(dim + t - 1, t)
     avg = np.zeros((size, size), dtype=complex)
-    for gram in _moment_gramians(gen, t, keys, rng):
+    for gram in _moment_gramians(gen, t, n_keys, key, rng):
         avg += gram  # in place: one accumulator, not one matrix per block
-    avg /= len(keys)
+    avg /= n_keys
     avg -= np.eye(size) / size
     return float(0.5 * np.abs(np.linalg.eigvalsh(avg)).sum())
 
@@ -448,8 +453,8 @@ def moment_hs2(
         raise ParameterError(f"the jackknife needs at least 3 keys, got {n_keys}")
     if n_keys * gen.dim > MAX_TENSOR_DIM**2:
         raise MemoryBudgetError(f"{n_keys} x {gen.dim} states exceed {MAX_TENSOR_DIM**2} amplitudes")
-    keys = _key_iter(gen, n_keys, "monte-carlo", rng)
-    states = _key_states(gen, keys, rng, 0, n_keys)
+    n_keys, key = _moment_keys(gen, n_keys, "monte-carlo", rng)
+    states = _key_states(gen, n_keys, key, rng, 0, n_keys)
     rows = np.zeros(n_keys)
     for start in range(0, n_keys, _HS2_ROW_BLOCK):
         # pairs k < l only: each pair adds to the row sums of both keys

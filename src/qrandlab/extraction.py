@@ -17,14 +17,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qcore import DimensionMismatchError, InvalidDimensionError, StateVector, haar_sample
+from .qcore import (
+    MAX_TENSOR_DIM,
+    DimensionMismatchError,
+    InvalidDimensionError,
+    MemoryBudgetError,
+    StateVector,
+    haar_sample,
+)
 from .rng import SeededRng
 from .tomography import DiagonalEstimate, estimate_diagonal, exact_diagonal
 
 
 @dataclass(frozen=True)
 class RoundParams:
-    """Block geometry for dimension d = 2^(6a), a >= 1."""
+    """Block geometry for dimension d = 2^(6a), a >= 1, with d at most
+    ``MAX_TENSOR_DIM**2``: a d-amplitude state is built for each use."""
 
     d: int
 
@@ -34,6 +42,8 @@ class RoundParams:
             raise InvalidDimensionError(
                 f"d must be 2**(6a) for integer a >= 1 (64, 4096, ...), got {d}"
             )
+        if d > MAX_TENSOR_DIM**2:
+            raise MemoryBudgetError(f"a d = {d} state exceeds {MAX_TENSOR_DIM**2} amplitudes")
 
     @property
     def a(self) -> int:
@@ -115,6 +125,8 @@ def gaussian_block_check(d: int, n_states: int, rng: SeededRng) -> BlockStats:
     Kolmogorov-Smirnov statistic against the normal model.
     """
     params = RoundParams(d)
+    if n_states * params.num_bits > MAX_TENSOR_DIM**2:
+        raise MemoryBudgetError(f"{n_states} x {params.num_bits} block sums exceed {MAX_TENSOR_DIM**2} entries")
     sums = np.empty((n_states, params.num_bits))
     good = 0
     for i in range(n_states):

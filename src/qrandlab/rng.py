@@ -12,14 +12,13 @@ masters:
   below 2**128: four levels of ``child`` below a counter-0 stream fit,
   a fifth is rejected.
 
-* ``derive_int`` / ``ShaStream`` implement a keyed deterministic
-  derivation (SHA-256 in counter mode over an unambiguous encoding of
-  ``seed || function-id || n || input``).  Oracle worlds are built from
-  it, so a world is reproducible from its seed alone, across platforms
-  and across reimplementations in other languages.  ``derive_bits`` is
-  the same value as a '0'/'1' string.  ``derive_int`` packs its block
-  counter as 4 big-endian bytes and ``ShaStream`` as 8; both widths are
-  part of ``DERIVATION_ID`` v1 and must not change.
+* ``derive_int`` and ``sha_words`` are two stateless keyed derivations
+  (SHA-256 in counter mode) over one unambiguous prefix encoding
+  ``seed || function-id || n``, so an oracle world is reproducible from
+  its seed alone, across platforms and languages.  ``derive_int`` hashes
+  an input ``x`` and a 4-byte block counter (``derive_bits`` is its
+  '0'/'1' string); ``sha_words``, the word stream of Fisher-Yates
+  tables, an 8-byte one.  Both widths are part of ``DERIVATION_ID`` v1.
 """
 
 from __future__ import annotations
@@ -162,83 +161,39 @@ def derive_bits(seed: int, function_id: str, n: int, x: int, nbits: int) -> str:
     return format(derive_int(seed, function_id, n, x, nbits), f"0{nbits}b")
 
 
-_BLOCK = struct.Struct(">Q")  # ShaStream's block counter
+_BLOCK = struct.Struct(">Q")  # sha_words's block counter
 
 
-class ShaStream:
-    """Deterministic byte stream (SHA-256 counter mode) with bounded draws.
+def sha_words(seed: int, function_id: str, n: int, start: int, count: int) -> np.ndarray:
+    """Words start .. start + count - 1 of a keyed 64-bit word stream, as a uint64 array.
 
-    Used for seeded Fisher-Yates permutation tables.  Bounded integers
-    come from rejection sampling on 64-bit big-endian words, so the
-    stream is exactly reproducible in any language with SHA-256.  Words
-    are hashed and tested in bulk; the draws are the same as one word
-    at a time.
+    Block b is SHA-256 over ``seed(8B) || len(id)(4B) || id || n(4B) ||
+    b(8B)``, read as four big-endian words, so word i is word i % 4 of
+    block i // 4 and any span is computed without the words before it.
     """
+    prefixed = hashlib.sha256(_derivation_prefix(seed, function_id, n))  # hashed once per call
 
-    def __init__(self, seed: int, function_id: str, n: int):
-        self._prefixed = hashlib.sha256(_derivation_prefix(seed, function_id, n))
-        self._block = 0
-        self._buf = b""
-
-    def _digest(self, block: int) -> bytes:
-        h = self._prefixed.copy()  # the prefix is hashed once per stream
+    def digest(block: int) -> bytes:
+        h = prefixed.copy()
         h.update(_BLOCK.pack(block))
         return h.digest()
 
-    def _words(self, count: int) -> np.ndarray:
-        """The next ``count`` words as a uint64 array."""
-        need = 8 * count - len(self._buf)
-        if need > 0:
-            blocks = range(self._block, self._block + -(-need // 32))
-            self._buf += b"".join(map(self._digest, blocks))
-            self._block = blocks.stop
-        data, self._buf = self._buf[: 8 * count], self._buf[8 * count :]
-        return np.frombuffer(data, dtype=">u8").astype(np.uint64)
-
-    def _next_word(self) -> int:
-        return int(self._words(1)[0])
-
-    def bounded_many(self, bounds: np.ndarray) -> np.ndarray:
-        """Uniform integers in [0, bounds[i]), drawn in order, as a uint64 array.
-
-        Each draw takes words until one lies below the largest multiple
-        of its bound, 2**64 - (2**64 % bound), and returns it modulo the
-        bound; a rejected word shifts every later draw by one word.
-        """
-        bounds = np.asarray(bounds, dtype=np.uint64)
-        if (bounds == 0).any():
-            raise ParameterError("bound must be positive")
-        # word < 2**64 - r  <=>  word <= ~r, where r = 2**64 % bound = (2**64 - bound) % bound
-        highest = ~((~bounds + np.uint64(1)) % bounds)
-        out = np.empty(bounds.size, dtype=np.uint64)
-        done = 0
-        while done < bounds.size:
-            words = self._words(bounds.size - done)
-            used = 0
-            while used < words.size:
-                span = slice(done, done + words.size - used)
-                w = words[used:]
-                rejected = np.flatnonzero(w > highest[span])
-                take = int(rejected[0]) if rejected.size else w.size
-                out[done : done + take] = w[:take] % bounds[done : done + take]
-                done += take
-                used += take + 1  # skip the rejected word, if any
-        return out
-
-    def bounded(self, bound: int) -> int:
-        """Uniform integer in [0, bound) by rejection below the largest multiple."""
-        if not 0 < bound < 1 << 64:
-            raise ParameterError(f"bound must be in [1, 2**64), got {bound}")
-        return int(self.bounded_many(np.array([bound], dtype=np.uint64))[0])
+    first = start // 4
+    data = b"".join(map(digest, range(first, -(-(start + count) // 4))))
+    skip = start - 4 * first
+    return np.frombuffer(data, dtype=">u8")[skip : skip + count].astype(np.uint64)
 
 
-_FISHER_YATES_CHUNK = 4096  # bounded draws per bulk call; bounds the word buffer's memory
+_FISHER_YATES_CHUNK = 4096  # bounded draws per word slice; bounds the slice's memory
 
 
 def fisher_yates_table(seed: int, function_id: str, n_bits: int) -> np.ndarray:
     """Seeded permutation table on {0,1}^n_bits as a uint64 array.
 
-    Position i, from the top down, swaps with j_i = stream.bounded(i + 1).
+    Position i, from the top down, swaps with j_i: the next ``sha_words``
+    word below 2**64 - (2**64 % (i + 1)), modulo i + 1.  A rejected word
+    is skipped, which shifts every later draw by one word.
+
     The swaps are drawn first and then resolved without a Python loop.
     Position i is final after its own swap, which moves there the value
     that position j_i holds at that time: j_i itself, unless a step k > i
@@ -250,11 +205,17 @@ def fisher_yates_table(seed: int, function_id: str, n_bits: int) -> np.ndarray:
     them in log2(longest chain) rounds.
     """
     size = 1 << n_bits
-    stream = ShaStream(seed, function_id, n_bits)
     swap = np.zeros(size, dtype=np.int32)  # swap[i] = j_i; step 0 is the no-op j_0 = 0
-    for top in range(size - 1, 0, -_FISHER_YATES_CHUNK):
-        low = max(top - _FISHER_YATES_CHUNK, 0)
-        swap[top:low:-1] = stream.bounded_many(np.arange(top + 1, low + 1, -1, dtype=np.uint64))
+    top, next_word = size - 1, 0  # the highest step not yet drawn, and the word it reads first
+    while top > 0:
+        bounds = np.arange(top + 1, max(top - _FISHER_YATES_CHUNK, 0) + 1, -1, dtype=np.uint64)
+        words = sha_words(seed, function_id, n_bits, next_word, bounds.size)
+        # word < 2**64 - r  <=>  word <= ~r, where r = 2**64 % bound = (2**64 - bound) % bound
+        rejected = np.flatnonzero(words > ~((~bounds + np.uint64(1)) % bounds))
+        take = int(rejected[0]) if rejected.size else bounds.size  # draws before the first rejection
+        swap[top : top - take : -1] = words[:take] % bounds[:take]
+        top -= take
+        next_word += take + (take < bounds.size)  # past the rejected word, if any
 
     # Steps sorted by the position they swap with, each group in ascending step order.
     order = np.argsort(swap.astype(np.min_scalar_type(size - 1)), kind="stable").astype(np.int32)

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 from .constructions import phase_state, table_slices
 from .primitives import BOT, BotValue, GeneratorHandle
-from .qcore import MAX_TENSOR_DIM, InvalidDimensionError, StateVector, haar_sample
+from .qcore import MAX_TENSOR_DIM, InvalidDimensionError, MemoryBudgetError, StateVector, haar_sample
 from .rng import ParameterError, SeededRng, derive_bits, derive_int, parse_bits
 
 
@@ -63,13 +63,17 @@ def toy_owsg_haar(lam: int, dim: int, seed: int = 11) -> GeneratorHandle:
 
 
 def toy_owsg_basis(lam: int) -> GeneratorHandle:
-    """Injective generator with orthogonal outputs: key k maps to |k>."""
+    """Injective generator with orthogonal outputs: key k maps to |k>, a state
+    of 2^lam amplitudes, at most ``MAX_TENSOR_DIM**2``."""
+    dim = 2**lam  # a fraction for lam < 0, whose key length the handle rejects
+    if dim > MAX_TENSOR_DIM**2:
+        raise MemoryBudgetError(f"a {lam}-bit key's state |k> has 2^{lam} amplitudes, above {MAX_TENSOR_DIM**2}")
     return GeneratorHandle(
         kind="owsg",
         input_len=lam,
         output_len=0,
-        eval=lambda key, rng=None: StateVector.basis(1 << lam, parse_bits(key, lam, "key")),
-        dim=1 << lam,
+        eval=lambda key, rng=None: StateVector.basis(dim, parse_bits(key, lam, "key")),
+        dim=dim,
         description=f"toy-owsg-basis lam={lam}",
     )
 

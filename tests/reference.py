@@ -7,14 +7,18 @@ against, together with the density-operator algebra and tomography
 bounds the tests state their claims in.  ``looped_audit`` is the
 determinism audit without its early exit: every trial evaluated.
 ``fisher_yates_reference`` is the permutation table as the plain
-top-down swap loop, one bounded draw per step.
+top-down swap loop, one bounded draw per step, over words that
+``reference_words`` hashes one block at a time from the documented
+encoding without calling the library.
 """
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
+import struct
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 
@@ -28,7 +32,7 @@ from qrandlab.qcore import (
     MemoryBudgetError,
     StateVector,
 )
-from qrandlab.rng import SeededRng, ShaStream
+from qrandlab.rng import SeededRng
 from qrandlab.tomography import DiagonalEstimate
 
 MAX_DENSE_FLIP_N = 2  # 2^(9n+1) amplitudes: n=2 is 8 MB, n=3 is 4 GB
@@ -93,7 +97,7 @@ def symmetric_projector(dim: int, t: int) -> np.ndarray:
         rem //= dim
     weights = dim ** np.arange(t - 1, -1, -1)
     rows = np.arange(size)
-    for perm in permutations(range(t)):
+    for perm in itertools.permutations(range(t)):
         cols = digits[:, list(perm)] @ weights
         proj[rows, cols] += 1.0
     return proj / math.factorial(t)
@@ -204,12 +208,24 @@ def looped_audit(handle, key, trials: int, rng: SeededRng) -> DeterminismAudit:
 # -- the Fisher-Yates table, one swap at a time ---------------------------------------
 
 
-def fisher_yates_reference(seed: int, function_id: str, n_bits: int) -> list[int]:
+def reference_words(seed: int, function_id: str, n_bits: int):
+    """The table's 64-bit words in order: block b is SHA-256 over
+    ``seed(8B) || len(id)(4B) || id || n_bits(4B) || b(8B)``, big-endian,
+    read as four big-endian words."""
+    fid = function_id.encode("utf-8")
+    prefix = struct.pack(">QI", seed, len(fid)) + fid + struct.pack(">I", n_bits)
+    for block in itertools.count():
+        yield from struct.unpack(">4Q", hashlib.sha256(prefix + struct.pack(">Q", block)).digest())
+
+
+def fisher_yates_reference(seed: int, function_id: str, n_bits: int, words=None) -> list[int]:
     """Durstenfeld's shuffle of range(2^n_bits): position i, from the top down,
-    swaps with j = ``ShaStream.bounded(i + 1)``."""
-    stream = ShaStream(seed, function_id, n_bits)
+    swaps with j = w mod (i + 1), w the next word below the largest multiple
+    of i + 1.  ``words`` replaces ``reference_words`` as the word source."""
+    words = reference_words(seed, function_id, n_bits) if words is None else iter(words)
     table = list(range(1 << n_bits))
     for i in range(len(table) - 1, 0, -1):
-        j = stream.bounded(i + 1)
+        limit = (1 << 64) - (1 << 64) % (i + 1)
+        j = next(w for w in words if w < limit) % (i + 1)
         table[i], table[j] = table[j], table[i]
     return table

@@ -10,6 +10,8 @@ import pytest
 import qrandlab
 from qrandlab import cli, oracles
 from qrandlab.cli import canonical_json, main, strip_timing_fields as strip_timing
+from qrandlab.qcore import MAX_TENSOR_DIM
+from qrandlab.toys import toy_owsg_basis
 
 
 def run_cli(capsys, argv):
@@ -426,6 +428,34 @@ class TestExperimentCommand:
         assert code == 0
         result = parse_lines(out)[0]["result"]
         assert result["ci95"][0] <= 0 <= result["ci95"][1]
+
+
+class TestSizeBudgets:
+    """A size whose dense state or table would exceed MAX_TENSOR_DIM**2 entries
+    is refused where it enters, before anything is allocated."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["extract", "--d", "68719476736", "--states", "1"], "exceeds 16777216 amplitudes"),
+            (["haar-stats", "--d", "68719476736", "--states", "1"], "exceeds 16777216 amplitudes"),
+            (["haar-stats", "--d", "64", "--states", "1000000000000"], "block sums exceed 16777216 entries"),
+            (
+                ["experiment", "--name", "owsg", "--adversary", "coin-flip", "--lambda", "40", "--t", "1", "--trials", "1"],
+                "2^40 amplitudes, above 16777216",
+            ),
+            # 2**-1 is checked as a key length, not shifted
+            (["experiment", "--name", "owsg", "--adversary", "coin-flip", "--lambda", "-1"], "at least 1, got -1"),
+        ],
+    )
+    def test_oversized_is_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, [*argv, "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_largest_basis_key_is_allowed(self):
+        assert toy_owsg_basis(24).dim == MAX_TENSOR_DIM**2
 
 
 class TestGeneratorCommands:

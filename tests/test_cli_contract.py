@@ -124,6 +124,7 @@ VALID = st.one_of(
 
 NOT_2_POW_6A = st.sampled_from([2, 32, 63, 65, 100, 128, 4095])
 NOT_POWER_OF_TWO = st.sampled_from([-2, 0, 1, 3, 5, 6, 12])
+OVERSIZED_D = st.sampled_from([2**30, 2**36])  # 2**(6a) above the MAX_TENSOR_DIM**2 state budget
 
 
 def invalid(base: st.SearchStrategy, flag: str, bad: st.SearchStrategy, own: bool = False):
@@ -134,8 +135,11 @@ def invalid(base: st.SearchStrategy, flag: str, bad: st.SearchStrategy, own: boo
 INVALID = st.one_of(
     invalid(EXTRACT, "--states", NON_POSITIVE, own=True),
     invalid(EXTRACT, "--d", NOT_2_POW_6A),
+    invalid(EXTRACT, "--d", OVERSIZED_D),
     invalid(HAAR, "--states", NON_POSITIVE, own=True),
     invalid(HAAR, "--d", NOT_2_POW_6A),
+    invalid(HAAR, "--d", OVERSIZED_D),
+    invalid(HAAR, "--states", st.sampled_from([2**23 + 1, 10**12])),  # above 2**24 block sums at d = 64
     invalid(PRG_QS, "--keys", NON_POSITIVE, own=True),
     invalid(PRG_QS, "--evals", st.integers(-2, 1), own=True),
     invalid(PRG_QS, "--n", st.integers(21, 24)),  # above the bot world's n <= 20 cap
@@ -160,6 +164,8 @@ INVALID = st.one_of(
     invalid(EXP_BOT_PRG, "--c", NON_POSITIVE),
     invalid(EXP_BOT_PRG, "--q", NON_POSITIVE),
     invalid(EXP_OWSG, "--t", NON_POSITIVE),
+    invalid(EXP_OWSG, "--lambda", st.integers(25, 40)),  # coin-flip: |k> above 2**24 amplitudes
+    invalid(EXP_OWSG, "--lambda", NON_POSITIVE),
     invalid(EXP_MOMENT, "--keys", NON_POSITIVE, own=True),
     invalid(EXP_MOMENT, "--N", NOT_POWER_OF_TWO),
 )

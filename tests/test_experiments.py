@@ -8,8 +8,8 @@ from scipy import stats
 
 from qrandlab.cli import canonical_json
 from qrandlab.experiments import (
-    _key_iter,
     _moment_gramians,
+    _moment_keys,
     AdversaryHandle,
     BudgetExceededError,
     CallBudget,
@@ -355,7 +355,7 @@ class TestMomentHs2:
             k = 300
             est, _ = moment_hs2(gen, t, k, SeededRng(5))
             rng = SeededRng(5)
-            moment = sum(_moment_gramians(gen, t, _key_iter(gen, k, "monte-carlo", rng), rng)) / k
+            moment = sum(_moment_gramians(gen, t, *_moment_keys(gen, k, "monte-carlo", rng), rng)) / k
             purity = (k * np.sum(np.abs(moment) ** 2) - 1) / (k - 1)
             assert est == pytest.approx(purity - 1 / math.comb(gen.dim + t - 1, t), abs=1e-12)
 

@@ -7,25 +7,27 @@ changes what a recorded seed reproduces.
 
 import hashlib
 import re
+from itertools import islice
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrandlab import rng
 from qrandlab.experiments import moment_distance, moment_hs2
 from qrandlab.oracles import OracleWorld, prfqs_from_world
 from qrandlab.rng import (
     ParameterError,
     SeededRng,
-    ShaStream,
     derive_bits,
     derive_int,
     fisher_yates_table,
     parse_bits,
+    sha_words,
 )
 from qrandlab.toys import random_phase_sprs
-from reference import fisher_yates_reference
+from reference import fisher_yates_reference, reference_words
 
 
 class TestSeededRngStreams:
@@ -140,14 +142,26 @@ class TestDerivation:
         assert derive_int(seed, function_id, n, x, nbits) == int(bits, 2)
 
     def test_sha_stream_words(self):
-        stream = ShaStream(2024, "bot-world/P", 8)
-        assert [stream._next_word() for _ in range(5)] == [
-            16295676159294212735,
-            1412019605716616561,
-            7756634153501359397,
-            7097334249635145607,
-            12991602247814294835,
+        words = [16295676159294212735, 1412019605716616561, 7756634153501359397, 7097334249635145607, 12991602247814294835]
+        assert sha_words(2024, "bot-world/P", 8, 0, 5).tolist() == words
+        assert list(islice(reference_words(2024, "bot-world/P", 8), 5)) == words
+
+    def test_sha_words_random_access(self):
+        # words 4094..4101 cross a 4096-draw batch and a four-word block boundary
+        words = sha_words(2024, "bot-world/P", 16, 4094, 8)
+        assert words.dtype == np.uint64
+        assert words.tolist() == [
+            11081191098692843689,
+            15059662687827883332,
+            17605387141253595729,
+            2925121888502161592,
+            950866736572271485,
+            13574460696681469564,
+            8525748621690103191,
+            830270319634465506,
         ]
+        assert words.tolist() == sha_words(2024, "bot-world/P", 16, 0, 4102)[4094:].tolist()
+        assert words.tolist() == list(islice(reference_words(2024, "bot-world/P", 16), 4094, 4102))
 
     def test_fisher_yates_table(self):
         table = fisher_yates_table(2024, "bot-world/P", 8)
@@ -260,30 +274,48 @@ class TestBulkFisherYates:
         assert table.dtype == np.uint64
         assert table.tolist() == fisher_yates_reference(seed, "bot-world/P", n_bits)
 
-    @pytest.mark.parametrize("n_bits, position", [(8, 3), (13, 4095)])
-    def test_forced_rejection_matches_scalar_loop(self, monkeypatch, n_bits, position):
-        # Word `position` of every stream is set to the rejection limit of
-        # the bound it is drawn for, so that draw takes the following word.
-        bound = (1 << n_bits) - position
-        limit = (1 << 64) - (1 << 64) % bound
-        words = ShaStream._words
+    @staticmethod
+    def force_word(monkeypatch, n_bits: int, position: int, word: int):
+        """Make word ``position`` of every ``sha_words`` stream ``word``; returns
+        the reference word stream of ``(2024, "bot-world/P", n_bits)`` so altered."""
+        words = rng.sha_words
 
-        def forced(self, count):
-            start = getattr(self, "drawn", 0)
-            self.drawn = start + count
-            out = words(self, count).copy()
+        def forced(seed, function_id, n, start, count):
+            out = words(seed, function_id, n, start, count)
             if start <= position < start + count:
-                out[position - start] = limit
+                out[position - start] = word
             return out
 
-        monkeypatch.setattr(ShaStream, "_words", forced)
+        monkeypatch.setattr(rng, "sha_words", forced)
+        stream = reference_words(2024, "bot-world/P", n_bits)
+        return (word if i == position else w for i, w in enumerate(stream))
+
+    # (13, 4095) forces the last word of the first 4096-draw batch
+    @pytest.mark.parametrize("n_bits, position", [(8, 3), (13, 4095), (5, 1), (6, 59), (10, 1000)])
+    def test_forced_rejection_matches_scalar_loop(self, monkeypatch, n_bits, position):
+        # Word `position` is set to the rejection limit of the bound it is
+        # drawn for, so that draw takes the following word.
+        bound = (1 << n_bits) - position
+        limit = (1 << 64) - (1 << 64) % bound
+        altered = self.force_word(monkeypatch, n_bits, position, limit)
         table = fisher_yates_table(2024, "bot-world/P", n_bits)
-        assert table.tolist() == fisher_yates_reference(2024, "bot-world/P", n_bits)
+        assert table.tolist() == fisher_yates_reference(2024, "bot-world/P", n_bits, altered)
         monkeypatch.undo()
         assert table.tolist() != fisher_yates_table(2024, "bot-world/P", n_bits).tolist()
 
     def test_word_below_limit_is_kept(self, monkeypatch):
+        # Step 252 of the n = 8 table draws word 3 for the bound 253.
         bound = 253
         limit = (1 << 64) - (1 << 64) % bound
-        monkeypatch.setattr(ShaStream, "_words", lambda self, count: np.full(count, limit - 1, dtype=np.uint64))
-        assert ShaStream(0, "x", 1).bounded(bound) == (limit - 1) % bound
+
+        def table_with_word_3(word):
+            altered = self.force_word(monkeypatch, 8, 3, word)
+            table = fisher_yates_table(2024, "bot-world/P", 8).tolist()
+            monkeypatch.undo()
+            return table, fisher_yates_reference(2024, "bot-world/P", 8, altered)
+
+        kept, reference = table_with_word_3(limit - 1)
+        assert kept == reference
+        # kept, the word draws j = (limit - 1) % 253 and shifts no later draw
+        assert kept == table_with_word_3((limit - 1) % bound)[0]
+        assert kept != table_with_word_3(limit)[0]
