@@ -74,11 +74,6 @@ from .qcore import (
     measure_computational,
 )
 from .rng import ParameterError, SeededRng, derive_bits, derive_int, parse_bits
-from .tomography import (
-    DiagonalEstimate,
-    estimate_diagonal,
-    exact_diagonal,
-    sampled_diagonal,
-)
+from .tomography import estimate_diagonal, sampled_diagonal
 
 __version__ = "0.1.0"

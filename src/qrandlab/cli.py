@@ -45,9 +45,8 @@ from .oracles import (
     sampler_oracle,
 )
 from .primitives import determinism_audit
-from .qcore import haar_sample
+from .qcore import born_distribution, haar_sample
 from .rng import ParameterError, SeededRng, parse_bits
-from .tomography import exact_diagonal
 from .toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
 
 USAGE_ERROR = 2
@@ -124,7 +123,7 @@ def cmd_extract(params: dict, seed: int) -> dict:
     for i in range(n_states):
         child = rng.child(i)
         psi = haar_sample(d, child)
-        if good_set_member(exact_diagonal(psi), rparams):
+        if good_set_member(born_distribution(psi), rparams):
             good += 1
         first = extract(psi, rparams, t, child)
         second = extract(psi, rparams, t, child)

@@ -1,5 +1,8 @@
 """Rounding block sums of a Born diagonal into bits, and the good-set test.
 
+A diagonal is a plain 1-D probability array: ``born_distribution`` of a
+state, or a ``tomography`` estimate of it.
+
 For dimension d = 2^(6a) the derived quantities k = d^(5/6), r = d^(2/3)
 and l = d^(1/6) are exact integers.  The diagonal's first l*r entries
 are grouped into l blocks of r; each block sum q_i is thresholded
@@ -23,10 +26,11 @@ from .qcore import (
     InvalidDimensionError,
     MemoryBudgetError,
     StateVector,
+    born_distribution,
     haar_sample,
 )
 from .rng import SeededRng
-from .tomography import DiagonalEstimate, estimate_diagonal, exact_diagonal
+from .tomography import estimate_diagonal
 
 
 @dataclass(frozen=True)
@@ -72,24 +76,25 @@ class RoundParams:
         return 2 / self.d
 
 
-def block_sums(diag: DiagonalEstimate, params: RoundParams) -> np.ndarray:
+def block_sums(diag: np.ndarray, params: RoundParams) -> np.ndarray:
     """q_i = sum of the i-th block of r consecutive diagonal entries.
 
     Only the first l*r = k entries are consumed; the tail is ignored.
+    This length check is the pipeline's one dimension check.
     """
-    if diag.dim != params.d:
-        raise DimensionMismatchError(f"diagonal dim {diag.dim} != params d {params.d}")
+    if len(diag) != params.d:
+        raise DimensionMismatchError(f"diagonal dim {len(diag)} != params d {params.d}")
     l, r = params.num_bits, params.r
-    return diag.probs[: l * r].reshape(l, r).sum(axis=1)
+    return diag[: l * r].reshape(l, r).sum(axis=1)
 
 
-def round_bits(diag: DiagonalEstimate, params: RoundParams) -> str:
+def round_bits(diag: np.ndarray, params: RoundParams) -> str:
     """b_i = 1 iff q_i > r/d (strict); ties round to 0."""
     q = block_sums(diag, params)
     return "".join("1" if qi > params.threshold else "0" for qi in q)
 
 
-def good_set_member(diag: DiagonalEstimate, params: RoundParams) -> bool:
+def good_set_member(diag: np.ndarray, params: RoundParams) -> bool:
     """True iff every block sum clears the threshold by more than 2/d."""
     q = block_sums(diag, params)
     return bool(np.all(np.abs(q - params.threshold) > params.margin))
@@ -99,8 +104,6 @@ def extract(
     psi: StateVector, params: RoundParams, t: int | None = None, rng: SeededRng | None = None
 ) -> str:
     """Diagonal estimation (from t sampled copies, or exact when t is None) followed by rounding."""
-    if psi.dim != params.d:
-        raise DimensionMismatchError(f"state dim {psi.dim} != params d {params.d}")
     return round_bits(estimate_diagonal(psi, t, rng), params)
 
 
@@ -130,7 +133,7 @@ def gaussian_block_check(d: int, n_states: int, rng: SeededRng) -> BlockStats:
     sums = np.empty((n_states, params.num_bits))
     good = 0
     for i in range(n_states):
-        diag = exact_diagonal(haar_sample(d, rng))
+        diag = born_distribution(haar_sample(d, rng))
         sums[i] = block_sums(diag, params)
         good += good_set_member(diag, params)
     # imported here, its one use: scipy.stats takes over a second to load,

@@ -33,7 +33,6 @@ from qrandlab.qcore import (
     StateVector,
 )
 from qrandlab.rng import SeededRng
-from qrandlab.tomography import DiagonalEstimate
 
 MAX_DENSE_FLIP_N = 2  # 2^(9n+1) amplitudes: n=2 is 8 MB, n=3 is 4 GB
 
@@ -129,10 +128,10 @@ def tomography_samples_required(lam: int, d: int, delta: float) -> int:
     return math.ceil(36 * lam * d**3 / delta)
 
 
-def linf_error(estimate: DiagonalEstimate, reference: DiagonalEstimate) -> float:
-    if estimate.dim != reference.dim:
-        raise ValueError(f"dims {estimate.dim} vs {reference.dim}")
-    return float(np.abs(estimate.probs - reference.probs).max())
+def linf_error(estimate: np.ndarray, reference: np.ndarray) -> float:
+    if len(estimate) != len(reference):
+        raise ValueError(f"dims {len(estimate)} vs {len(reference)}")
+    return float(np.abs(estimate - reference).max())
 
 
 # -- the dense flip unitary --------------------------------------------------------

@@ -33,7 +33,6 @@ from qrandlab.oracles import (
 from qrandlab.primitives import determinism_audit
 from qrandlab.qcore import StateVector, born_distribution, haar_sample
 from qrandlab.rng import SeededRng, int_to_bits
-from qrandlab.tomography import exact_diagonal
 from qrandlab.toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
 from reference import apply_flip, flip_oracle, flip_target_state
 
@@ -54,7 +53,7 @@ def test_criterion_01_extract_determinism():
         child = rng.child(i)
         i += 1
         psi = haar_sample(d, child)
-        if not good_set_member(exact_diagonal(psi), params):
+        if not good_set_member(born_distribution(psi), params):
             continue
         found += 1
         first = extract(psi, params)
@@ -78,7 +77,7 @@ def test_criterion_02_good_set_prevalence():
     for d in (64, 4096):
         params = RoundParams(d)
         hits = sum(
-            good_set_member(exact_diagonal(haar_sample(d, rng.child(d + i))), params)
+            good_set_member(born_distribution(haar_sample(d, rng.child(d + i))), params)
             for i in range(n_states)
         )
         fractions[d] = hits / n_states

@@ -136,6 +136,8 @@ INVALID = st.one_of(
     invalid(EXTRACT, "--states", NON_POSITIVE, own=True),
     invalid(EXTRACT, "--d", NOT_2_POW_6A),
     invalid(EXTRACT, "--d", OVERSIZED_D),
+    # above numpy's C-long multinomial count; exact mode never reads --t
+    invalid(EXTRACT.map(lambda c: c.with_flag("--mode", "sampled")), "--t", st.sampled_from([2**63, 10**20])),
     invalid(HAAR, "--states", NON_POSITIVE, own=True),
     invalid(HAAR, "--d", NOT_2_POW_6A),
     invalid(HAAR, "--d", OVERSIZED_D),

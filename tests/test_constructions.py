@@ -25,9 +25,8 @@ from qrandlab.constructions import (
 from qrandlab.extraction import good_set_member
 from qrandlab.oracles import OracleWorld, bot_oracle_good_set, bot_prg_handle
 from qrandlab.primitives import BOT, BotValue, GeneratorHandle, determinism_audit
-from qrandlab.qcore import StateVector
+from qrandlab.qcore import StateVector, born_distribution
 from qrandlab.rng import ParameterError, SeededRng
-from qrandlab.tomography import exact_diagonal
 from qrandlab.toys import (
     always_bot_prg,
     constant_bot_prg,
@@ -235,7 +234,7 @@ class TestCon2:
         for i in range(10):
             key = con2_qsamp(CON2, rng.child(i))
             assert not key.is_bot
-            diag = exact_diagonal(CON2_INNER.eval(key.payload, None))
+            diag = born_distribution(CON2_INNER.eval(key.payload, None))
             assert good_set_member(diag, CON2.round_params)
 
     def test_uniform_state_inner_always_aborts(self):

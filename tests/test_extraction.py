@@ -11,25 +11,26 @@ from qrandlab.extraction import (
     good_set_member,
     round_bits,
 )
-from qrandlab.qcore import DimensionMismatchError, InvalidDimensionError, StateVector, haar_sample
+from qrandlab.qcore import (
+    DimensionMismatchError,
+    InvalidDimensionError,
+    StateVector,
+    born_distribution,
+    haar_sample,
+)
 from qrandlab.rng import SeededRng
-from qrandlab.tomography import DiagonalEstimate, exact_diagonal
 
 P4096 = RoundParams(4096)
 
 
-def diag_of(probs, samples=0):
-    return DiagonalEstimate(np.asarray(probs, dtype=float), samples)
-
-
 def uniform_diag(d):
-    return diag_of(np.full(d, 1.0 / d))
+    return np.full(d, 1.0 / d)
 
 
 def concentrated_diag(d, r):
     probs = np.zeros(d)
     probs[:r] = 1.0 / r
-    return diag_of(probs)
+    return probs
 
 
 class TestRoundParams:
@@ -55,7 +56,7 @@ class TestBlockSums:
     def test_point_mass(self):
         probs = np.zeros(4096)
         probs[0] = 1.0
-        assert np.array_equal(block_sums(diag_of(probs), P4096), [1, 0, 0, 0])
+        assert np.array_equal(block_sums(probs, P4096), [1, 0, 0, 0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -64,7 +65,7 @@ class TestBlockSums:
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_total_at_most_one(self, seed):
-        diag = exact_diagonal(haar_sample(64, SeededRng(seed)))
+        diag = born_distribution(haar_sample(64, SeededRng(seed)))
         assert block_sums(diag, RoundParams(64)).sum() <= 1 + 1e-12
 
 
@@ -78,7 +79,7 @@ class TestRoundBits:
 
     def test_output_length(self):
         for d in (64, 4096):
-            diag = exact_diagonal(haar_sample(d, SeededRng(1)))
+            diag = born_distribution(haar_sample(d, SeededRng(1)))
             assert len(round_bits(diag, RoundParams(d))) == RoundParams(d).num_bits
 
     def test_haar_bits_near_fair(self):
@@ -86,7 +87,7 @@ class TestRoundBits:
         n = 400
         ones = np.zeros(4)
         for _ in range(n):
-            bits = round_bits(exact_diagonal(haar_sample(4096, rng)), P4096)
+            bits = round_bits(born_distribution(haar_sample(4096, rng)), P4096)
             ones += [b == "1" for b in bits]
         sigma = np.sqrt(0.25 / n)
         assert np.all(np.abs(ones / n - 0.5) <= 3 * sigma + 0.1)
@@ -106,7 +107,7 @@ class TestGoodSetMember:
         probs[:r] = (r / d + 2 / d) / r
         rest = 1.0 - probs[:r].sum()
         probs[l * r :] = rest / (d - l * r)
-        diag = DiagonalEstimate(probs / probs.sum(), 0)
+        diag = probs / probs.sum()
         assert not good_set_member(diag, P4096)
 
     def test_good_fraction_grows_with_dimension(self):
@@ -116,7 +117,7 @@ class TestGoodSetMember:
         for d in (64, 4096):
             params = RoundParams(d)
             hits = sum(
-                good_set_member(exact_diagonal(haar_sample(d, rng)), params)
+                good_set_member(born_distribution(haar_sample(d, rng)), params)
                 for _ in range(n)
             )
             fractions[d] = hits / n
@@ -135,7 +136,7 @@ class TestExtract:
     def test_sampled_mode_matches_exact_on_good_state(self):
         rng = SeededRng(17)
         psi = haar_sample(4096, rng)
-        while not good_set_member(exact_diagonal(psi), P4096):
+        while not good_set_member(born_distribution(psi), P4096):
             psi = haar_sample(4096, rng)
         expected = extract(psi, P4096)
         agreements = sum(
@@ -150,8 +151,11 @@ class TestExtract:
             extract(psi, P4096, t=10**6)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            extract(haar_sample(64, SeededRng(0)), P4096)
+        # block_sums' length check is the one dimension check, on both estimators
+        psi = haar_sample(64, SeededRng(0))
+        for t in (None, 100):
+            with pytest.raises(DimensionMismatchError):
+                extract(psi, P4096, t=t, rng=SeededRng(1))
 
 
 class TestMarginRobustness:
@@ -161,7 +165,7 @@ class TestMarginRobustness:
         d = 64
         params = RoundParams(d)
         rng = SeededRng(seed)
-        diag = exact_diagonal(haar_sample(d, rng))
+        diag = born_distribution(haar_sample(d, rng))
         q = block_sums(diag, params)
         margins = np.abs(q - params.threshold)
         eps = (margins.min() - params.margin) / 2
@@ -171,10 +175,10 @@ class TestMarginRobustness:
         noise = rng.generator.uniform(-1, 1, size=d)
         noise -= noise.mean()
         noise *= eps / (params.r * max(1e-12, np.abs(noise).max()))
-        perturbed = diag.probs + noise
+        perturbed = diag + noise
         if perturbed.min() < 0:
             return
-        shifted = DiagonalEstimate(perturbed / perturbed.sum(), 0)
+        shifted = perturbed / perturbed.sum()
         assert round_bits(shifted, params) == round_bits(diag, params)
 
 

@@ -5,14 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrandlab.qcore import StateVector, haar_sample
+from qrandlab.qcore import StateVector, born_distribution, haar_sample
 from qrandlab.rng import SeededRng
-from qrandlab.tomography import (
-    DiagonalEstimate,
-    InvalidSampleCountError,
-    exact_diagonal,
-    sampled_diagonal,
-)
+from qrandlab.tomography import InvalidSampleCountError, sampled_diagonal
 from reference import linf_error, tomography_samples_required
 
 
@@ -22,34 +17,39 @@ def uniform_state(dim):
 
 class TestExactDiagonal:
     def test_basis_state(self):
-        diag = exact_diagonal(StateVector.basis(4, 0))
-        assert diag.samples_used == 0
-        assert np.array_equal(diag.probs, [1, 0, 0, 0])
+        assert np.array_equal(born_distribution(StateVector.basis(4, 0)), [1, 0, 0, 0])
 
     def test_uniform_dim8(self):
-        np.testing.assert_allclose(exact_diagonal(uniform_state(8)).probs, 1 / 8, atol=1e-12)
+        np.testing.assert_allclose(born_distribution(uniform_state(8)), 1 / 8, atol=1e-12)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=25, deadline=None)
     def test_sums_to_one(self, seed):
-        diag = exact_diagonal(haar_sample(16, SeededRng(seed)))
-        assert abs(diag.probs.sum() - 1) <= 1e-10
+        diag = born_distribution(haar_sample(16, SeededRng(seed)))
+        assert abs(diag.sum() - 1) <= 1e-10
 
 
 class TestSampledDiagonal:
     def test_basis_state_deterministic(self):
         diag = sampled_diagonal(StateVector.basis(8, 0), 100, SeededRng(1))
-        assert diag.samples_used == 100
-        assert np.array_equal(diag.probs, [1, 0, 0, 0, 0, 0, 0, 0])
+        assert np.array_equal(diag, [1, 0, 0, 0, 0, 0, 0, 0])
 
     def test_uniform_qubit_large_t(self):
         t = 10**6
         diag = sampled_diagonal(uniform_state(2), t, SeededRng(2))
-        assert np.abs(diag.probs - 0.5).max() <= 3 * math.sqrt(0.25 / t)
+        assert np.abs(diag - 0.5).max() <= 3 * math.sqrt(0.25 / t)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(InvalidSampleCountError):
             sampled_diagonal(uniform_state(2), 0, SeededRng(0))
+
+    @pytest.mark.parametrize("t", [2**63, 10**20])
+    def test_oversized_count_rejected_before_drawing(self, t):
+        # numpy's multinomial takes a C long; a larger t is a usage error
+        rng = SeededRng(0)
+        with pytest.raises(InvalidSampleCountError):
+            sampled_diagonal(uniform_state(2), t, rng)
+        assert not rng.drawn
 
     def test_hoeffding_envelope(self):
         # P(linf error > sqrt(ln(2 dim / 0.01) / 2t)) <= 0.01
@@ -57,7 +57,7 @@ class TestSampledDiagonal:
         bound = math.sqrt(math.log(2 * dim / 0.01) / (2 * t))
         rng = SeededRng(3)
         psi = haar_sample(dim, rng)
-        reference = exact_diagonal(psi)
+        reference = born_distribution(psi)
         violations = sum(
             linf_error(sampled_diagonal(psi, t, rng.child(i)), reference) > bound
             for i in range(trials)
@@ -69,15 +69,15 @@ class TestSampledDiagonal:
     def test_frequencies_are_multiples_summing_to_one(self, seed, t):
         rng = SeededRng(seed)
         diag = sampled_diagonal(haar_sample(8, rng), t, rng)
-        counts = np.rint(diag.probs * t)
+        counts = np.rint(diag * t)
         assert counts.sum() == t
-        assert np.array_equal(diag.probs, counts / t)
+        assert np.array_equal(diag, counts / t)
 
     def test_error_shrinks_as_t_grows(self):
         dim, trials = 16, 100
         rng = SeededRng(5)
         psi = haar_sample(dim, rng)
-        reference = exact_diagonal(psi)
+        reference = born_distribution(psi)
         medians = []
         for t in (10**3, 10**4, 10**5, 10**6):
             errs = [
@@ -87,12 +87,12 @@ class TestSampledDiagonal:
             medians.append(np.median(errs))
         assert all(b <= a for a, b in zip(medians, medians[1:]))
 
-    def test_converges_to_exact_diagonal(self):
+    def test_converges_to_born_distribution(self):
         t = 10**6
         for seed in range(20):
             rng = SeededRng(seed)
             psi = haar_sample(64, rng)
-            err = linf_error(sampled_diagonal(psi, t, rng), exact_diagonal(psi))
+            err = linf_error(sampled_diagonal(psi, t, rng), born_distribution(psi))
             assert err <= 0.005
 
 
@@ -117,13 +117,3 @@ class TestSamplesRequired:
             tomography_samples_required(1, 2, 0.0)
         with pytest.raises(ValueError):
             tomography_samples_required(1, 2, 1.5)
-
-
-class TestDiagonalEstimateInvariants:
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            DiagonalEstimate(np.array([1.2, -0.2]), 0)
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            DiagonalEstimate(np.array([0.6, 0.6]), 0)
