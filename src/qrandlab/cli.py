@@ -13,8 +13,10 @@ import argparse
 import functools
 import json
 import math
+import os
 import secrets
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass
 
@@ -45,7 +47,7 @@ from .oracles import (
     sampler_oracle,
 )
 from .primitives import determinism_audit
-from .qcore import born_distribution, haar_sample
+from .qcore import MAX_TENSOR_DIM, born_distribution, haar_sample
 from .rng import ParameterError, SeededRng, parse_bits
 from .toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
 
@@ -108,6 +110,29 @@ def _count(params: dict, name: str) -> int:
 # -- subcommand implementations ------------------------------------------------
 
 
+# Below this dimension a state's work is interpreter-bound, so threads only
+# contend for the interpreter lock: at d = 64 two were about 1.6x slower.
+_MIN_SPREAD_D = 4096
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _extract_workers(d: int, n_states: int) -> int:
+    """Shares that ``cmd_extract`` spreads its states over: one per usable CPU
+    and at most one per state, with no more d-amplitude states in flight
+    than the one-state budget of ``MAX_TENSOR_DIM**2`` amplitudes; one below
+    d = ``_MIN_SPREAD_D``."""
+    if d < _MIN_SPREAD_D:
+        return 1
+    return min(_usable_cpus(), n_states, MAX_TENSOR_DIM**2 // d)
+
+
 def cmd_extract(params: dict, seed: int) -> dict:
     d = params["d"]
     rparams = RoundParams(d)
@@ -117,25 +142,54 @@ def cmd_extract(params: dict, seed: int) -> dict:
         raise ParameterError("sampled mode needs --t copies")
     rng = SeededRng(seed)
     n_states = _count(params, "states")
-    good = 0
-    agree = 0
-    bit_ones = np.zeros(rparams.num_bits)
-    for i in range(n_states):
-        child = rng.child(i)
-        psi = haar_sample(d, child)
-        if good_set_member(born_distribution(psi), rparams):
-            good += 1
-        first = extract(psi, rparams, t, child)
-        second = extract(psi, rparams, t, child)
-        agree += first == second
-        bit_ones += np.array([b == "1" for b in first])
+    workers = _extract_workers(d, n_states)
+    # Share w runs states w, w + workers, ..., each on its own stream rng.child(i),
+    # and keeps integer counts, so the totals do not depend on the worker count.
+    # The numpy draws release the interpreter lock, so the shares run in parallel.
+    shares: list = [None] * workers  # share w's (good, agree, ones), or what it raised
+    stop = threading.Event()
+
+    def run_share(w: int) -> None:
+        good = agree = 0
+        ones = np.zeros(rparams.num_bits, dtype=np.int64)
+        try:
+            for i in range(w, n_states, workers):
+                if stop.is_set():
+                    return
+                child = rng.child(i)
+                psi = haar_sample(d, child)
+                good += good_set_member(born_distribution(psi), rparams)
+                first = extract(psi, rparams, t, child)
+                second = extract(psi, rparams, t, child)
+                agree += first == second
+                ones += np.array([b == "1" for b in first])
+        except BaseException as exc:  # re-raised below, once every share has stopped
+            shares[w] = exc
+            stop.set()
+            return
+        shares[w] = (good, agree, ones)
+
+    threads = [threading.Thread(target=run_share, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        run_share(0)
+        for thread in threads:
+            thread.join()
+    except BaseException:  # interrupted while waiting: stop the other shares too
+        stop.set()
+        raise
+    for share in shares:
+        if isinstance(share, BaseException):
+            raise share
+    good, agree, ones = (sum(column) for column in zip(*shares))
     return {
         "d": d,
         "n_states": n_states,
         "mode": mode,
         "t": t,
         "good_fraction": good / n_states,
-        "bit_frequencies": list(bit_ones / n_states),
+        "bit_frequencies": list(ones / n_states),
         "repeat_agreement": agree / n_states,
     }
 

@@ -106,11 +106,16 @@ def bruteforce_prg_handle(candidate: GeneratorHandle) -> AdversaryHandle:
 
 
 def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
-    """Maximum-likelihood key search over the generator's whole key space.
+    """An amplitude oracle: key search that reads the copies' amplitudes.
 
-    The candidate states are built once, with the handle.  Each decision
-    is charged the whole search, scores every key k by the product over
-    copies of |<state_k|copy>|^2 and returns the first best key.
+    No quantum adversary can read amplitudes, so this is not an attack
+    but an upper bound that no t-copy adversary reaches.  It scores every
+    key k by the product over copies of |<state_k|copy>|^2 and returns the
+    first best key; the copies are identical vectors, so the score is a
+    power of one overlap and t cannot change the guess.  The candidate
+    states are built once, with the handle, and each decision is charged
+    the whole search.  The strategy id stays ``bruteforce-ml``, the name
+    that records carry.
     """
     conj_states = candidate_states(gen).conj()
 
@@ -268,6 +273,8 @@ def exp_prg(
     uniformly otherwise.
     """
     s = gen.output_len
+    if s > MAX_TENSOR_DIM**2:  # a uniform challenge is drawn as s integers
+        raise MemoryBudgetError(f"an s = {s} bit challenge exceeds {MAX_TENSOR_DIM**2} entries")
 
     def play(trial: SeededRng, budget: CallBudget) -> bool:
         key = gen.sample_key(trial)
@@ -295,6 +302,8 @@ def exp_botprg(
     if q < 1:
         raise ParameterError("need q >= 1 queries")
     m = gen.output_len
+    if q * m > MAX_TENSOR_DIM**2:  # a trial holds its q outputs at once
+        raise MemoryBudgetError(f"{q} queries of {m} bits exceed {MAX_TENSOR_DIM**2} entries")
 
     def play(trial: SeededRng, budget: CallBudget) -> bool:
         key = gen.sample_key(trial)
@@ -325,6 +334,8 @@ def exp_owsg(
     """
     if t < 1:
         raise ParameterError("need t >= 1 copies")
+    if t * gen.dim > MAX_TENSOR_DIM**2:  # a trial holds its t copies at once
+        raise MemoryBudgetError(f"{t} copies of {gen.dim} amplitudes exceed {MAX_TENSOR_DIM**2} amplitudes")
 
     def play(trial: SeededRng, budget: CallBudget) -> bool:
         key = trial.bits(gen.input_len)

@@ -407,6 +407,11 @@ def candidate_image(candidate: GeneratorHandle) -> set[str]:
         raise KeySpaceTooLargeError(
             f"key space 2^{candidate.input_len} exceeds the 2^{MAX_PRG_KEY_BITS} search budget"
         )
+    if candidate.output_len << candidate.input_len > 16 * MAX_TENSOR_DIM**2:
+        raise MemoryBudgetError(
+            f"2^{candidate.input_len} outputs of {candidate.output_len} bits exceed {16 * MAX_TENSOR_DIM**2} "
+            "characters, the bytes of the largest candidate_states table"
+        )
     image = set()
     for k in range(1 << candidate.input_len):
         key = int_to_bits(k, candidate.input_len)

@@ -9,7 +9,9 @@ determinism audit without its early exit: every trial evaluated.
 ``fisher_yates_reference`` is the permutation table as the plain
 top-down swap loop, one bounded draw per step, over words that
 ``reference_words`` hashes one block at a time from the documented
-encoding without calling the library.
+encoding without calling the library.  ``philox_uniforms`` is
+Philox4x64-10 (Salmon et al., SC 2011) in plain integers, the stream
+``SeededRng`` names, read as numpy reads a double.
 """
 
 from __future__ import annotations
@@ -228,3 +230,36 @@ def fisher_yates_reference(seed: int, function_id: str, n_bits: int, words=None)
         j = next(w for w in words if w < limit) % (i + 1)
         table[i], table[j] = table[j], table[i]
     return table
+
+
+# -- Philox4x64-10, one block at a time -------------------------------------------------
+
+_U64 = (1 << 64) - 1
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)  # round multipliers
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)  # key schedule increments
+
+
+def philox_block(counter: int, key: tuple[int, int]) -> list[int]:
+    """The four 64-bit words of Philox4x64-10 at a 256-bit counter (word 0
+    least significant) under a 128-bit key: ten rounds, the key bumped
+    between rounds."""
+    c = [(counter >> (64 * i)) & _U64 for i in range(4)]
+    k0, k1 = key
+    for round_index in range(10):
+        if round_index:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _U64, (k1 + _PHILOX_W[1]) & _U64
+        p0, p1 = _PHILOX_M[0] * c[0], _PHILOX_M[1] * c[2]
+        c = [(p1 >> 64) ^ c[1] ^ k0, p1 & _U64, (p0 >> 64) ^ c[3] ^ k1, p0 & _U64]
+    return c
+
+
+def philox_uniforms(seed: int, counter: int, k: int) -> list[float]:
+    """The first k uniforms of stream ``(seed, counter)``: key ``(seed, 0)``,
+    the counter started at ``counter << 128`` and incremented before each
+    block, each word w read as (w >> 11) * 2^-53."""
+    words: list[int] = []
+    position = counter << 128
+    while len(words) < k:
+        position = (position + 1) & ((1 << 256) - 1)
+        words.extend(philox_block(position, (seed, 0)))
+    return [(w >> 11) * 2.0**-53 for w in words[:k]]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,93 @@ class TestExtractCommand:
         assert code == 0
         (record,) = parse_lines(out)
         assert isinstance(record["config"]["seed"], int)
+
+
+class TestExtractShares:
+    """extract spreads its states over threads; the record must not depend on how many."""
+
+    CASES = {
+        "d4096-sampled": ["extract", "--d", "4096", "--states", "8", "--mode", "sampled", "--t", "1000000"],
+        "d4096-exact": ["extract", "--d", "4096", "--states", "8", "--mode", "exact"],
+        "d64-sampled": ["extract", "--d", "64", "--states", "12", "--mode", "sampled", "--t", "1000"],
+    }
+
+    @staticmethod
+    def run_with_workers(capsys, monkeypatch, argv, workers):
+        """The stripped record of ``argv`` with the CPU set forced to ``workers``
+        CPUs, and the threads that sampled its states."""
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(cli, "_MIN_SPREAD_D", 64)  # spread d = 64 too, which runs serially
+        samplers = set()  # thread objects, not idents: a finished thread's ident is reused
+        sample = cli.haar_sample
+
+        def haar_sample(d, rng):
+            samplers.add(threading.current_thread())
+            return sample(d, rng)
+
+        monkeypatch.setattr(cli, "haar_sample", haar_sample)
+        code, out, _ = run_cli(capsys, [*argv, "--seed", "5"])
+        monkeypatch.undo()
+        assert code == 0
+        return canonical_json(strip_timing(parse_lines(out)[0])), len(samplers)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_record_independent_of_worker_count(self, capsys, monkeypatch, case):
+        serial, threads = self.run_with_workers(capsys, monkeypatch, self.CASES[case], 1)
+        assert threads == 1
+        for workers in (2, 3):
+            assert self.run_with_workers(capsys, monkeypatch, self.CASES[case], workers) == (serial, workers)
+
+    def test_more_shares_than_cores_under_frequent_switches(self, capsys, monkeypatch):
+        argv = ["extract", "--d", "4096", "--states", "16", "--mode", "sampled", "--t", "1000"]
+        serial, _ = self.run_with_workers(capsys, monkeypatch, argv, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert self.run_with_workers(capsys, monkeypatch, argv, 5) == (serial, 5)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_error_in_another_share_stops_the_run(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        sample = cli.haar_sample
+        main_states, failed = [], []
+        main_started, worker_entered = threading.Event(), threading.Event()
+
+        def haar_sample(d, rng):
+            if threading.current_thread() is threading.main_thread():
+                # state 0 finishes only after share 1 has failed on state 1 and exited
+                main_started.set()
+                assert worker_entered.wait(timeout=30)
+                failed[0].join(timeout=30)
+                assert not failed[0].is_alive()
+                main_states.append(rng.counter)
+                return sample(d, rng)
+            failed.append(threading.current_thread())
+            worker_entered.set()
+            assert main_started.wait(timeout=30)
+            raise cli.ParameterError("share 1 failed")
+
+        monkeypatch.setattr(cli, "haar_sample", haar_sample)
+        code, out, err = run_cli(capsys, ["extract", "--d", "4096", "--states", "8", "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert "share 1 failed" in err
+        assert len(failed) == 1  # share 1 stopped at its first state
+        assert len(main_states) == 1  # share 0 stopped at its next state
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
+        assert cli._extract_workers(2**24, 8) == 1  # one state fills the amplitude budget
+        assert cli._extract_workers(64, 8) == 1  # interpreter-bound
+        assert cli._extract_workers(4096, 8) == 8
+        assert cli._extract_workers(4096, 3) == 3
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 128)
+        assert cli._extract_workers(2**18, 1000) == 64
+
+    def test_cpu_count_without_affinity_call(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._usable_cpus() == 3
 
 
 class TestCountFlags:
@@ -443,6 +531,22 @@ class TestSizeBudgets:
             (
                 ["experiment", "--name", "owsg", "--adversary", "coin-flip", "--lambda", "40", "--t", "1", "--trials", "1"],
                 "2^40 amplitudes, above 16777216",
+            ),
+            (
+                ["experiment", "--name", "prg", "--lambda", "8", "--s", "100000000000", "--adversary", "coin-flip", "--trials", "1"],
+                "bit challenge exceeds 16777216 entries",
+            ),
+            (
+                ["experiment", "--name", "prg", "--lambda", "8", "--s", "100000000000", "--adversary", "bruteforce", "--trials", "1"],
+                "exceed 268435456 characters",
+            ),
+            (
+                ["experiment", "--name", "bot-prg", "--n", "8", "--q", "100000000000", "--trials", "1"],
+                "100000000000 queries of 16 bits exceed 16777216 entries",
+            ),
+            (
+                ["experiment", "--name", "owsg", "--adversary", "bruteforce", "--lambda", "8", "--dim", "16", "--t", "100000000", "--trials", "1"],
+                "100000000 copies of 16 amplitudes exceed 16777216 amplitudes",
             ),
             # 2**-1 is checked as a key length, not shifted
             (["experiment", "--name", "owsg", "--adversary", "coin-flip", "--lambda", "-1"], "at least 1, got -1"),

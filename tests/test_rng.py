@@ -27,7 +27,7 @@ from qrandlab.rng import (
     sha_words,
 )
 from qrandlab.toys import random_phase_sprs
-from reference import fisher_yates_reference, reference_words
+from reference import fisher_yates_reference, philox_uniforms, reference_words
 
 
 class TestSeededRngStreams:
@@ -64,6 +64,22 @@ class TestPhiloxState:
             assert ours.integers(0, 1 << 40, size=5).tolist() == keyed.integers(0, 1 << 40, size=5).tolist()
             assert ours.uniform() == keyed.random()
             assert ours.bit() == keyed.integers(0, 2)
+
+
+class TestPhiloxReference:
+    """The uniforms are pinned to a Philox4x64-10 written out in plain integers,
+    not to numpy's own Philox: the abort coins and ``sample_index`` draw them."""
+
+    STREAMS = [(0, 0), (2024, 5), ((1 << 64) - 1, (1 << 96) + 7)]
+
+    @pytest.mark.parametrize("seed, counter", STREAMS)
+    def test_random_batch(self, seed, counter):
+        assert SeededRng(seed, counter).generator.random(12).tolist() == philox_uniforms(seed, counter, 12)
+
+    @pytest.mark.parametrize("seed, counter", STREAMS)
+    def test_uniform_calls(self, seed, counter):
+        stream = SeededRng(seed, counter)
+        assert [stream.uniform() for _ in range(12)] == philox_uniforms(seed, counter, 12)
 
 
 class TestStreamLimits:
