@@ -532,6 +532,8 @@ class TestSizeBudgets:
                 ["experiment", "--name", "owsg", "--adversary", "coin-flip", "--lambda", "40", "--t", "1", "--trials", "1"],
                 "2^40 amplitudes, above 16777216",
             ),
+            # 2**-1 is checked as a key length, not shifted
+            (["experiment", "--name", "owsg", "--adversary", "coin-flip", "--lambda", "-1"], "at least 1, got -1"),
             (
                 ["experiment", "--name", "prg", "--lambda", "8", "--s", "100000000000", "--adversary", "coin-flip", "--trials", "1"],
                 "bit challenge exceeds 16777216 entries",
@@ -548,8 +550,6 @@ class TestSizeBudgets:
                 ["experiment", "--name", "owsg", "--adversary", "bruteforce", "--lambda", "8", "--dim", "16", "--t", "100000000", "--trials", "1"],
                 "100000000 copies of 16 amplitudes exceed 16777216 amplitudes",
             ),
-            # 2**-1 is checked as a key length, not shifted
-            (["experiment", "--name", "owsg", "--adversary", "coin-flip", "--lambda", "-1"], "at least 1, got -1"),
         ],
     )
     def test_oversized_is_usage_error(self, capsys, argv, message):
