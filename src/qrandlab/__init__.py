@@ -19,8 +19,6 @@ from .constructions import (
 )
 from .experiments import (
     AdversaryHandle,
-    BudgetExceededError,
-    CallBudget,
     ExperimentReport,
     advantage_ci,
     bruteforce_owsg_handle,
@@ -28,7 +26,6 @@ from .experiments import (
     exp_botprg,
     exp_owsg,
     exp_prg,
-    merge_reports,
     moment_distance,
     moment_hs2,
 )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
@@ -25,7 +26,6 @@ import numpy as np
 from .constructions import Con1Params, Con3Params, con1_handle, con3_handle
 from .experiments import (
     AdversaryHandle,
-    BudgetExceededError,
     bot_count_adversary,
     bruteforce_owsg_handle,
     bruteforce_prg_handle,
@@ -47,13 +47,15 @@ from .oracles import (
     sampler_oracle,
 )
 from .primitives import determinism_audit
-from .qcore import MAX_TENSOR_DIM, born_distribution, haar_sample
+from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, born_distribution, haar_sample
 from .rng import ParameterError, SeededRng, parse_bits
 from .toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
 
 USAGE_ERROR = 2
 
 EXPERIMENT_NAMES = ("prg", "bot-prg", "owsg", "moment")
+
+MAX_RESPONSES = 1 << 20  # oracle-sim holds every response, up to about 1 KB each at its peak
 
 
 def _round12(obj):
@@ -206,6 +208,8 @@ def cmd_prg_qs(params: dict, seed: int) -> dict:
         raise ParameterError(f"--keys must be at most {stride}, or key sampling reuses an audit stream")
     if params["evals"] < 2:
         raise ParameterError(f"--evals must be at least 2, got {params['evals']}")
+    if params["evals"] > MAX_TENSOR_DIM**2:  # the audit tallies as it goes, so this bounds time, not memory
+        raise ParameterError(f"--evals {params['evals']} exceeds the {MAX_TENSOR_DIM**2} evaluations an audit runs")
     n = params["n"]
     world = OracleWorld("bot-world", seed, n_max=n, c=params["c"])
     con = Con1Params(bot_prg_handle(world, n))
@@ -283,9 +287,12 @@ def cmd_oracle_sim(params: dict, seed: int) -> dict:
     )
     if kind is None:
         raise ParameterError(f"unknown world {params['world']!r}; pick flip, bot, or sampler")
+    queries = _json_lines(params["queries"]) if params["queries"] else itertools.repeat({}, _count(params, "draws"))
+    queries = list(itertools.islice(queries, MAX_RESPONSES + 1))  # one past the cap is enough to refuse
+    if len(queries) > MAX_RESPONSES:
+        raise MemoryBudgetError(f"oracle-sim answers at most {MAX_RESPONSES} queries (--draws or --queries lines)")
     n = params["n"]
     world = OracleWorld(kind, seed, n_max=n, c=params["c"])
-    queries = list(_json_lines(params["queries"])) if params["queries"] else [{}] * _count(params, "draws")
     rng = SeededRng(seed, 1)
     responses = []
     for i, query in enumerate(queries):
@@ -508,7 +515,7 @@ def main(argv=None) -> int:
     try:
         config = _replay_config(args.record) if args.subcommand == "rerun" else _config_from_args(args)
         _emit(run_config(config), args.out)
-    except (ParameterError, BudgetExceededError, OSError) as exc:
+    except (ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return 0

@@ -1,8 +1,8 @@
 """The boxed security experiments and the moment-closeness statistic.
 
-Each experiment runs independent trials, each on its own child rng
-stream, so a run can be sharded and merged without changing a single
-draw.  Advantage is always reported as success rate minus 1/2, with a
+Each experiment runs independent trials, trial i on the child rng stream
+i, so a run of trials [a, b) draws exactly what those trials draw in a
+longer run.  Advantage is always reported as success rate minus 1/2, with a
 Wilson 95% interval.
 
 The per-trial draw order is part of the reproducibility contract:
@@ -31,78 +31,54 @@ from .rng import ParameterError, SeededRng, int_to_bits
 Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
-class BudgetExceededError(RuntimeError):
-    pass
-
-
-class CallBudget:
-    """Counts an adversary's oracle/generator calls against its declared budget."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.limit:
-            raise BudgetExceededError(
-                f"adversary exceeded its declared budget of {self.limit} calls"
-            )
-
-
 @dataclass(frozen=True)
 class AdversaryHandle:
-    """A strategy plus its declared work budget.
+    """A strategy and the name that records carry for it.
 
-    ``decide`` receives (challenge, budget, rng); the challenge is an
-    s-bit string for the distinguishing game, a tuple of outputs for
-    the abort game, and a tuple of state copies for the inversion game.
+    ``decide`` receives (challenge, rng); the challenge is an s-bit
+    string for the distinguishing game, a tuple of outputs for the abort
+    game, and a tuple of state copies for the inversion game.
     """
 
     strategy_id: str
-    work_budget: int
     decide: Callable = field(compare=False)
 
 
 def coin_flip_adversary() -> AdversaryHandle:
-    return AdversaryHandle("coin-flip", 0, lambda challenge, budget, rng: rng.bit())
+    return AdversaryHandle("coin-flip", lambda challenge, rng: rng.bit())
 
 
 def constant_adversary(bit: int) -> AdversaryHandle:
-    return AdversaryHandle(f"constant-{bit}", 0, lambda challenge, budget, rng: bit)
+    return AdversaryHandle(f"constant-{bit}", lambda challenge, rng: bit)
 
 
 def padding_check_adversary(lam: int) -> AdversaryHandle:
     """Perfect distinguisher for the zero-padding generator."""
 
-    def decide(challenge: str, budget, rng) -> int:
+    def decide(challenge: str, rng) -> int:
         return 0 if set(challenge[lam:]) <= {"0"} else 1
 
-    return AdversaryHandle("padding-check", 0, decide)
+    return AdversaryHandle("padding-check", decide)
 
 
 def bot_count_adversary() -> AdversaryHandle:
     """Guess from the abort pattern only; zero advantage by design of the game."""
 
-    def decide(challenge: Sequence[BotValue], budget, rng) -> int:
+    def decide(challenge: Sequence[BotValue], rng) -> int:
         return 1 if any(v.is_bot for v in challenge) else 0
 
-    return AdversaryHandle("bot-count", 0, decide)
+    return AdversaryHandle("bot-count", decide)
 
 
 def bruteforce_prg_handle(candidate: GeneratorHandle) -> AdversaryHandle:
-    """Image-membership search over the candidate's whole key space.
-
-    The image is built once, with the handle; each decision is still
-    charged the whole search, since the budget models the search oracle.
-    """
+    """Image-membership search over the candidate's whole key space; the
+    image is built once, with the handle."""
     image = candidate_image(candidate)
 
-    def decide(challenge: str, budget: CallBudget, rng) -> int:
-        budget.charge(1 << candidate.input_len)
+    def decide(challenge: str, rng) -> int:
         return 0 if challenge in image else 1
 
-    return AdversaryHandle("bruteforce-image", 1 << 20, decide)
+    return AdversaryHandle("bruteforce-image", decide)
 
 
 def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
@@ -113,21 +89,19 @@ def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
     key k by the product over copies of |<state_k|copy>|^2 and returns the
     first best key; the copies are identical vectors, so the score is a
     power of one overlap and t cannot change the guess.  The candidate
-    states are built once, with the handle, and each decision is charged
-    the whole search.  The strategy id stays ``bruteforce-ml``, the name
-    that records carry.
+    states are built once, with the handle.  The strategy id stays
+    ``bruteforce-ml``, the name that records carry.
     """
     conj_states = candidate_states(gen).conj()
 
-    def decide(copies: Sequence[StateVector], budget: CallBudget, rng) -> str:
-        budget.charge(1 << gen.input_len)
+    def decide(copies: Sequence[StateVector], rng) -> str:
         if not copies:
             raise ParameterError("need at least one copy")
         overlaps = conj_states @ np.array([copy.amplitudes for copy in copies]).T
         scores = np.prod(np.abs(overlaps) ** 2, axis=1)
         return int_to_bits(int(np.argmax(scores)), gen.input_len)
 
-    return AdversaryHandle("bruteforce-ml", 1 << 20, decide)
+    return AdversaryHandle("bruteforce-ml", decide)
 
 
 def owsg_coin_flip_adversary() -> AdversaryHandle:
@@ -139,7 +113,7 @@ def owsg_coin_flip_adversary() -> AdversaryHandle:
     null the calibration needs.
     """
 
-    def decide(copies: Sequence[StateVector], budget, rng) -> str:
+    def decide(copies: Sequence[StateVector], rng) -> str:
         first = copies[0]
         lam = first.dim.bit_length() - 1
         key = int_to_bits(measure_computational(first, rng), lam)
@@ -147,7 +121,7 @@ def owsg_coin_flip_adversary() -> AdversaryHandle:
             return key
         return key[:-1] + ("1" if key[-1] == "0" else "0")
 
-    return AdversaryHandle("coin-flip", 0, decide)
+    return AdversaryHandle("coin-flip", decide)
 
 
 @dataclass(frozen=True)
@@ -195,35 +169,6 @@ def advantage_ci(successes: int, trials: int) -> tuple[float, tuple[float, float
     return p - 0.5, (center - half - 0.5, center + half - 0.5)
 
 
-def merge_reports(reports: Sequence[ExperimentReport]) -> ExperimentReport:
-    """Combine shards of one experiment by summing successes and trials.
-
-    Associative and order-independent; shards must agree on name and
-    parameters.
-    """
-    if not reports:
-        raise ParameterError("nothing to merge")
-    head = reports[0]
-
-    def shared(params):  # shards differ exactly in their trial window
-        return {k: v for k, v in params.items() if k != "first_trial"}
-
-    for rep in reports[1:]:
-        if rep.name != head.name or shared(rep.parameters) != shared(head.parameters):
-            raise ParameterError("cannot merge reports of different experiments")
-    parameters = dict(head.parameters)
-    if "first_trial" in parameters:
-        parameters["first_trial"] = min(r.parameters["first_trial"] for r in reports)
-    return ExperimentReport(
-        name=head.name,
-        parameters=parameters,
-        seed=head.seed,
-        trials=sum(r.trials for r in reports),
-        successes=sum(r.successes for r in reports),
-        wallclock_ms=sum(r.wallclock_ms for r in reports),
-    )
-
-
 def _run_trials(
     name: str,
     gen: GeneratorHandle,
@@ -231,16 +176,16 @@ def _run_trials(
     trials: int,
     rng: SeededRng,
     first_trial: int,
-    play: Callable[[SeededRng, CallBudget], bool],
+    play: Callable[[SeededRng], bool],
     **game_params,
 ) -> ExperimentReport:
-    """The one trial loop: trial i plays on stream ``rng.child(i)`` with a
-    fresh budget, and ``play`` returns whether the adversary won.  The
-    game's own parameters are recorded between the shared ones."""
+    """The one trial loop: trial i plays on stream ``rng.child(i)``, and
+    ``play`` returns whether the adversary won.  The game's own parameters
+    are recorded between the shared ones."""
     t0 = time.perf_counter()
     successes = 0
     for i in range(first_trial, first_trial + trials):
-        successes += play(rng.child(i), CallBudget(adversary.work_budget))
+        successes += play(rng.child(i))
     parameters = {"generator": gen.description, "adversary": adversary.strategy_id}
     parameters.update(game_params, first_trial=first_trial)
     return ExperimentReport(
@@ -276,11 +221,11 @@ def exp_prg(
     if s > MAX_TENSOR_DIM**2:  # a uniform challenge is drawn as s integers
         raise MemoryBudgetError(f"an s = {s} bit challenge exceeds {MAX_TENSOR_DIM**2} entries")
 
-    def play(trial: SeededRng, budget: CallBudget) -> bool:
+    def play(trial: SeededRng) -> bool:
         key = gen.sample_key(trial)
         b = trial.bit()
         y = _challenge_bits(gen.eval(key, trial)) if b == 0 else trial.bits(s)
-        return adversary.decide(y, budget, trial) == b
+        return adversary.decide(y, trial) == b
 
     return _run_trials("prg", gen, adversary, trials, rng, first_trial, play, output_len=s)
 
@@ -305,7 +250,7 @@ def exp_botprg(
     if q * m > MAX_TENSOR_DIM**2:  # a trial holds its q outputs at once
         raise MemoryBudgetError(f"{q} queries of {m} bits exceed {MAX_TENSOR_DIM**2} entries")
 
-    def play(trial: SeededRng, budget: CallBudget) -> bool:
+    def play(trial: SeededRng) -> bool:
         key = gen.sample_key(trial)
         b = trial.bit()
         if b == 0:
@@ -313,7 +258,7 @@ def exp_botprg(
         else:
             y = trial.bits(m)
             ys = tuple(is_bot(as_bot(gen.eval(key, trial)), y) for _ in range(q))
-        return adversary.decide(ys, budget, trial) == b
+        return adversary.decide(ys, trial) == b
 
     return _run_trials("bot-prg", gen, adversary, trials, rng, first_trial, play, q=q, output_len=m)
 
@@ -337,10 +282,10 @@ def exp_owsg(
     if t * gen.dim > MAX_TENSOR_DIM**2:  # a trial holds its t copies at once
         raise MemoryBudgetError(f"{t} copies of {gen.dim} amplitudes exceed {MAX_TENSOR_DIM**2} amplitudes")
 
-    def play(trial: SeededRng, budget: CallBudget) -> bool:
+    def play(trial: SeededRng) -> bool:
         key = trial.bits(gen.input_len)
         copies = tuple(gen.eval(key, trial) for _ in range(t))
-        guess = adversary.decide(copies, budget, trial)
+        guess = adversary.decide(copies, trial)
         verifier_state = gen.eval(key, trial)
         prob = gen.eval(guess, trial).fidelity(verifier_state)
         return trial.uniform() < prob

@@ -22,8 +22,8 @@ Kinds:
 
 The brute-force search tables realize, at toy key sizes, the exhaustive
 attacks that an unbounded search oracle would mount: image membership
-for generators and maximum-likelihood key recovery for state
-generators.
+for generators and an amplitude oracle for state generators.  Their
+key-space caps are the one bound on that search.
 """
 
 from __future__ import annotations

@@ -10,7 +10,9 @@ deterministic a generator actually is on a key by repeated evaluation.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -180,6 +182,7 @@ def determinism_audit(
     """Evaluate ``gen`` on ``key``, trial i on ``rng.child(i)``; report the
     modal output's frequency.  A trial 0 that draws nothing is a function
     of the key alone, which every trial would repeat: the audit stops there.
+    Outputs are tallied as they come, so only distinct ones are held.
     """
     if trials < 2:
         raise ParameterError(f"audit needs at least 2 trials, got {trials}")
@@ -187,10 +190,11 @@ def determinism_audit(
     output = gen.eval(key, first)
     if not first.drawn:
         return DeterminismAudit(key, trials, output, 1.0)
-    outputs = [output] + [gen.eval(key, rng.child(i)) for i in range(1, trials)]
-    if isinstance(outputs[0], StateVector):
+    outputs = chain([output], (gen.eval(key, rng.child(i)) for i in range(1, trials)))
+    if isinstance(output, StateVector):
         modal, count = _cluster_states(outputs)
     else:
-        modal = _plurality(outputs)
-        count = outputs.count(modal)
+        counts = Counter(outputs)  # first-seen order, so ties go to the earliest, as in _plurality
+        modal = max(counts, key=counts.__getitem__)
+        count = counts[modal]
     return DeterminismAudit(key, trials, modal, count / trials)

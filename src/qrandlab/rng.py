@@ -129,7 +129,7 @@ class SeededRng:
         return int(self.generator.integers(0, 2))
 
     def bits(self, n: int) -> str:
-        return "".join("01"[b] for b in self.generator.integers(0, 2, size=n))
+        return (self.generator.integers(0, 2, size=n).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
 
     def multinomial(self, n: int, pvals) -> np.ndarray:
         return self.generator.multinomial(n, pvals)

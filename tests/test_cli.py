@@ -519,8 +519,9 @@ class TestExperimentCommand:
 
 
 class TestSizeBudgets:
-    """A size whose dense state or table would exceed MAX_TENSOR_DIM**2 entries
-    is refused where it enters, before anything is allocated."""
+    """A size above its budget (a dense state or table above MAX_TENSOR_DIM**2
+    entries, a search key space, an audit, a response list) is refused where
+    it enters, before anything is allocated."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -550,6 +551,18 @@ class TestSizeBudgets:
                 ["experiment", "--name", "owsg", "--adversary", "bruteforce", "--lambda", "8", "--dim", "16", "--t", "100000000", "--trials", "1"],
                 "100000000 copies of 16 amplitudes exceed 16777216 amplitudes",
             ),
+            (
+                ["prg-qs", "--from", "bot-oracle", "--n", "8", "--keys", "20", "--evals", "100000000000"],
+                "--evals 100000000000 exceeds the 16777216 evaluations an audit runs",
+            ),
+            (
+                ["oracle-sim", "--world", "sampler", "--n", "8", "--draws", "10000000000"],
+                "oracle-sim answers at most 1048576 queries",
+            ),
+            (
+                ["experiment", "--name", "prg", "--adversary", "bruteforce", "--lambda", "21", "--trials", "1"],
+                "key space 2^21 exceeds the 2^20",
+            ),
         ],
     )
     def test_oversized_is_usage_error(self, capsys, argv, message):
@@ -557,6 +570,24 @@ class TestSizeBudgets:
         assert (code, out) == (2, "")
         assert message in err
         assert "Traceback" not in err
+
+    def test_response_cap_counts_draws_and_queries(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "MAX_RESPONSES", 3)
+        queries = tmp_path / "queries.jsonl"
+        for count in (3, 4):
+            queries.write_text('{"x": "0101"}\n' * count)
+            runs = [
+                ["oracle-sim", "--world", "sampler", "--n", "4", "--draws", str(count)],
+                ["oracle-sim", "--world", "bot", "--n", "4", "--queries", str(queries)],
+            ]
+            for argv in runs:
+                code, out, err = run_cli(capsys, [*argv, "--seed", "1"])
+                if count == 3:
+                    assert code == 0, err
+                    assert len(parse_lines(out)[0]["result"]["responses"]) == 3
+                else:
+                    assert (code, out) == (2, "")
+                    assert "oracle-sim answers at most 3 queries" in err
 
     def test_largest_basis_key_is_allowed(self):
         assert toy_owsg_basis(24).dim == MAX_TENSOR_DIM**2

@@ -144,6 +144,7 @@ INVALID = st.one_of(
     invalid(HAAR, "--states", st.sampled_from([2**23 + 1, 10**12])),  # above 2**24 block sums at d = 64
     invalid(PRG_QS, "--keys", NON_POSITIVE, own=True),
     invalid(PRG_QS, "--evals", st.integers(-2, 1), own=True),
+    invalid(PRG_QS, "--evals", st.sampled_from([2**24 + 1, 10**11])),  # above 2**24 audit outputs
     invalid(PRG_QS, "--n", st.integers(21, 24)),  # above the bot world's n <= 20 cap
     invalid(PRG_QS, "--n", st.integers(-1, 1)),
     invalid(PRG_QS, "--c", NON_POSITIVE),
@@ -154,6 +155,8 @@ INVALID = st.one_of(
     invalid(SPRS_QS, "--n", st.integers(21, 24)),
     invalid(FLIP_SIM, "--draws", NON_POSITIVE, own=True),
     invalid(SAMPLER_SIM, "--draws", NON_POSITIVE, own=True),
+    invalid(FLIP_SIM, "--draws", st.sampled_from([2**20 + 1, 10**10])),  # above 2**20 responses
+    invalid(SAMPLER_SIM, "--draws", st.sampled_from([2**20 + 1, 10**10])),
     invalid(SAMPLER_SIM, "--n", st.integers(64, 70)),
     invalid(FLIP_SIM, "--world", st.sampled_from(["warp", "bot-world", ""])),
     invalid(BOT_SIM, "--c", NON_POSITIVE),

@@ -11,8 +11,6 @@ from qrandlab.experiments import (
     _moment_gramians,
     _moment_keys,
     AdversaryHandle,
-    BudgetExceededError,
-    CallBudget,
     advantage_ci,
     bot_count_adversary,
     bruteforce_owsg_handle,
@@ -22,7 +20,6 @@ from qrandlab.experiments import (
     exp_botprg,
     exp_owsg,
     exp_prg,
-    merge_reports,
     moment_distance,
     moment_hs2,
     owsg_coin_flip_adversary,
@@ -124,11 +121,10 @@ class TestExpBotPrg:
         gen = derived_bot_prg(8, 16)
         image = candidate_image(gen)
 
-        def decide(ys, budget, rng):
-            budget.charge(1 << 8)
+        def decide(ys, rng):
             return 0 if ys[0].payload in image else 1
 
-        adversary = AdversaryHandle("image-on-first", 1 << 20, decide)
+        adversary = AdversaryHandle("image-on-first", decide)
         report = exp_botprg(gen, adversary, 1, 400, SeededRng(7))
         assert report.advantage >= 0.45
 
@@ -141,26 +137,26 @@ class TestExpOwsg:
     def test_true_key_always_verifies(self):
         gen = toy_owsg_basis(6)
 
-        def recover(copies, budget, rng):
+        def recover(copies, rng):
             from qrandlab.qcore import measure_computational
             from qrandlab.rng import int_to_bits
 
             return int_to_bits(measure_computational(copies[0], rng), 6)
 
-        report = exp_owsg(gen, AdversaryHandle("readout", 0, recover), 2, 300, SeededRng(8))
+        report = exp_owsg(gen, AdversaryHandle("readout", recover), 2, 300, SeededRng(8))
         assert report.successes == 300
 
     def test_orthogonal_guess_never_verifies(self):
         gen = toy_owsg_basis(6)
 
-        def wrong(copies, budget, rng):
+        def wrong(copies, rng):
             from qrandlab.qcore import measure_computational
             from qrandlab.rng import int_to_bits
 
             key = int_to_bits(measure_computational(copies[0], rng), 6)
             return key[:-1] + ("1" if key[-1] == "0" else "0")
 
-        report = exp_owsg(gen, AdversaryHandle("wrong", 0, wrong), 2, 300, SeededRng(9))
+        report = exp_owsg(gen, AdversaryHandle("wrong", wrong), 2, 300, SeededRng(9))
         assert report.successes == 0
 
     def test_bruteforce_recovers_haar_keyed_states(self):
@@ -178,10 +174,10 @@ class TestExpOwsg:
 
         gen = constant_owsg(6, 8)
 
-        def arbitrary(copies, budget, rng):
+        def arbitrary(copies, rng):
             return rng.bits(6)
 
-        report = exp_owsg(gen, AdversaryHandle("arbitrary", 0, arbitrary), 1, 200, SeededRng(12))
+        report = exp_owsg(gen, AdversaryHandle("arbitrary", arbitrary), 1, 200, SeededRng(12))
         assert report.successes == 200
 
     def test_per_trial_draw_order_known_answer(self):
@@ -207,15 +203,15 @@ class TestCoupling:
         gen = toy_prg(8, 24)
         image = candidate_image(gen)
 
-        def prg_decide(y, budget, rng):
+        def prg_decide(y, rng):
             return 0 if y in image else 1
 
-        def bot_decide(ys, budget, rng):
-            return prg_decide(ys[0].payload, budget, rng)
+        def bot_decide(ys, rng):
+            return prg_decide(ys[0].payload, rng)
 
         seed = 12
-        plain = exp_prg(gen, AdversaryHandle("img", 0, prg_decide), 400, SeededRng(seed))
-        abort = exp_botprg(gen, AdversaryHandle("img", 0, bot_decide), 1, 400, SeededRng(seed))
+        plain = exp_prg(gen, AdversaryHandle("img", prg_decide), 400, SeededRng(seed))
+        abort = exp_botprg(gen, AdversaryHandle("img", bot_decide), 1, 400, SeededRng(seed))
         assert plain.successes == abort.successes
 
 
@@ -226,50 +222,8 @@ class TestMergeAndBudget:
         full = exp_prg(gen, adversary, 400, SeededRng(13))
         first = exp_prg(gen, adversary, 250, SeededRng(13))
         second = exp_prg(gen, adversary, 150, SeededRng(13), first_trial=250)
-        merged = merge_reports([first, second])
-        assert merged.successes == full.successes
-        assert merged.trials == full.trials
-
-    def test_merge_is_order_independent(self):
-        gen = toy_prg(8, 24)
-        adversary = constant_adversary(0)
-        shards = [
-            exp_prg(gen, adversary, 100, SeededRng(13)),
-            exp_prg(gen, adversary, 100, SeededRng(13), first_trial=100),
-            exp_prg(gen, adversary, 100, SeededRng(13), first_trial=200),
-        ]
-        forward = merge_reports(shards)
-        backward = merge_reports(shards[::-1])
-        nested = merge_reports([shards[0], merge_reports(shards[1:])])
-        for other in (backward, nested):
-            assert (other.successes, other.trials, other.parameters) == (
-                forward.successes,
-                forward.trials,
-                forward.parameters,
-            )
-
-    def test_merge_rejects_mismatched_runs(self):
-        gen = toy_prg(8, 24)
-        a = exp_prg(gen, constant_adversary(0), 10, SeededRng(1))
-        b = exp_prg(gen, coin_flip_adversary(), 10, SeededRng(1))
-        with pytest.raises(ValueError):
-            merge_reports([a, b])
-
-    def test_budget_violation_aborts(self):
-        def greedy(y, budget, rng):
-            budget.charge(100)
-            return 0
-
-        adversary = AdversaryHandle("greedy", 10, greedy)
-        with pytest.raises(BudgetExceededError):
-            exp_prg(toy_prg(8, 24), adversary, 5, SeededRng(14))
-
-    def test_budget_counts_incrementally(self):
-        budget = CallBudget(3)
-        budget.charge()
-        budget.charge(2)
-        with pytest.raises(BudgetExceededError):
-            budget.charge()
+        assert first.successes + second.successes == full.successes
+        assert first.trials + second.trials == full.trials
 
 
 class TestMomentDistance:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qrandlab.experiments import CallBudget, bruteforce_owsg_handle, bruteforce_prg_handle, exp_prg
+from qrandlab.experiments import bruteforce_owsg_handle, bruteforce_prg_handle, exp_prg
 from qrandlab.oracles import (
     BotOracleParams,
     KeySpaceTooLargeError,
@@ -489,14 +489,12 @@ class TestBruteforcePrgAdversary:
 
     def test_image_member_flagged_pseudorandom(self):
         challenge = self.gen.eval("00000001", None)
-        budget = CallBudget(1 << 20)
-        assert bruteforce_prg_handle(self.gen).decide(challenge, budget, None) == 0
-        assert budget.used == 1 << 8
+        assert bruteforce_prg_handle(self.gen).decide(challenge, None) == 0
 
     def test_uniform_challenges_flagged_random(self):
         decide = bruteforce_prg_handle(self.gen).decide
         rng = SeededRng(71)
-        flags = [decide(rng.bits(24), CallBudget(1 << 20), None) for _ in range(300)]
+        flags = [decide(rng.bits(24), None) for _ in range(300)]
         assert sum(flags) >= 299  # image covers 2^-16 of the challenge space
 
     def test_key_space_cap(self):
@@ -526,9 +524,7 @@ class TestBruteforceOwsgAdversary:
         decide = bruteforce_owsg_handle(gen).decide
         for key in ("00000000", "01100101", "11111111"):
             copy = gen.eval(key, None)
-            budget = CallBudget(1 << 20)
-            assert decide((copy,), budget, None) == key
-            assert budget.used == 1 << 8
+            assert decide((copy,), None) == key
 
     def test_key_space_cap(self):
         gen = toy_owsg_basis(8)
@@ -544,7 +540,7 @@ class TestBruteforceOwsgAdversary:
         with pytest.raises(ValueError, match="expected an owsg handle"):
             bruteforce_owsg_handle(toy_prg(8, 24))
         with pytest.raises(ValueError, match="need at least one copy"):
-            bruteforce_owsg_handle(toy_owsg_basis(4)).decide((), CallBudget(1 << 20), None)
+            bruteforce_owsg_handle(toy_owsg_basis(4)).decide((), None)
 
     def test_candidate_states_rows_are_key_states(self):
         gen = toy_owsg_haar(4, 8)
@@ -566,11 +562,11 @@ class TestBruteforceOwsgAdversary:
                 else:
                     copies = tuple(haar_sample(16, rng) for _ in range(t))
                 expected = int_to_bits(_reference_ml_key(candidates, copies), 8)
-                assert decide(copies, CallBudget(1 << 20), None) == expected
+                assert decide(copies, None) == expected
                 checked += 1
         assert checked >= 100
 
     def test_ties_return_first_key(self):
         gen = constant_owsg(6, 8)  # every key scores 1
         copies = (gen.eval("101010", None),)
-        assert bruteforce_owsg_handle(gen).decide(copies, CallBudget(1 << 20), None) == "000000"
+        assert bruteforce_owsg_handle(gen).decide(copies, None) == "000000"

@@ -51,6 +51,14 @@ class TestSeededRngStreams:
         assert len(bits) == 300
         assert int(bits, 2) == 0x5D5831D20704CE3BC283D76028FC2F71999CE587C29FEC8339BE48E4D11C1D05D6A2B897379
 
+    @pytest.mark.parametrize("seed", [2024, 2**64 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 7, 64, 385, 4099])
+    def test_bits_spell_the_integer_draws(self, seed, n):
+        # bits(n) converts its n integer draws in one step; the per-bit join is the reference
+        rng, ref = SeededRng(seed, 5), SeededRng(seed, 5)
+        assert rng.bits(n) == "".join("01"[b] for b in ref.integers(0, 2, size=n))
+        assert rng.uniform() == ref.uniform()  # the stream goes on where the draws left it
+
 
 class TestPhiloxState:
     @pytest.mark.parametrize("seed", [0, 123, 987654321, (1 << 64) - 1])
