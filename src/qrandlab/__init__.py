@@ -3,7 +3,6 @@ abort-capable generators, oracle separation worlds, and the statistical
 experiments that check their testable properties."""
 
 from .constructions import (
-    Con1Params,
     Con2Params,
     Con3Params,
     con1_eval,
@@ -19,7 +18,6 @@ from .constructions import (
 )
 from .experiments import (
     AdversaryHandle,
-    ExperimentReport,
     advantage_ci,
     bruteforce_owsg_handle,
     bruteforce_prg_handle,
@@ -30,7 +28,6 @@ from .experiments import (
     moment_hs2,
 )
 from .extraction import (
-    BlockStats,
     RoundParams,
     block_sums,
     extract,
@@ -53,7 +50,6 @@ from .oracles import (
 from .primitives import (
     BOT,
     BotValue,
-    DeterminismAudit,
     GeneratorHandle,
     as_bot,
     determinism_audit,

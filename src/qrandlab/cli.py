@@ -19,11 +19,11 @@ import secrets
 import sys
 import threading
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constructions import Con1Params, Con3Params, con1_handle, con3_handle
+from .constructions import Con3Params, con1_handle, con3_handle
 from .experiments import (
     AdversaryHandle,
     bot_count_adversary,
@@ -197,7 +197,7 @@ def cmd_extract(params: dict, seed: int) -> dict:
 
 
 def cmd_haar_stats(params: dict, seed: int) -> dict:
-    return asdict(gaussian_block_check(params["d"], _count(params, "states"), SeededRng(seed)))
+    return gaussian_block_check(params["d"], _count(params, "states"), SeededRng(seed))
 
 
 def cmd_prg_qs(params: dict, seed: int) -> dict:
@@ -212,8 +212,7 @@ def cmd_prg_qs(params: dict, seed: int) -> dict:
         raise ParameterError(f"--evals {params['evals']} exceeds the {MAX_TENSOR_DIM**2} evaluations an audit runs")
     n = params["n"]
     world = OracleWorld("bot-world", seed, n_max=n, c=params["c"])
-    con = Con1Params(bot_prg_handle(world, n))
-    handle = con1_handle(con)
+    handle = con1_handle(bot_prg_handle(world, n))
     rng = SeededRng(seed, 1)
     bots = 0
     modal_freqs = []
@@ -222,12 +221,12 @@ def cmd_prg_qs(params: dict, seed: int) -> dict:
         if key.is_bot:
             bots += 1
             continue
-        audit = determinism_audit(handle, key, params["evals"], rng.child(stride + i))
-        modal_freqs.append(audit.modal_frequency)
+        _, modal_frequency = determinism_audit(handle, key, params["evals"], rng.child(stride + i))
+        modal_freqs.append(modal_frequency)
     return {
         "n": n,
         "c": params["c"],
-        "output_len": con.m,
+        "output_len": handle.output_len,
         "keys_sampled": params["keys"],
         "bot_keys": bots,
         "min_modal_frequency": min(modal_freqs) if modal_freqs else None,
@@ -244,7 +243,7 @@ def cmd_sprs_qs(params: dict, seed: int) -> dict:
     n = params["n"]
     N = params["N"]
     world = OracleWorld("bot-world", seed, n_max=n, c=params["c"])
-    inner = con1_handle(Con1Params(bot_prg_handle(world, n)))
+    inner = con1_handle(bot_prg_handle(world, n))
     con = Con3Params(lam=n, c=params["con3_c"], N=N, inner=inner)
     handle = con3_handle(con)
     rng = SeededRng(seed, 1)
@@ -327,8 +326,8 @@ def cmd_experiment(params: dict, seed: int) -> dict:
     if name == "prg":
         gen = toy_prg(params["lam"], params["s"])
         adversary = _prg_adversary(params["adversary"], gen)
-        report = exp_prg(gen, adversary, params["trials"], rng)
-    elif name == "bot-prg":
+        return exp_prg(gen, adversary, params["trials"], rng)
+    if name == "bot-prg":
         world = OracleWorld("bot-world", seed, n_max=params["n"], c=params["c"])
         gen = bot_prg_handle(world, params["n"])
         if params["adversary"] == "bot-count":
@@ -337,8 +336,8 @@ def cmd_experiment(params: dict, seed: int) -> dict:
             adversary = coin_flip_adversary()
         else:
             raise ParameterError(f"unknown adversary {params['adversary']!r}")
-        report = exp_botprg(gen, adversary, params["q"], params["trials"], rng)
-    elif name == "owsg":
+        return exp_botprg(gen, adversary, params["q"], params["trials"], rng)
+    if name == "owsg":
         if params["adversary"] == "bruteforce":
             gen = toy_owsg_haar(params["lam"], params["dim"])
             adversary = bruteforce_owsg_handle(gen)
@@ -347,14 +346,12 @@ def cmd_experiment(params: dict, seed: int) -> dict:
             adversary = owsg_coin_flip_adversary()
         else:
             raise ParameterError(f"unknown adversary {params['adversary']!r}")
-        report = exp_owsg(gen, adversary, params["t"], params["trials"], rng)
-    elif name == "moment":
+        return exp_owsg(gen, adversary, params["t"], params["trials"], rng)
+    if name == "moment":
         gen = random_phase_sprs(params["N"])
         dist = moment_distance(gen, params["t"], _count(params, "keys"), "monte-carlo", rng)
         return {"name": "moment", "N": params["N"], "t": params["t"], "keys": params["keys"], "distance": dist}
-    else:
-        raise ParameterError(f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}")
-    return report.to_record()
+    raise ParameterError(f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}")
 
 
 _DISPATCH = {

@@ -33,57 +33,42 @@ from .rng import TABLE_EVAL_SEED, ParameterError, SeededRng, check_power
 from .tomography import estimate_diagonal
 
 
-@dataclass(frozen=True)
-class Con1Params:
-    """Retry-and-vote construction over an abort-capable generator.
-
-    lam, the inner key length, is also the retry/vote count; the output
-    length m is the inner's, which exceeds lam.
-    """
-
-    inner: GeneratorHandle
-
-    def __post_init__(self):
-        if self.inner.kind != "bot-prg":
-            raise ParameterError(f"inner must be a bot-prg, got {self.inner.kind}")
-
-    @property
-    def lam(self) -> int:
-        return self.inner.input_len
-
-    @property
-    def m(self) -> int:
-        return self.inner.output_len
-
-
-def con1_qsamp(params: Con1Params, rng: SeededRng) -> BotValue:
-    """Sample up to lam candidate keys; return the first whose lam inner
-    outputs vote to a non-abort value, or abort if all candidates fail."""
-    lam = params.lam
+def con1_qsamp(inner: GeneratorHandle, rng: SeededRng) -> BotValue:
+    """Sample up to lam candidate keys, lam the inner key length; return the
+    first whose lam inner outputs vote to a non-abort value, or abort if all
+    candidates fail."""
+    lam = inner.input_len
     for _ in range(lam):
         key = rng.bits(lam)
-        if not vote(params.inner.eval_repeated(key, rng, lam)).is_bot:
+        if not vote(inner.eval_repeated(key, rng, lam)).is_bot:
             return BotValue.of(key)
     return BOT
 
 
-def con1_eval(params: Con1Params, key: BotValue, rng: SeededRng) -> BotValue:
-    """Plurality of lam inner evaluations; an aborted key maps to 0^m."""
+def con1_eval(inner: GeneratorHandle, key: BotValue, rng: SeededRng) -> BotValue:
+    """Plurality of lam inner evaluations; an aborted key maps to 0^m, m the
+    inner output length."""
     if key.is_bot:
-        return BotValue.of("0" * params.m)
-    if len(key.payload) != params.lam:
-        raise ParameterError(f"key must be {params.lam} bits, got {len(key.payload)}")
-    return vote_non_bot(params.inner.eval_repeated(key.payload, rng, params.lam))
+        return BotValue.of("0" * inner.output_len)
+    lam = inner.input_len
+    if len(key.payload) != lam:
+        raise ParameterError(f"key must be {lam} bits, got {len(key.payload)}")
+    return vote_non_bot(inner.eval_repeated(key.payload, rng, lam))
 
 
-def con1_handle(params: Con1Params) -> GeneratorHandle:
+def con1_handle(inner: GeneratorHandle) -> GeneratorHandle:
+    """Retry-and-vote over an abort-capable generator: lam, the inner key
+    length, is also the retry and vote count, and the output length is the
+    inner's."""
+    if inner.kind != "bot-prg":
+        raise ParameterError(f"inner must be a bot-prg, got {inner.kind}")
     return GeneratorHandle(
         kind="prg-qs",
-        input_len=params.lam,
-        output_len=params.m,
-        eval=lambda key, rng: con1_eval(params, key, rng),
-        qsamp=lambda rng: con1_qsamp(params, rng),
-        description=f"retry-and-vote over [{params.inner.description}]",
+        input_len=inner.input_len,
+        output_len=inner.output_len,
+        eval=lambda key, rng: con1_eval(inner, key, rng),
+        qsamp=lambda rng: con1_qsamp(inner, rng),
+        description=f"retry-and-vote over [{inner.description}]",
     )
 
 

@@ -124,37 +124,6 @@ def owsg_coin_flip_adversary() -> AdversaryHandle:
     return AdversaryHandle("coin-flip", decide)
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    """One run's tally; ``advantage`` and ``ci95`` are derived from it."""
-
-    name: str
-    parameters: dict
-    seed: int
-    trials: int
-    successes: int
-    advantage: float = field(init=False)
-    ci95: tuple[float, float] = field(init=False)
-    wallclock_ms: float
-
-    def __post_init__(self):
-        adv, ci = advantage_ci(self.successes, self.trials)
-        object.__setattr__(self, "advantage", adv)
-        object.__setattr__(self, "ci95", ci)
-
-    def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "parameters": self.parameters,
-            "seed": self.seed,
-            "trials": self.trials,
-            "successes": self.successes,
-            "advantage": self.advantage,
-            "ci95": list(self.ci95),
-            "wallclock_ms": self.wallclock_ms,
-        }
-
-
 def advantage_ci(successes: int, trials: int) -> tuple[float, tuple[float, float]]:
     """Wilson 95% interval for the success probability, shifted by -1/2."""
     if trials < 1:
@@ -178,24 +147,28 @@ def _run_trials(
     first_trial: int,
     play: Callable[[SeededRng], bool],
     **game_params,
-) -> ExperimentReport:
+) -> dict:
     """The one trial loop: trial i plays on stream ``rng.child(i)``, and
-    ``play`` returns whether the adversary won.  The game's own parameters
-    are recorded between the shared ones."""
+    ``play`` returns whether the adversary won.  Returns the run's record,
+    whose advantage and Wilson interval come from ``advantage_ci``; the
+    game's own parameters are recorded between the shared ones."""
     t0 = time.perf_counter()
     successes = 0
     for i in range(first_trial, first_trial + trials):
         successes += play(rng.child(i))
     parameters = {"generator": gen.description, "adversary": adversary.strategy_id}
     parameters.update(game_params, first_trial=first_trial)
-    return ExperimentReport(
-        name=name,
-        parameters=parameters,
-        seed=rng.seed,
-        trials=trials,
-        successes=successes,
-        wallclock_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    advantage, ci95 = advantage_ci(successes, trials)
+    return {
+        "name": name,
+        "parameters": parameters,
+        "seed": rng.seed,
+        "trials": trials,
+        "successes": successes,
+        "advantage": advantage,
+        "ci95": list(ci95),
+        "wallclock_ms": (time.perf_counter() - t0) * 1e3,
+    }
 
 
 def _challenge_bits(value) -> str:
@@ -211,7 +184,7 @@ def exp_prg(
     trials: int,
     rng: SeededRng,
     first_trial: int = 0,
-) -> ExperimentReport:
+) -> dict:
     """Distinguishing game: generator output vs uniform string.
 
     Keys come from the generator's own sampler when it has one,
@@ -237,7 +210,7 @@ def exp_botprg(
     trials: int,
     rng: SeededRng,
     first_trial: int = 0,
-) -> ExperimentReport:
+) -> dict:
     """Abort-aware distinguishing game with q queries per trial.
 
     The random branch hides abort events: each query is the abort-hiding
@@ -270,7 +243,7 @@ def exp_owsg(
     trials: int,
     rng: SeededRng,
     first_trial: int = 0,
-) -> ExperimentReport:
+) -> dict:
     """Inversion game: recover a key whose state passes projective verification.
 
     The final measurement is realized analytically as a Bernoulli draw
@@ -279,8 +252,12 @@ def exp_owsg(
     """
     if t < 1:
         raise ParameterError("need t >= 1 copies")
-    if t * gen.dim > MAX_TENSOR_DIM**2:  # a trial holds its t copies at once
-        raise MemoryBudgetError(f"{t} copies of {gen.dim} amplitudes exceed {MAX_TENSOR_DIM**2} amplitudes")
+    # a trial holds its t copies, the verifier's state and the guess's state at once
+    if (t + 2) * gen.dim > MAX_TENSOR_DIM**2:
+        raise MemoryBudgetError(
+            f"{t} copies of {gen.dim} amplitudes exceed {MAX_TENSOR_DIM**2} amplitudes"
+            f" with the verifier's and the guess's states"
+        )
 
     def play(trial: SeededRng) -> bool:
         key = trial.bits(gen.input_len)

@@ -107,25 +107,13 @@ def extract(
     return round_bits(estimate_diagonal(psi, t, rng), params)
 
 
-@dataclass(frozen=True)
-class BlockStats:
-    """Block-sum statistics for a batch of Haar states."""
-
-    d: int
-    n_states: int
-    mean: float
-    variance: float
-    ks_statistic: float
-    bit_frequencies: tuple[float, ...]
-    good_fraction: float
-
-
-def gaussian_block_check(d: int, n_states: int, rng: SeededRng) -> BlockStats:
+def gaussian_block_check(d: int, n_states: int, rng: SeededRng) -> dict:
     """Compare Haar block sums against their limiting law N(r/d, r/d^2).
 
     Samples n_states Haar states, pools all their block sums, and
     reports empirical mean and variance plus the one-sample
-    Kolmogorov-Smirnov statistic against the normal model.
+    Kolmogorov-Smirnov statistic against the normal model, with the
+    per-bit frequencies and the good-set fraction: the haar-stats record.
     """
     params = RoundParams(d)
     if n_states * params.num_bits > MAX_TENSOR_DIM**2:
@@ -143,13 +131,12 @@ def gaussian_block_check(d: int, n_states: int, rng: SeededRng) -> BlockStats:
     pooled = sums.ravel()
     model_std = np.sqrt(params.r) / d
     ks = stats.kstest(pooled, "norm", args=(params.threshold, model_std)).statistic
-    bit_freq = tuple(float(f) for f in (sums > params.threshold).mean(axis=0))
-    return BlockStats(
-        d=d,
-        n_states=n_states,
-        mean=float(pooled.mean()),
-        variance=float(pooled.var(ddof=1)),
-        ks_statistic=float(ks),
-        bit_frequencies=bit_freq,
-        good_fraction=good / n_states,
-    )
+    return {
+        "d": d,
+        "n_states": n_states,
+        "mean": float(pooled.mean()),
+        "variance": float(pooled.var(ddof=1)),
+        "ks_statistic": float(ks),
+        "bit_frequencies": [float(f) for f in (sums > params.threshold).mean(axis=0)],
+        "good_fraction": good / n_states,
+    }

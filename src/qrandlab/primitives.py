@@ -68,16 +68,18 @@ def is_bot(a: BotValue, b) -> BotValue:
     return as_bot(b)
 
 
+def _modal(counts: Counter):
+    """The most common value and its count.  A Counter keeps first-seen order
+    and ``max`` keeps the first of equal counts, so ties go to the earliest."""
+    modal = max(counts, key=counts.__getitem__)
+    return modal, counts[modal]
+
+
 def _plurality(values: Sequence[Hashable]):
     """Most common element; ties broken by earliest first occurrence."""
     if values.count(values[0]) == len(values):  # unanimous, the common case
         return values[0]
-    counts: dict = {}
-    first: dict = {}
-    for i, v in enumerate(values):
-        counts[v] = counts.get(v, 0) + 1
-        first.setdefault(v, i)
-    return max(counts, key=lambda v: (counts[v], -first[v]))
+    return _modal(Counter(values))[0]
 
 
 def vote(values: Sequence[BotValue]) -> BotValue:
@@ -148,18 +150,6 @@ class GeneratorHandle:
         return rng.bits(self.input_len)
 
 
-@dataclass(frozen=True)
-class DeterminismAudit:
-    key: object
-    trials: int
-    modal_value: object
-    modal_frequency: float
-
-    def __post_init__(self):
-        if not 1 / self.trials <= self.modal_frequency <= 1:
-            raise ValueError(f"modal frequency {self.modal_frequency} out of range")
-
-
 def _cluster_states(outputs: Iterable[StateVector]):
     """Greedy fidelity clustering; two states match above STATE_EQUAL_FIDELITY."""
     reps: list[StateVector] = []
@@ -176,25 +166,22 @@ def _cluster_states(outputs: Iterable[StateVector]):
     return reps[best], counts[best]
 
 
-def determinism_audit(
-    gen: GeneratorHandle, key, trials: int, rng: SeededRng
-) -> DeterminismAudit:
-    """Evaluate ``gen`` on ``key``, trial i on ``rng.child(i)``; report the
-    modal output's frequency.  A trial 0 that draws nothing is a function
-    of the key alone, which every trial would repeat: the audit stops there.
-    Outputs are tallied as they come, so only distinct ones are held.
+def determinism_audit(gen: GeneratorHandle, key, trials: int, rng: SeededRng):
+    """Evaluate ``gen`` on ``key``, trial i on ``rng.child(i)``; return the
+    modal output and its frequency.  A trial 0 that draws nothing is a
+    function of the key alone, which every trial would repeat: the audit
+    stops there.  Outputs are tallied as they come, so only distinct ones
+    are held.
     """
     if trials < 2:
         raise ParameterError(f"audit needs at least 2 trials, got {trials}")
     first = rng.child(0)
     output = gen.eval(key, first)
     if not first.drawn:
-        return DeterminismAudit(key, trials, output, 1.0)
+        return output, 1.0
     outputs = chain([output], (gen.eval(key, rng.child(i)) for i in range(1, trials)))
     if isinstance(output, StateVector):
         modal, count = _cluster_states(outputs)
     else:
-        counts = Counter(outputs)  # first-seen order, so ties go to the earliest, as in _plurality
-        modal = max(counts, key=counts.__getitem__)
-        count = counts[modal]
-    return DeterminismAudit(key, trials, modal, count / trials)
+        modal, count = _modal(Counter(outputs))
+    return modal, count / trials

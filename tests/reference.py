@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qrandlab.oracles import OracleWorld, WrongWorldKindError, _flip_index, flip_state_dim
-from qrandlab.primitives import DeterminismAudit, _cluster_states, _plurality
+from qrandlab.primitives import _cluster_states, _plurality
 from qrandlab.qcore import (
     ATOL,
     MAX_TENSOR_DIM,
@@ -195,7 +195,7 @@ def flip_oracle(world: OracleWorld, n: int) -> RankTwoFlip:
 # -- the determinism audit, one evaluation per trial ---------------------------------
 
 
-def looped_audit(handle, key, trials: int, rng: SeededRng) -> DeterminismAudit:
+def looped_audit(handle, key, trials: int, rng: SeededRng):
     """``determinism_audit`` as a plain loop: trial i on ``rng.child(i)``, all trials run."""
     outputs = [handle.eval(key, rng.child(i)) for i in range(trials)]
     if isinstance(outputs[0], StateVector):
@@ -203,7 +203,7 @@ def looped_audit(handle, key, trials: int, rng: SeededRng) -> DeterminismAudit:
     else:
         modal = _plurality(outputs)
         count = outputs.count(modal)
-    return DeterminismAudit(key, trials, modal, count / trials)
+    return modal, count / trials
 
 
 # -- the Fisher-Yates table, one swap at a time ---------------------------------------

@@ -563,6 +563,11 @@ class TestSizeBudgets:
                 ["experiment", "--name", "prg", "--adversary", "bruteforce", "--lambda", "21", "--trials", "1"],
                 "key space 2^21 exceeds the 2^20",
             ),
+            # one copy fits the budget, but not with the verifier's and the guess's states
+            (
+                ["experiment", "--name", "owsg", "--adversary", "coin-flip", "--lambda", "24", "--t", "1", "--trials", "1"],
+                "1 copies of 16777216 amplitudes exceed 16777216 amplitudes with the verifier's and the guess's states",
+            ),
         ],
     )
     def test_oversized_is_usage_error(self, capsys, argv, message):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrandlab.constructions import (
-    Con1Params,
     Con2Params,
     Con3Params,
     con1_eval,
@@ -52,71 +51,71 @@ CON2 = Con2Params(lam=2, c=12.0, inner=CON2_INNER, attempts=8)
 
 
 def bot_world_con1(n=12, seed=5):
+    """Construction 1's inner generator: the bot-world's abort-capable generator."""
     world = OracleWorld("bot-world", seed=seed, n_max=n)
-    return Con1Params(bot_prg_handle(world, n))
+    return bot_prg_handle(world, n)
 
 
 class TestCon1:
     def test_never_bot_inner_returns_first_key(self):
-        params = Con1Params(derived_bot_prg(8, 16))
         seed = 31
-        key = con1_qsamp(params, SeededRng(seed))
+        key = con1_qsamp(derived_bot_prg(8, 16), SeededRng(seed))
         assert key == BotValue.of(SeededRng(seed).bits(8))
 
     def test_always_bot_inner_aborts(self):
-        params = Con1Params(always_bot_prg(8, 16))
-        assert con1_qsamp(params, SeededRng(1)).is_bot
+        assert con1_qsamp(always_bot_prg(8, 16), SeededRng(1)).is_bot
 
     def test_bot_oracle_inner_rarely_aborts(self):
-        params = bot_world_con1()
+        inner = bot_world_con1()
         rng = SeededRng(3)
-        bots = sum(con1_qsamp(params, rng.child(i)).is_bot for i in range(1000))
+        bots = sum(con1_qsamp(inner, rng.child(i)).is_bot for i in range(1000))
         assert bots <= 1
 
     def test_eval_on_bot_key_gives_zeros(self):
-        params = Con1Params(derived_bot_prg(8, 16))
-        out = con1_eval(params, BOT, SeededRng(0))
+        out = con1_eval(derived_bot_prg(8, 16), BOT, SeededRng(0))
         assert out == BotValue.of("0" * 16)
 
     def test_eval_reproduces_deterministic_inner(self):
         inner = derived_bot_prg(8, 16)
-        params = Con1Params(inner)
         key = "01011100"
         expected = inner.eval(key, SeededRng(0))
-        assert con1_eval(params, BotValue.of(key), SeededRng(9)) == expected
+        assert con1_eval(inner, BotValue.of(key), SeededRng(9)) == expected
 
     def test_eval_modal_on_sampled_keys(self):
-        params = bot_world_con1()
-        handle = con1_handle(params)
+        handle = con1_handle(bot_world_con1())
         rng = SeededRng(7)
         for i in range(10):
             key = handle.qsamp(rng.child(i))
             assert not key.is_bot
-            audit = determinism_audit(handle, key, 100, rng.child(100 + i))
-            assert audit.modal_frequency >= 0.99
+            _, frequency = determinism_audit(handle, key, 100, rng.child(100 + i))
+            assert frequency >= 0.99
 
     def test_output_length_is_m(self):
-        params = bot_world_con1()
-        key = con1_qsamp(params, SeededRng(11))
-        out = con1_eval(params, key, SeededRng(12))
-        assert len(out.payload) == params.m
-        assert params.m > params.lam
+        inner = bot_world_con1()
+        key = con1_qsamp(inner, SeededRng(11))
+        out = con1_eval(inner, key, SeededRng(12))
+        assert len(out.payload) == inner.output_len
+        assert inner.output_len > inner.input_len
+
+    def test_inner_must_be_bot_prg(self):
+        with pytest.raises(ParameterError, match="inner must be a bot-prg, got prg"):
+            con1_handle(toy_prg(4, 24))
 
 
     def test_known_answers_over_bot_world(self):
         # Pinned before the inner evaluations were batched.  Child 55's first
         # candidate key is bad and loses its vote; 110001000010 is a bad key
         # that aborts with probability 0.97.
-        params = bot_world_con1(seed=2024)
+        inner = bot_world_con1(seed=2024)
         rng = SeededRng(2024, 5)
-        keys = [con1_qsamp(params, rng.child(i)) for i in (0, 1, 2)]
+        keys = [con1_qsamp(inner, rng.child(i)) for i in (0, 1, 2)]
         assert [k.payload for k in keys] == ["101001111101", "111010101110", "000010101100"]
         retried = rng.child(55)
-        assert con1_qsamp(params, retried).payload == "011011101011"
+        assert con1_qsamp(inner, retried).payload == "011011101011"
         assert retried.uniform() == 0.1056485145888878
-        assert con1_eval(params, keys[0], rng.child(100)).payload == "101101001001010011101100"
+        assert con1_eval(inner, keys[0], rng.child(100)).payload == "101101001001010011101100"
         stream = rng.child(300)
-        outputs = [con1_eval(params, BotValue.of("110001000010"), stream) for _ in range(40)]
+        outputs = [con1_eval(inner, BotValue.of("110001000010"), stream) for _ in range(40)]
         assert "".join("1" if v.is_bot else "0" for v in outputs) == "1010010100111100101110111001111101111010"
         assert {v.payload for v in outputs if not v.is_bot} == {"110011001110010110011100"}
         assert stream.uniform() == 0.19071621107276104
@@ -130,7 +129,7 @@ def bad_bot_key(world, n):
 
 def con1_audit_case(kind):
     world = OracleWorld("bot-world", seed=5, n_max=12)
-    handle = con1_handle(Con1Params(bot_prg_handle(world, 12)))
+    handle = con1_handle(bot_prg_handle(world, 12))
     if kind == "good":
         return handle, [handle.qsamp(SeededRng(8).child(i)) for i in range(5)], False
     if kind == "bad":
@@ -194,13 +193,14 @@ def test_audit_equals_looped_reference(case, monkeypatch):
     monkeypatch.setattr(SeededRng, "child", lambda rng, j: children.append(j) or child(rng, j))
     for i, (key, want) in enumerate(zip(keys, wants)):
         children.clear()
-        got = determinism_audit(handle, key, trials, SeededRng(40, i))
+        got_value, got_frequency = determinism_audit(handle, key, trials, SeededRng(40, i))
+        want_value, want_frequency = want
         assert children == (list(range(trials)) if draws else [0])
-        assert (got.key, got.trials, got.modal_frequency) == (want.key, want.trials, want.modal_frequency)
-        if isinstance(want.modal_value, StateVector):
-            np.testing.assert_array_equal(got.modal_value.amplitudes, want.modal_value.amplitudes)
+        assert got_frequency == want_frequency
+        if isinstance(want_value, StateVector):
+            np.testing.assert_array_equal(got_value.amplitudes, want_value.amplitudes)
         else:
-            assert got.modal_value == want.modal_value
+            assert got_value == want_value
 
 
 class TestCon1FixedOutput:
@@ -215,15 +215,15 @@ class TestCon1FixedOutput:
             return child(rng, i)
 
         monkeypatch.setattr(SeededRng, "child", counted_child)
-        audit = determinism_audit(handle, key, 100, SeededRng(10))
-        assert (audit.modal_frequency, calls) == (1.0, [0])
+        _, frequency = determinism_audit(handle, key, 100, SeededRng(10))
+        assert (frequency, calls) == (1.0, [0])
 
     def test_wrong_key_length_raises_like_eval(self):
-        params = bot_world_con1()
-        handle = con1_handle(params)
+        inner = bot_world_con1()
+        handle = con1_handle(inner)
         short = BotValue.of("0101")
         with pytest.raises(ValueError, match="^key must be 12 bits, got 4$"):
-            con1_eval(params, short, SeededRng(0))
+            con1_eval(inner, short, SeededRng(0))
         with pytest.raises(ValueError, match="^key must be 12 bits, got 4$"):
             determinism_audit(handle, short, 10, SeededRng(0))
 
@@ -329,6 +329,10 @@ class TestCon3:
         with pytest.raises(ValueError):
             Con3Params(lam=2, c=3.0, N=8, inner=self.zeros_inner(20))
 
+    def test_inner_must_be_expanding(self):
+        with pytest.raises(ParameterError, match="inner must be an expanding generator, got bot-prg"):
+            Con3Params(lam=2, c=3.0, N=8, inner=derived_bot_prg(8, 16))
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             Con3Params(lam=2, c=3.0, N=10, inner=self.zeros_inner(64))
@@ -408,8 +412,7 @@ class TestConstructionInvariants:
     @given(st.integers(0, 2**32))
     @settings(max_examples=10, deadline=None)
     def test_con1_bot_key_always_zeroes(self, seed):
-        params = Con1Params(derived_bot_prg(8, 16))
-        assert con1_eval(params, BOT, SeededRng(seed)) == BotValue.of("0" * 16)
+        assert con1_eval(derived_bot_prg(8, 16), BOT, SeededRng(seed)) == BotValue.of("0" * 16)
 
     @given(st.integers(0, 2**32))
     @settings(max_examples=10, deadline=None)

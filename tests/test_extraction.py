@@ -188,12 +188,12 @@ class TestGaussianBlockCheck:
         n_q = 400 * 4
         model_mean, model_var = 1 / 16, 256 / 4096**2
         sigma_mean = np.sqrt(model_var / n_q)
-        assert abs(stats.mean - model_mean) <= 3 * sigma_mean
-        assert abs(stats.variance - model_var) <= 0.25 * model_var
+        assert abs(stats["mean"] - model_mean) <= 3 * sigma_mean
+        assert abs(stats["variance"] - model_var) <= 0.25 * model_var
 
     def test_distribution_distance_shrinks_with_dimension(self):
         ks = {}
         for d, seed in ((64, 23), (4096, 29)):
-            runs = [gaussian_block_check(d, 150, SeededRng(seed + i)).ks_statistic for i in range(5)]
+            runs = [gaussian_block_check(d, 150, SeededRng(seed + i))["ks_statistic"] for i in range(5)]
             ks[d] = np.median(runs)
         assert ks[4096] <= ks[64]

@@ -503,7 +503,7 @@ class TestBruteforcePrgAdversary:
 
     def test_distinguishing_advantage_over_thousand_challenges(self):
         report = exp_prg(self.gen, bruteforce_prg_handle(self.gen), 1000, SeededRng(73))
-        assert report.advantage >= 0.49
+        assert report["advantage"] >= 0.49
 
 
 def _reference_ml_key(candidates, copies):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qrandlab.primitives import (
     BOT,
     BotValue,
-    DeterminismAudit,
     GeneratorHandle,
     _plurality,
     determinism_audit,
@@ -153,24 +152,22 @@ class TestGeneratorHandle:
 class TestDeterminismAudit:
     def test_constant_generator(self):
         gen = constant_bot_prg(4, "10101010")
-        audit = determinism_audit(gen, "0000", 100, SeededRng(1))
-        assert audit.modal_frequency == 1.0
-        assert audit.modal_value == BotValue.of("10101010")
+        assert determinism_audit(gen, "0000", 100, SeededRng(1)) == (BotValue.of("10101010"), 1.0)
 
     def test_fair_coin(self):
         gen = fair_coin_bot_prg(4, 8)
-        audit = determinism_audit(gen, "0000", 10_000, SeededRng(2))
-        assert abs(audit.modal_frequency - 0.5) <= 3 * np.sqrt(0.25 / 10_000)
+        _, frequency = determinism_audit(gen, "0000", 10_000, SeededRng(2))
+        assert abs(frequency - 0.5) <= 3 * np.sqrt(0.25 / 10_000)
 
     def test_state_valued_deterministic(self):
         gen = haar_keyed_sprs(64, key_len=8)
-        audit = determinism_audit(gen, "00010011", 20, SeededRng(3))
-        assert audit.modal_frequency == 1.0
+        _, frequency = determinism_audit(gen, "00010011", 20, SeededRng(3))
+        assert frequency == 1.0
 
     def test_state_valued_fresh_haar_never_clusters(self):
         gen = haar_sprs_reference(64, key_len=8)
-        audit = determinism_audit(gen, "00000000", 20, SeededRng(4))
-        assert audit.modal_frequency == pytest.approx(1 / 20)
+        _, frequency = determinism_audit(gen, "00000000", 20, SeededRng(4))
+        assert frequency == pytest.approx(1 / 20)
 
     def test_handle_without_fixed_evaluates_every_trial(self, monkeypatch):
         gen = fair_coin_bot_prg(4, 8)
@@ -186,7 +183,7 @@ class TestDeterminismAudit:
         assert children == list(range(30))
         outputs = [gen.eval("0000", SeededRng(6).child(i)) for i in range(30)]
         modal = _plurality(outputs)
-        assert (audit.modal_value, audit.modal_frequency) == (modal, outputs.count(modal) / 30)
+        assert audit == (modal, outputs.count(modal) / 30)
 
     def test_output_without_draws_is_audited_on_child_zero(self, monkeypatch):
         # the one evaluation sees child 0; no other child stream is made
@@ -197,13 +194,9 @@ class TestDeterminismAudit:
         )
         child = SeededRng.child
         monkeypatch.setattr(SeededRng, "child", lambda rng, i: child(rng, i) if i == 0 else pytest.fail("child made"))
-        assert determinism_audit(gen, "0000", 50, SeededRng(7)) == DeterminismAudit("0000", 50, value, 1.0)
+        assert determinism_audit(gen, "0000", 50, SeededRng(7)) == (value, 1.0)
         assert seen == [SeededRng(7).child(0)]
 
     def test_needs_two_trials(self):
         with pytest.raises(ValueError):
             determinism_audit(constant_bot_prg(4, "11111"), "0000", 1, SeededRng(0))
-
-    def test_modal_frequency_range_invariant(self):
-        with pytest.raises(ValueError):
-            DeterminismAudit(key="k", trials=10, modal_value="x", modal_frequency=0.05)

@@ -24,12 +24,12 @@ class TestOwsgPins:
     def test_bruteforce_success_count(self):
         gen = toy_owsg_haar(8, 16)
         report = exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(1))
-        assert (report.trials, report.successes) == (40, 40)
+        assert (report["trials"], report["successes"]) == (40, 40)
 
     def test_coin_flip_success_count(self):
         # the guesses are mostly wrong keys, so the count depends on every state and draw
         report = exp_owsg(toy_owsg_haar(4, 16), owsg_coin_flip_adversary(), 2, 300, SeededRng(5))
-        assert report.successes == 45
+        assert report["successes"] == 45
 
 
 class TestOwsgHaarMemo:
