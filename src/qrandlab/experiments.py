@@ -89,8 +89,10 @@ def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
     key k by the product over copies of |<state_k|copy>|^2 and returns the
     first best key; the copies are identical vectors, so the score is a
     power of one overlap and t cannot change the guess.  The candidate
-    states are built once, with the handle.  The strategy id stays
-    ``bruteforce-ml``, the name that records carry.
+    states come from ``candidate_states``, which keeps the last table it
+    built, so a handle made again for the same generator object builds
+    no state.  The strategy id stays ``bruteforce-ml``, the name that
+    records carry.
     """
     conj_states = candidate_states(gen).conj()
 

@@ -4,9 +4,10 @@ A world is a seed plus a kind; every function the world exposes is
 derived from the seed by the keyed SHA-256 derivation in ``rng``, so
 two runs (or two implementations) with the same seed see bit-identical
 worlds.  O_n, P_n and Q_n values are derived lazily, one input at a
-time; the one exponential table is the bot world's permutation P_n, a
-2^n-entry Fisher-Yates table built whole on first use and capped at
-n <= 20.
+time.  The module keeps two exponential tables, the last one built of
+each: the bot world's permutation P_n, a 2^n-entry Fisher-Yates table
+built whole on first use and capped at n <= 20, and the brute-force
+``candidate_states`` table below.
 
 Kinds:
 
@@ -421,12 +422,26 @@ def candidate_image(candidate: GeneratorHandle) -> set[str]:
     return image
 
 
+# The last candidate_states table, with the handle it was built from.  A
+# command searches one generator, so, as with the permutation table, one
+# table is all a run reuses.  The entry is keyed on the handle's identity
+# and holds the handle, so its id cannot pass to another one: handles
+# compare without their eval, so two equal handles can hold different states.
+_last_states: tuple[GeneratorHandle, np.ndarray] | None = None
+
+
 def candidate_states(gen: GeneratorHandle) -> np.ndarray:
     """Amplitudes of a state generator over its whole key space, one row per key.
 
     Key k is evaluated once, on the stream (OWSG_SEARCH_SEED, k); the
-    result is a 2^lambda x dim array.
+    result is a read-only 2^lambda x dim array.  The last table built is
+    kept for the handle object it was built from, so a handle that is
+    searched again (``toy_owsg_haar`` keeps its last one) reuses it.
     """
+    global _last_states
+    last = _last_states  # read once: another thread may replace the entry
+    if last is not None and last[0] is gen:
+        return last[1]
     if gen.kind != "owsg":
         raise ParameterError(f"expected an owsg handle, got {gen.kind}")
     if gen.input_len > MAX_OWSG_KEY_BITS:
@@ -435,6 +450,10 @@ def candidate_states(gen: GeneratorHandle) -> np.ndarray:
         )
     if gen.dim << gen.input_len > MAX_TENSOR_DIM**2:
         raise MemoryBudgetError(f"2^{gen.input_len} x {gen.dim} table exceeds {MAX_TENSOR_DIM**2} amplitudes")
+    _last_states = None  # the older table would only hold memory while this one is built
     keys = range(1 << gen.input_len)
     states = (gen.eval(int_to_bits(k, gen.input_len), SeededRng(OWSG_SEARCH_SEED, k)) for k in keys)
-    return np.array([state.amplitudes for state in states])
+    table = np.array([state.amplitudes for state in states])
+    table.setflags(write=False)
+    _last_states = (gen, table)
+    return table

@@ -37,13 +37,17 @@ def zero_padding_prg(lam: int, s: int) -> GeneratorHandle:
     )
 
 
+@lru_cache(maxsize=1)
 def toy_owsg_haar(lam: int, dim: int, seed: int = 11) -> GeneratorHandle:
     """Keys map to fixed pseudo-Haar states (one per key, derived from the seed).
 
     A key's state depends on the key alone, so the handle keeps each state
     it builds, at most ``MAX_TENSOR_DIM**2`` amplitudes of them: the budget
     of a ``candidate_states`` table.  The states are read-only, so sharing
-    one between callers is safe.
+    one between callers is safe.  The process keeps the last handle made,
+    memoised on ``(lam, dim, seed)``, so a repeated command reuses its
+    states instead of building them again; one handle is all a command
+    uses, and an older one would only hold memory.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from qrandlab.oracles import (
     sampler_oracle,
     verify_eval_oracle,
 )
+from qrandlab.primitives import GeneratorHandle
 from qrandlab.qcore import MemoryBudgetError, StateVector, born_distribution, haar_sample, measure_computational
 from qrandlab.rng import OWSG_SEARCH_SEED, ParameterError, SeededRng, int_to_bits
 from qrandlab.toys import constant_owsg, toy_owsg_basis, toy_owsg_haar, toy_prg
@@ -570,3 +573,40 @@ class TestBruteforceOwsgAdversary:
         gen = constant_owsg(6, 8)  # every key scores 1
         copies = (gen.eval("101010", None),)
         assert bruteforce_owsg_handle(gen).decide(copies, None) == "000000"
+
+
+class TestCandidateStatesMemo:
+    """candidate_states keeps its last table, for the handle object it was built from."""
+
+    def test_warm_call_returns_the_same_table(self):
+        gen = toy_owsg_haar(4, 8)
+        assert candidate_states(gen) is candidate_states(gen)
+
+    def test_equal_handles_keep_their_own_tables(self):
+        # handles compare without their eval, so equality cannot key the table
+        def handle(index):
+            return GeneratorHandle(
+                kind="owsg", input_len=2, output_len=0, dim=4, description="equal",
+                eval=lambda key, rng: StateVector.basis(4, index),
+            )
+
+        a, b = handle(0), handle(3)
+        assert a == b and hash(a) == hash(b)
+        for gen, index in ((a, 0), (b, 3), (a, 0)):
+            table = candidate_states(gen)
+            assert np.array_equal(table, np.tile(StateVector.basis(4, index).amplitudes, (4, 1)))
+
+    def test_holds_one_table(self):
+        first = toy_owsg_haar(4, 8)
+        refs = [weakref.ref(first), weakref.ref(candidate_states(first))]
+        del first
+        gc.collect()
+        assert all(ref() is not None for ref in refs)  # the last handle and table are kept
+        candidate_states(toy_owsg_haar(8, 16))
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_table_is_read_only(self):
+        table = candidate_states(toy_owsg_haar(4, 8))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0

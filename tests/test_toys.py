@@ -1,4 +1,4 @@
-"""The toy generators: keys read at the boundary, and the per-handle state memo."""
+"""The toy generators: keys read at the boundary, and the per-process state memo."""
 
 import hashlib
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qrandlab import toys
+from qrandlab.cli import strip_timing_fields
 from qrandlab.experiments import bruteforce_owsg_handle, exp_owsg, owsg_coin_flip_adversary
 from qrandlab.oracles import candidate_states
 from qrandlab.qcore import InvalidDimensionError, haar_sample
@@ -13,18 +14,36 @@ from qrandlab.rng import ParameterError, SeededRng, derive_int
 from qrandlab.toys import derived_bot_prg, haar_keyed_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
 
 
+@pytest.fixture(autouse=True)
+def cold_owsg_memo():
+    """Each test starts from no memoised toy handle and leaves none behind,
+    so a spy or a patched budget never meets a handle an earlier test made."""
+    toy_owsg_haar.cache_clear()
+    yield
+    toy_owsg_haar.cache_clear()
+
+
 class TestOwsgPins:
-    """Known answers of the brute-force OWSG path, taken before its states were memoised."""
+    """Known answers of the brute-force OWSG path, taken before its states were memoised.
+
+    Each holds on a cold call, which builds the states and the table, and
+    on a warm one, which reuses them.
+    """
 
     def test_candidate_table_digest(self):
-        table = candidate_states(toy_owsg_haar(8, 16))
-        digest = hashlib.sha256(table.tobytes()).hexdigest()
-        assert digest == "e5665252380c38a67b09a83b14a6f4e2de07a2907f79c304760237c034c600cb"
+        for _ in range(2):
+            table = candidate_states(toy_owsg_haar(8, 16))
+            digest = hashlib.sha256(table.tobytes()).hexdigest()
+            assert digest == "e5665252380c38a67b09a83b14a6f4e2de07a2907f79c304760237c034c600cb"
 
     def test_bruteforce_success_count(self):
-        gen = toy_owsg_haar(8, 16)
-        report = exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(1))
-        assert (report["trials"], report["successes"]) == (40, 40)
+        records = []
+        for _ in range(2):
+            gen = toy_owsg_haar(8, 16)
+            report = exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(1))
+            assert (report["trials"], report["successes"]) == (40, 40)
+            records.append(strip_timing_fields(report))
+        assert records[0] == records[1]
 
     def test_coin_flip_success_count(self):
         # the guesses are mostly wrong keys, so the count depends on every state and draw
@@ -48,14 +67,16 @@ class TestOwsgHaarMemo:
             gen.eval("1001", rng)
             assert not rng.drawn
 
-    def test_not_shared_between_handles(self, monkeypatch):
+    def test_shared_between_factory_calls(self, monkeypatch):
         built = []
         monkeypatch.setattr(toys, "haar_sample", lambda dim, rng: built.append(dim) or haar_sample(dim, rng))
         a, b = toy_owsg_haar(4, 16), toy_owsg_haar(4, 16)
-        assert a.eval("0011", None) is not b.eval("0011", None)
-        assert len(built) == 2
-        assert np.array_equal(a.eval("0011", None).amplitudes, b.eval("0011", None).amplitudes)
-        assert len(built) == 2
+        assert a is b
+        assert a.eval("0011", None) is b.eval("0011", None)
+        assert len(built) == 1
+        fresh = haar_sample(16, SeededRng(derive_int(11, "toy-owsg-haar", 4, 0b0011, 64), 0))
+        assert np.array_equal(b.eval("0011", None).amplitudes, fresh.amplitudes)
+        assert len(built) == 1
 
     def test_holds_at_most_the_candidate_table_budget(self, monkeypatch):
         # a 4 x 4 amplitude budget holds four states of dim 4
