@@ -81,6 +81,16 @@ def bruteforce_prg_handle(candidate: GeneratorHandle) -> AdversaryHandle:
     return AdversaryHandle("bruteforce-image", decide)
 
 
+def _ml_scores(table: np.ndarray, copies: np.ndarray) -> np.ndarray:
+    """Product over copies c of |<k|c>|^2 for each row k of ``table``, which is not copied:
+    the copies are conjugated instead, and |<k|c>| is |conj <k|c>| bit for bit."""
+    weights = np.abs(table @ copies.conj().T) ** 2
+    scores = weights[:, 0]
+    for column in weights.T[1:]:  # left to right, as np.prod multiplies
+        scores = scores * column
+    return scores
+
+
 def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
     """An amplitude oracle: key search that reads the copies' amplitudes.
 
@@ -91,17 +101,16 @@ def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
     power of one overlap and t cannot change the guess.  The candidate
     states come from ``candidate_states``, which keeps the last table it
     built, so a handle made again for the same generator object builds
-    no state.  The strategy id stays ``bruteforce-ml``, the name that
-    records carry.
+    no state; ``_ml_scores`` reads that table with no per-request copy.
+    The strategy id stays ``bruteforce-ml``, the name that records carry.
     """
-    conj_states = candidate_states(gen).conj()
+    table = candidate_states(gen)
 
     def decide(copies: Sequence[StateVector], rng) -> str:
         if not copies:
             raise ParameterError("need at least one copy")
-        overlaps = conj_states @ np.array([copy.amplitudes for copy in copies]).T
-        scores = np.prod(np.abs(overlaps) ** 2, axis=1)
-        return int_to_bits(int(np.argmax(scores)), gen.input_len)
+        scores = _ml_scores(table, np.array([copy.amplitudes for copy in copies]))
+        return int_to_bits(int(scores.argmax()), gen.input_len)
 
     return AdversaryHandle("bruteforce-ml", decide)
 

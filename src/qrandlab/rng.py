@@ -43,14 +43,17 @@ _MAX_COUNTER = 1 << 128  # counter << 128 must fit Philox's 256-bit counter
 _CHILD_FANOUT = (1 << 32) - 1  # child indices below this never reach the next parent's range
 
 
-class _ZeroSeedSequence(np.random.bit_generator.ISeedSequence):
-    """All-zero seed words: the Philox it seeds gets its real state set next."""
+class _KeySeed(np.random.bit_generator.ISeedSequence):
+    """The seed sequence whose two 64-bit words are the Philox key ``[seed, 0]``."""
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return np.zeros(n_words, dtype=dtype)
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def generate_state(self, n_words, dtype=np.uint64):
+        return np.array([self.seed, 0], dtype=dtype)
 
 
-_ZERO_SEED = _ZeroSeedSequence()
+_BIT_CHARS = np.frombuffer(b"01", dtype=np.uint8)  # draw b -> ASCII '0' + b
 
 
 @dataclass
@@ -63,9 +66,9 @@ class SeededRng:
     whose position advances with every draw.  Parallel trials should
     each construct their own ``SeededRng`` via ``child``.  The Philox
     generator is built on the first draw, so a stream that never draws
-    costs only its validation; it is built by setting the documented
-    Philox state (key ``[seed, 0]``, counter ``counter << 128``), so no
-    OS entropy is gathered for it.
+    costs only its validation; it is built from a seed sequence that
+    gives the key ``[seed, 0]`` and from the counter ``counter << 128``,
+    so no state dict is set and no OS entropy is gathered for it.
     """
 
     seed: int
@@ -81,20 +84,8 @@ class SeededRng:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            # Philox(key=seed, counter=counter << 128) gives the same stream but first
-            # draws an OS-entropy SeedSequence that a given key then discards.
-            philox = np.random.Philox(_ZERO_SEED)
-            philox.state = {
-                "bit_generator": "Philox",
-                "state": {
-                    "counter": np.array([0, 0, self.counter & _U64, self.counter >> 64], dtype=np.uint64),
-                    "key": np.array([self.seed, 0], dtype=np.uint64),
-                },
-                "buffer": np.zeros(4, dtype=np.uint64),
-                "buffer_pos": 4,  # the buffer is empty: the first draw computes block 0
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
+            # Philox(key=seed) would first gather OS entropy that the key then discards
+            philox = np.random.Philox(_KeySeed(self.seed), counter=self.counter << 128)
             self._gen = np.random.Generator(philox)
         return self._gen
 
@@ -129,7 +120,7 @@ class SeededRng:
         return int(self.generator.integers(0, 2))
 
     def bits(self, n: int) -> str:
-        return (self.generator.integers(0, 2, size=n).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
+        return _BIT_CHARS[self.generator.integers(0, 2, size=n)].tobytes().decode("ascii")
 
     def multinomial(self, n: int, pvals) -> np.ndarray:
         return self.generator.multinomial(n, pvals)

@@ -13,6 +13,7 @@ from scipy import stats
 from qrandlab.cli import canonical_json, main, strip_timing_fields
 from qrandlab.constructions import con1_handle
 from qrandlab.experiments import (
+    advantage_ci,
     bruteforce_owsg_handle,
     bruteforce_prg_handle,
     coin_flip_adversary,
@@ -240,26 +241,39 @@ def test_criterion_08_bruteforce_attacks():
     )
 
 
+def _wilson_coverage(trials: int) -> float:
+    """Exact probability that the Wilson 95% interval of Bin(trials, 1/2) successes contains 1/2."""
+    pmf = stats.binom.pmf(np.arange(trials + 1), trials, 0.5)
+    covers = [lo <= 0 <= hi for lo, hi in (advantage_ci(k, trials)[1] for k in range(trials + 1))]
+    return float(pmf[covers].sum())
+
+
 def test_criterion_09_null_calibration():
-    runs = 20
+    runs, alpha = 20, 1e-4
+    trials = {"prg": 500, "bot-prg": 400, "owsg": 400}
+    # A game's count of covering intervals is Bin(runs, coverage): it must clear that law's
+    # alpha lower tail.  Coverage is 0.9456 at 500 trials and 0.9490 at 400, so each game
+    # needs 14 of 20, which a calibrated game misses with odds 5.8e-5 and 3.9e-5.
+    need = 14
+    assert {int(stats.binom.ppf(alpha, runs, _wilson_coverage(n))) for n in trials.values()} == {need}
     contains = {"prg": 0, "bot-prg": 0, "owsg": 0}
     world = OracleWorld("bot-world", seed=109, n_max=12)
     bot_gen = bot_prg_handle(world, 12)
     prg_gen = toy_prg(8, 24)
     owsg_gen = toy_owsg_basis(8)
     for seed in range(runs):
-        rep = exp_prg(prg_gen, coin_flip_adversary(), 500, SeededRng(3000 + seed))
+        rep = exp_prg(prg_gen, coin_flip_adversary(), trials["prg"], SeededRng(3000 + seed))
         contains["prg"] += rep["ci95"][0] <= 0 <= rep["ci95"][1]
-        rep = exp_botprg(bot_gen, coin_flip_adversary(), 2, 400, SeededRng(4000 + seed))
+        rep = exp_botprg(bot_gen, coin_flip_adversary(), 2, trials["bot-prg"], SeededRng(4000 + seed))
         contains["bot-prg"] += rep["ci95"][0] <= 0 <= rep["ci95"][1]
-        rep = exp_owsg(owsg_gen, owsg_coin_flip_adversary(), 2, 400, SeededRng(5000 + seed))
+        rep = exp_owsg(owsg_gen, owsg_coin_flip_adversary(), 2, trials["owsg"], SeededRng(5000 + seed))
         contains["owsg"] += rep["ci95"][0] <= 0 <= rep["ci95"][1]
-    ok = all(v >= 18 for v in contains.values())
+    ok = all(v >= need for v in contains.values())
     check(
         9,
         "coin-flip adversaries calibrate to zero advantage",
         ok,
-        f"CIs containing 0 out of {runs} reseeded runs: {contains}",
+        f"CIs containing 0 out of {runs} reseeded runs: {contains}; alpha = {alpha} needs {need} each",
     )
 
 

@@ -1,12 +1,13 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from qrandlab.experiments import bruteforce_owsg_handle, bruteforce_prg_handle, exp_prg
+from qrandlab.experiments import _ml_scores, bruteforce_owsg_handle, bruteforce_prg_handle, exp_owsg, exp_prg
 from qrandlab.oracles import (
     BotOracleParams,
     KeySpaceTooLargeError,
@@ -573,6 +574,32 @@ class TestBruteforceOwsgAdversary:
         gen = constant_owsg(6, 8)  # every key scores 1
         copies = (gen.eval("101010", None),)
         assert bruteforce_owsg_handle(gen).decide(copies, None) == "000000"
+
+    @pytest.mark.parametrize("lam, dim", [(8, 16), (4, 256)])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_scores_equal_conjugated_table_scores(self, lam, dim, t):
+        # _ml_scores conjugates the copies, not the table; not one bit of a score moves
+        gen = toy_owsg_haar(lam, dim)
+        table = candidate_states(gen)
+        rng = SeededRng(75)
+        keyed = [np.array([gen.eval(int_to_bits(k, lam), None).amplitudes] * t) for k in range(1 << lam)]
+        haar = [np.array([haar_sample(dim, rng).amplitudes for _ in range(t)]) for _ in range(200)]
+        for copies in keyed + haar:
+            expected = np.prod(np.abs(table.conj() @ copies.T) ** 2, axis=1)
+            assert np.array_equal(_ml_scores(table, copies), expected)
+
+    def test_warm_game_copies_no_table(self):
+        # a per-request copy of the 16 MB table would make a warm game peak at about one table
+        gen = toy_owsg_haar(12, 256)
+        table = candidate_states(gen)
+        exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 1, SeededRng(76))
+        tracemalloc.start()
+        try:
+            exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(77))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * table.nbytes
 
 
 class TestCandidateStatesMemo:

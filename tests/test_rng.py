@@ -52,15 +52,27 @@ class TestSeededRngStreams:
         assert int(bits, 2) == 0x5D5831D20704CE3BC283D76028FC2F71999CE587C29FEC8339BE48E4D11C1D05D6A2B897379
 
     @pytest.mark.parametrize("seed", [2024, 2**64 - 1])
-    @pytest.mark.parametrize("n", [0, 1, 7, 64, 385, 4099])
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 33, 64, 385, 4096, 4099])
     def test_bits_spell_the_integer_draws(self, seed, n):
-        # bits(n) converts its n integer draws in one step; the per-bit join is the reference
-        rng, ref = SeededRng(seed, 5), SeededRng(seed, 5)
-        assert rng.bits(n) == "".join("01"[b] for b in ref.integers(0, 2, size=n))
+        # bits(n) converts its n integer draws in one b"01" lookup; the per-bit join and
+        # the ASCII offset conversion that bits used before are the references
+        rng, ref, offset = SeededRng(seed, 5), SeededRng(seed, 5), SeededRng(seed, 5)
+        bits = rng.bits(n)
+        assert bits == "".join("01"[b] for b in ref.integers(0, 2, size=n))
+        assert bits == (offset.integers(0, 2, size=n).astype(np.uint8) + ord("0")).tobytes().decode("ascii")
         assert rng.uniform() == ref.uniform()  # the stream goes on where the draws left it
 
 
 class TestPhiloxState:
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    @pytest.mark.parametrize("counter", [0, 1, 1 << 64, (1 << 128) - 1])
+    def test_built_state(self, seed, counter):
+        # key [seed, 0], the stream in the counter's high half, and an empty buffer
+        state = SeededRng(seed, counter).generator.bit_generator.state
+        assert state["state"]["key"].tolist() == [seed, 0]
+        assert state["state"]["counter"].tolist() == [0, 0, counter & (1 << 64) - 1, counter >> 64]
+        assert (state["buffer_pos"], state["has_uint32"]) == (4, 0)
+
     @pytest.mark.parametrize("seed", [0, 123, 987654321, (1 << 64) - 1])
     @pytest.mark.parametrize("counter", [0, 5, (1 << 96) + 7, (1 << 128) - 1])
     def test_draws_equal_keyed_philox(self, seed, counter):
