@@ -37,7 +37,7 @@ from .experiments import (
     moment_distance,
     owsg_coin_flip_adversary,
 )
-from .extraction import RoundParams, extract, gaussian_block_check, good_set_member
+from .extraction import RoundParams, extract, extract_from_prefix, gaussian_block_check, good_set_member
 from .oracles import (
     OracleWorld,
     bot_oracle_eval,
@@ -162,7 +162,10 @@ def cmd_extract(params: dict, seed: int) -> dict:
                 psi = haar_sample(d, child)
                 good += good_set_member(born_distribution(psi), rparams)
                 first = extract(psi, rparams, t, child)
-                second = extract(psi, rparams, t, child)
+                # The repeat is the last draw on child(i): its prefix draw gives
+                # the bits of a full d-cell draw and only leaves the stream
+                # elsewhere, which nothing reads.
+                second = extract(psi, rparams) if t is None else extract_from_prefix(psi, rparams, t, child)
                 agree += first == second
                 ones += np.array([b == "1" for b in first])
         except BaseException as exc:  # re-raised below, once every share has stopped

@@ -10,6 +10,11 @@ strictly against r/d to produce one output bit.  A state is in the good
 set when every block sum clears the threshold by a margin of more than
 2/d, which is what makes the whole pipeline deterministic on that state.
 
+Rounding reads only the first k = l*r entries, so ``extract_from_prefix``
+rounds a t-copy estimate of those k alone (``tomography.sampled_prefix``):
+the bits ``extract`` gives on the same stream, from a (k + 1)-cell draw
+in place of a d-cell one, for a stream nothing draws on afterwards.
+
 ``gaussian_block_check`` measures how closely the block sums of Haar
 states follow their limiting normal law N(r/d, r/d^2).
 """
@@ -30,7 +35,7 @@ from .qcore import (
     haar_sample,
 )
 from .rng import SeededRng
-from .tomography import estimate_diagonal
+from .tomography import estimate_diagonal, sampled_prefix
 
 
 @dataclass(frozen=True)
@@ -76,22 +81,32 @@ class RoundParams:
         return 2 / self.d
 
 
+def _head_sums(head: np.ndarray, params: RoundParams) -> np.ndarray:
+    """Block sums of the first l*r = k entries of ``head``."""
+    l, r = params.num_bits, params.r
+    return head[: l * r].reshape(l, r).sum(axis=1)
+
+
 def block_sums(diag: np.ndarray, params: RoundParams) -> np.ndarray:
     """q_i = sum of the i-th block of r consecutive diagonal entries.
 
     Only the first l*r = k entries are consumed; the tail is ignored.
-    This length check is the pipeline's one dimension check.
+    This length check is the dimension check of every path but
+    ``extract_from_prefix``, which checks the state's dimension.
     """
     if len(diag) != params.d:
         raise DimensionMismatchError(f"diagonal dim {len(diag)} != params d {params.d}")
-    l, r = params.num_bits, params.r
-    return diag[: l * r].reshape(l, r).sum(axis=1)
+    return _head_sums(diag, params)
+
+
+def _bits(q: np.ndarray, params: RoundParams) -> str:
+    """b_i = 1 iff q_i > r/d (strict); ties round to 0."""
+    return "".join("1" if qi > params.threshold else "0" for qi in q)
 
 
 def round_bits(diag: np.ndarray, params: RoundParams) -> str:
-    """b_i = 1 iff q_i > r/d (strict); ties round to 0."""
-    q = block_sums(diag, params)
-    return "".join("1" if qi > params.threshold else "0" for qi in q)
+    """The rounded block sums of a diagonal: b_i = 1 iff q_i > r/d (strict)."""
+    return _bits(block_sums(diag, params), params)
 
 
 def good_set_member(diag: np.ndarray, params: RoundParams) -> bool:
@@ -105,6 +120,15 @@ def extract(
 ) -> str:
     """Diagonal estimation (from t sampled copies, or exact when t is None) followed by rounding."""
     return round_bits(estimate_diagonal(psi, t, rng), params)
+
+
+def extract_from_prefix(psi: StateVector, params: RoundParams, t: int, rng: SeededRng) -> str:
+    """``extract(psi, params, t, rng)``'s bits from a t-copy estimate of the
+    k entries rounding reads (``sampled_prefix``), for the last draw on ``rng``:
+    it leaves ``rng`` at another position than ``extract`` does."""
+    if psi.dim != params.d:
+        raise DimensionMismatchError(f"state dim {psi.dim} != params d {params.d}")
+    return _bits(_head_sums(sampled_prefix(psi, t, params.k, rng), params), params)
 
 
 def gaussian_block_check(d: int, n_states: int, rng: SeededRng) -> dict:

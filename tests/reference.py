@@ -6,6 +6,8 @@ versions here are the independent computations those are checked
 against, together with the density-operator algebra and tomography
 bounds the tests state their claims in.  ``looped_audit`` is the
 determinism audit without its early exit: every trial evaluated.
+``looped_extract`` is the extract command's result as one serial
+loop whose repeat extraction is a second full d-cell ``extract``.
 ``fisher_yates_reference`` is the permutation table as the plain
 top-down swap loop, one bounded draw per step, over words that
 ``reference_words`` hashes one block at a time from the documented
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qrandlab.extraction import RoundParams, extract, good_set_member
 from qrandlab.oracles import OracleWorld, WrongWorldKindError, _flip_index, flip_state_dim
 from qrandlab.primitives import _cluster_states, _plurality
 from qrandlab.qcore import (
@@ -33,6 +36,8 @@ from qrandlab.qcore import (
     InvalidDimensionError,
     MemoryBudgetError,
     StateVector,
+    born_distribution,
+    haar_sample,
 )
 from qrandlab.rng import SeededRng
 
@@ -204,6 +209,30 @@ def looped_audit(handle, key, trials: int, rng: SeededRng):
         modal = _plurality(outputs)
         count = outputs.count(modal)
     return modal, count / trials
+
+
+def looped_extract(d: int, n_states: int, t: int, seed: int) -> dict:
+    """The sampled ``extract`` result, state i on ``SeededRng(seed).child(i)``
+    with two full ``extract`` calls, one after the other, on that stream."""
+    params = RoundParams(d)
+    good = agree = 0
+    ones = np.zeros(params.num_bits, dtype=np.int64)
+    for i in range(n_states):
+        child = SeededRng(seed).child(i)
+        psi = haar_sample(d, child)
+        good += good_set_member(born_distribution(psi), params)
+        first = extract(psi, params, t, child)
+        agree += first == extract(psi, params, t, child)
+        ones += np.array([b == "1" for b in first])
+    return {
+        "d": d,
+        "n_states": n_states,
+        "mode": "sampled",
+        "t": t,
+        "good_fraction": good / n_states,
+        "bit_frequencies": list(ones / n_states),
+        "repeat_agreement": agree / n_states,
+    }
 
 
 # -- the Fisher-Yates table, one swap at a time ---------------------------------------

@@ -13,6 +13,7 @@ from qrandlab import cli, oracles
 from qrandlab.cli import canonical_json, main, strip_timing_fields as strip_timing
 from qrandlab.qcore import MAX_TENSOR_DIM
 from qrandlab.toys import toy_owsg_basis
+from reference import looped_extract
 
 
 def run_cli(capsys, argv):
@@ -150,6 +151,17 @@ class TestExtractShares:
         assert "share 1 failed" in err
         assert len(failed) == 1  # share 1 stopped at its first state
         assert len(main_states) == 1  # share 0 stopped at its next state
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("d, t", [(64, 1), (64, 500), (4096, 1000), (4096, 10**6)])
+    def test_result_equals_two_full_extracts(self, monkeypatch, d, t, workers):
+        # the repeat draws only the cells rounding reads, yet every result is
+        # the one two full d-cell extractions per state give
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(cli, "_MIN_SPREAD_D", 64)
+        for seed in (0, 1, 2):
+            params = {"d": d, "states": 8, "mode": "sampled", "t": t}
+            assert cli.cmd_extract(params, seed) == looped_extract(d, 8, t, seed)
 
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)

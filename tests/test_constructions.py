@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from qrandlab.constructions import (
     Con2Params,
@@ -127,11 +128,18 @@ def bad_bot_key(world, n):
     return format(max(bad, key=lambda x: world.q_value(n, x)), f"0{n}b")
 
 
+def good_con1_keys(world, count):
+    """``count`` keys spread over the bot world's good set at n = 12: a good
+    key's evaluation draws nothing, whichever stream ``qsamp`` would use."""
+    good = sorted(bot_oracle_good_set(world, 12))
+    return [BotValue.of(x) for x in good[:: len(good) // count][:count]]
+
+
 def con1_audit_case(kind):
     world = OracleWorld("bot-world", seed=5, n_max=12)
     handle = con1_handle(bot_prg_handle(world, 12))
     if kind == "good":
-        return handle, [handle.qsamp(SeededRng(8).child(i)) for i in range(5)], False
+        return handle, good_con1_keys(world, 5), False
     if kind == "bad":
         return handle, [BotValue.of(bad_bot_key(world, 12))], True
     return handle, [BOT], False
@@ -143,6 +151,11 @@ def bot_prg_audit_case(kind):
     if kind == "good":
         return handle, [sorted(bot_oracle_good_set(world, 12))[0]], False
     return handle, [bad_bot_key(world, 12)], True
+
+
+def con3_over_con1_audit_case():
+    inner, keys, _ = con1_audit_case("good")
+    return con3_handle(Con3Params(lam=12, c=4.0, N=8, inner=inner)), keys[:2], False
 
 
 def keys_from_qsamp(handle, count=2, draws=False):
@@ -174,9 +187,7 @@ AUDIT_CASES = {
     "random-phase-sprs": lambda: keys_from_qsamp(random_phase_sprs(8)),
     "con2-exact": lambda: (con2_handle(CON2), [con2_qsamp(CON2, SeededRng(17))], False),
     "con2-sampled": lambda: (con2_handle(CON2_SAMPLED), [con2_qsamp(CON2, SeededRng(17))], True),
-    "con3-over-con1": lambda: keys_from_qsamp(
-        con3_handle(Con3Params(lam=12, c=4.0, N=8, inner=con1_audit_case("good")[0]))
-    ),
+    "con3-over-con1": con3_over_con1_audit_case,
     "con3-over-toy-prg": lambda: keys_from_qsamp(con3_handle(Con3Params(lam=2, c=3.0, N=8, inner=toy_prg(4, 24)))),
 }
 
@@ -206,7 +217,7 @@ def test_audit_equals_looped_reference(case, monkeypatch):
 class TestCon1FixedOutput:
     def test_good_key_audit_makes_one_child_stream(self, monkeypatch):
         handle = con1_handle(bot_world_con1())
-        key = handle.qsamp(SeededRng(9))
+        (key,) = good_con1_keys(OracleWorld("bot-world", seed=5, n_max=12), 1)
         calls = []
         child = SeededRng.child
 
@@ -242,9 +253,24 @@ class TestCon2:
         assert con2_qsamp(params, SeededRng(1)).is_bot
 
     def test_abort_rate_over_thousand_runs(self):
+        # An exact-mode attempt draws one of the four keys uniformly and fails iff
+        # that key's state is outside the good set, so a run aborts with
+        # probability (bad/4)^8.  The count must clear Bin(1000, rate)'s alpha
+        # upper tail.  With seed 10 all four states are good: rate 0, bound 0 and
+        # no false failure.  Two bad states would give rate 1/256, bound 16 and a
+        # false-failure rate of 7.6e-7.
+        runs, alpha = 1000, 1e-6
+        keys = [format(x, "02b") for x in range(4)]
+        bad = sum(
+            not good_set_member(born_distribution(CON2_INNER.eval(key, None)), CON2.round_params)
+            for key in keys
+        )
+        rate = (bad / len(keys)) ** CON2.attempts
+        bound = int(stats.binom.isf(alpha, runs, rate))
+        assert stats.binom.sf(bound, runs, rate) <= alpha
         rng = SeededRng(29)
-        bots = sum(con2_qsamp(CON2, rng.child(i)).is_bot for i in range(1000))
-        assert bots <= 1
+        bots = sum(con2_qsamp(CON2, rng.child(i)).is_bot for i in range(runs))
+        assert bots <= bound
 
     def test_eval_on_bot_key_aborts(self):
         assert con2_eval(CON2, BOT, SeededRng(0)).is_bot

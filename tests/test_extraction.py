@@ -7,6 +7,7 @@ from qrandlab.extraction import (
     RoundParams,
     block_sums,
     extract,
+    extract_from_prefix,
     gaussian_block_check,
     good_set_member,
     round_bits,
@@ -151,11 +152,24 @@ class TestExtract:
             extract(psi, P4096, t=10**6)
 
     def test_dim_mismatch(self):
-        # block_sums' length check is the one dimension check, on both estimators
+        # block_sums' length check on both estimators; the prefix path checks the state
         psi = haar_sample(64, SeededRng(0))
         for t in (None, 100):
             with pytest.raises(DimensionMismatchError):
                 extract(psi, P4096, t=t, rng=SeededRng(1))
+        rng = SeededRng(1)
+        with pytest.raises(DimensionMismatchError):
+            extract_from_prefix(psi, P4096, 100, rng)
+        assert not rng.drawn
+
+    @pytest.mark.parametrize("t", [1, 1000, 10**6])
+    @pytest.mark.parametrize("d", [64, 4096])
+    def test_prefix_path_gives_extract_bits(self, d, t):
+        params = RoundParams(d)
+        states = [haar_sample(d, SeededRng(d, i)) for i in range(20)]
+        states += [StateVector.basis(d, i) for i in (0, params.k - 1, params.k, d - 1)]
+        for i, psi in enumerate(states):
+            assert extract_from_prefix(psi, params, t, SeededRng(3, i)) == extract(psi, params, t, SeededRng(3, i))
 
 
 class TestMarginRobustness:

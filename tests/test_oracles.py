@@ -71,11 +71,22 @@ class TestBotOracle:
         assert len(outputs) == 1 and "bot" not in outputs
 
     def test_zero_abort_probability_bad_input(self):
-        # seed 9 puts x = 100100111100 in the bad set with Q_n(x) = 0
-        world = OracleWorld("bot-world", seed=9, n_max=12)
-        x = "100100111100"
-        assert x not in bot_oracle_good_set(world, 12)
-        assert world.q_value(12, int(x, 2)) == 0
+        # Each world has exactly 2^(12-6) = 64 bad inputs at n = 12, each with
+        # Q_n(x) = 0 with probability 2^-12, so 1024 worlds hold none with
+        # probability (1 - 2^-12)^65536 = 1.1e-7.
+        n, seeds = 12, 1024
+        found = None
+        for seed in range(seeds):
+            world = OracleWorld("bot-world", seed=seed, n_max=n)
+            good = bot_oracle_good_set(world, n)
+            bad = [x for x in range(1 << n) if int_to_bits(x, n) not in good]
+            assert len(bad) == 1 << (n - world.bot_params(n).w)
+            zero = [x for x in bad if world.q_value(n, x) == 0]
+            if zero:
+                found = world, int_to_bits(zero[0], n)
+                break
+        assert found is not None, f"no bad input with Q_n(x) = 0 in {seeds} worlds"
+        world, x = found
         rng = SeededRng(2)
         assert all(not bot_oracle_eval(world, x, rng).is_bot for _ in range(500))
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrandlab.qcore import StateVector, born_distribution, haar_sample
-from qrandlab.rng import SeededRng
-from qrandlab.tomography import InvalidSampleCountError, sampled_diagonal
+from qrandlab.rng import ParameterError, SeededRng
+from qrandlab.tomography import InvalidSampleCountError, sampled_diagonal, sampled_prefix
 from reference import linf_error, tomography_samples_required
 
 
@@ -42,14 +42,20 @@ class TestSampledDiagonal:
     def test_zero_samples_rejected(self):
         with pytest.raises(InvalidSampleCountError):
             sampled_diagonal(uniform_state(2), 0, SeededRng(0))
+        with pytest.raises(InvalidSampleCountError):
+            sampled_prefix(uniform_state(2), 0, 1, SeededRng(0))
 
     @pytest.mark.parametrize("t", [2**63, 10**20])
     def test_oversized_count_rejected_before_drawing(self, t):
         # numpy's multinomial takes a C long; a larger t is a usage error
-        rng = SeededRng(0)
-        with pytest.raises(InvalidSampleCountError):
-            sampled_diagonal(uniform_state(2), t, rng)
-        assert not rng.drawn
+        for draw in (
+            lambda rng: sampled_diagonal(uniform_state(2), t, rng),
+            lambda rng: sampled_prefix(uniform_state(2), t, 1, rng),
+        ):
+            rng = SeededRng(0)
+            with pytest.raises(InvalidSampleCountError):
+                draw(rng)
+            assert not rng.drawn
 
     def test_hoeffding_envelope(self):
         # P(linf error > sqrt(ln(2 dim / 0.01) / 2t)) <= 0.01
@@ -94,6 +100,35 @@ class TestSampledDiagonal:
             psi = haar_sample(64, rng)
             err = linf_error(sampled_diagonal(psi, t, rng), born_distribution(psi))
             assert err <= 0.005
+
+
+class TestSampledPrefix:
+    """The (k + 1)-cell draw gives the first k counts of the full d-cell draw."""
+
+    # d -> (k = d^(5/6), the cells rounding reads; Haar states per t)
+    CASES = {64: (32, 50), 4096: (1024, 50), 2**18: (2**15, 3)}
+
+    @pytest.mark.parametrize("t", [1, 500, 10**6, 2**62])
+    @pytest.mark.parametrize("d", list(CASES))
+    def test_equals_full_draw_prefix(self, d, t):
+        k, n_haar = self.CASES[d]
+        rng = SeededRng(d, t)
+        states = [haar_sample(d, rng.child(i)) for i in range(n_haar)]
+        # |0>: the tail is 0; |d-1>: the prefix is all zero
+        states += [StateVector.basis(d, i) for i in (0, k - 1, k, d - 1)]
+        for i, psi in enumerate(states):
+            full = sampled_diagonal(psi, t, SeededRng(7, i))
+            prefix = sampled_prefix(psi, t, k, SeededRng(7, i))
+            assert prefix.shape == (k,)
+            assert np.array_equal(prefix, full[:k])
+
+    @pytest.mark.parametrize("k", [0, 8])
+    def test_prefix_must_leave_a_cell(self, k):
+        # at k = dim the last cell would be drawn, not take the remainder
+        rng = SeededRng(0)
+        with pytest.raises(ParameterError):
+            sampled_prefix(uniform_state(8), 10, k, rng)
+        assert not rng.drawn
 
 
 class TestSamplesRequired:
