@@ -5,9 +5,8 @@ derived from the seed by the keyed SHA-256 derivation in ``rng``, so
 two runs (or two implementations) with the same seed see bit-identical
 worlds.  O_n, P_n and Q_n values are derived lazily, one input at a
 time.  The module keeps two exponential tables, the last one built of
-each: the bot world's permutation P_n, a 2^n-entry Fisher-Yates table
-built whole on first use and capped at n <= 20, and the brute-force
-``candidate_states`` table below.
+each: the bot world's bad-input mask, 2^n booleans capped at n <= 20,
+and the brute-force ``candidate_states`` table below.
 
 Kinds:
 
@@ -16,8 +15,13 @@ Kinds:
   superposition over (1, x, O_n(x)); the verify/eval channel maps
   (x, y, a) to P_n(x, a) when O_n(x) = y and aborts otherwise.
 * ``bot-world``   -- a permutation P_n on n bits marks a 2^-w fraction
-  of inputs as bad; bad inputs abort with probability Q_n(x)/2^n,
-  good inputs evaluate to O_n(x) deterministically.
+  of inputs as bad: x is bad when P_n(x) falls in the all-zeros
+  w-prefix, that is P_n(x) < 2^(n-w).  Bad inputs abort with probability
+  Q_n(x)/2^n, good inputs evaluate to O_n(x) deterministically.  P_n is
+  the seeded Fisher-Yates shuffle of ``rng``; the oracle reads only which
+  inputs are bad, so the world resolves only where the 2^(n-w) values
+  below the prefix bound land (``fisher_yates_positions``), never the
+  whole table.
 * ``sampler-world`` -- like flip-world but O_n: n -> n bits and the key
   sampler is classical: each call returns a fresh uniform (x, O_n(x)).
 
@@ -44,7 +48,7 @@ from .rng import (
     SeededRng,
     check_power,
     derive_int,
-    fisher_yates_table,
+    fisher_yates_positions,
     int_to_bits,
     parse_bits,
 )
@@ -153,7 +157,7 @@ class OracleWorld:
         """P_n: 2n -> n bits for flip/sampler worlds."""
         self._check_n(n)
         if self.kind == "bot-world":
-            raise WrongWorldKindError("bot-world's P_n is a permutation; use permutation()")
+            raise WrongWorldKindError("bot-world's P_n is a permutation; use bad_inputs()")
         return derive_int(self.seed, f"{self.kind}/P", n, xa, n)
 
     def q_value(self, n: int, x: int) -> int:
@@ -162,13 +166,15 @@ class OracleWorld:
             raise WrongWorldKindError(f"{self.kind} has no Q_n")
         return derive_int(self.seed, f"{self.kind}/Q", n, x, n)
 
-    def permutation(self, n: int) -> np.ndarray:
+    def bad_inputs(self, n: int) -> np.ndarray:
+        """The read-only 2^n-entry bool mask of the bad inputs x, those with P_n(x) < 2^(n-w)."""
         self._check_n(n)
         if self.kind != "bot-world":
-            raise WrongWorldKindError(f"{self.kind} has no permutation table")
+            raise WrongWorldKindError(f"{self.kind} has no bad-input mask")
+        w = self.bot_params(n).w
         if n > _MAX_ENUM_N:
-            raise MemoryBudgetError(f"the 2^{n}-entry permutation table is capped at n <= {_MAX_ENUM_N}")
-        return _permutation_table(self.seed, n)
+            raise MemoryBudgetError(f"the 2^{n}-entry bad-input mask is capped at n <= {_MAX_ENUM_N}")
+        return _bad_input_mask(self.seed, n, w)
 
     def bot_params(self, n: int) -> BotOracleParams:
         if self.kind != "bot-world":
@@ -206,15 +212,16 @@ def _bot_params(n: int, c: float) -> BotOracleParams:
     return BotOracleParams(n, c)
 
 
-# The permutation is the one world function held in memory; O_n, P_n and
-# Q_n values are hashed again on each lookup, at a few microseconds each.
-# A command queries one world at one n, so one table (8 MB at n = 20)
-# is all a run reuses; an older world's table would only hold memory.
+# The bad-input mask is the one world function held in memory; O_n, P_n
+# and Q_n values are hashed again on each lookup, at a few microseconds
+# each.  A command queries one world at one n, so one mask (1 MB at
+# n = 20) is all a run reuses; an older world's mask would only hold memory.
 @lru_cache(maxsize=1)
-def _permutation_table(seed: int, n: int) -> np.ndarray:
-    table = fisher_yates_table(seed, "bot-world/P", n)
-    table.setflags(write=False)
-    return table
+def _bad_input_mask(seed: int, n: int, w: int) -> np.ndarray:
+    mask = np.zeros(1 << n, dtype=bool)
+    mask[fisher_yates_positions(seed, "bot-world/P", n, 1 << (n - w))] = True
+    mask.setflags(write=False)
+    return mask
 
 
 # -- bot-world ---------------------------------------------------------------
@@ -240,19 +247,17 @@ def bot_oracle_eval_many(world: OracleWorld, x: str, rng: SeededRng, k: int) -> 
     n = len(x)
     params = world.bot_params(n)
     value = BotValue.of(int_to_bits(world.o_value(n, xi), params.m))
-    if int(world.permutation(n)[xi]) >> (n - params.w) != 0:
+    if not world.bad_inputs(n)[xi]:
         return [value] * k
     p_x = world.q_value(n, xi) / (1 << n)
     return [BOT if u < p_x else value for u in rng.generator.random(k).tolist()]
 
 
 def bot_oracle_good_set(world: OracleWorld, n: int) -> set[str]:
-    """Exact good set by exhaustive enumeration (n <= 20, as the permutation table)."""
+    """Exact good set by exhaustive enumeration (n <= 20, as the bad-input mask)."""
     if world.kind != "bot-world":
         raise WrongWorldKindError(f"good set needs a bot-world, got {world.kind}")
-    params = world.bot_params(n)
-    table = world.permutation(n)
-    good = np.nonzero(table >> (n - params.w) != 0)[0]
+    good = np.flatnonzero(~world.bad_inputs(n))
     return {int_to_bits(int(x), n) for x in good}
 
 
@@ -423,7 +428,7 @@ def candidate_image(candidate: GeneratorHandle) -> set[str]:
 
 
 # The last candidate_states table, with the handle it was built from.  A
-# command searches one generator, so, as with the permutation table, one
+# command searches one generator, so, as with the bad-input mask, one
 # table is all a run reuses.  The entry is keyed on the handle's identity
 # and holds the handle, so its id cannot pass to another one: handles
 # compare without their eval, so two equal handles can hold different states.

@@ -17,8 +17,12 @@ masters:
   ``seed || function-id || n``, so an oracle world is reproducible from
   its seed alone, across platforms and languages.  ``derive_int`` hashes
   an input ``x`` and a 4-byte block counter (``derive_bits`` is its
-  '0'/'1' string); ``sha_words``, the word stream of Fisher-Yates
-  tables, an 8-byte one.  Both widths are part of ``DERIVATION_ID`` v1.
+  '0'/'1' string); ``sha_words``, the word stream of the seeded
+  Fisher-Yates shuffle, an 8-byte one.  Both widths are part of
+  ``DERIVATION_ID`` v1.  ``fisher_yates_positions`` resolves the
+  shuffle's swaps for the values below a count only, which is all the
+  bot world's bad-input mask reads; ``fisher_yates_table``, the whole
+  permutation, is its count = 2^n case.
 """
 
 from __future__ import annotations
@@ -178,56 +182,85 @@ def sha_words(seed: int, function_id: str, n: int, start: int, count: int) -> np
 _FISHER_YATES_CHUNK = 4096  # bounded draws per word slice; bounds the slice's memory
 
 
-def fisher_yates_table(seed: int, function_id: str, n_bits: int) -> np.ndarray:
-    """Seeded permutation table on {0,1}^n_bits as a uint64 array.
+def _fisher_yates_swaps(seed: int, function_id: str, n_bits: int) -> np.ndarray:
+    """The swap indices of the Fisher-Yates shuffle on {0,1}^n_bits, as an int32 array.
 
-    Position i, from the top down, swaps with j_i: the next ``sha_words``
-    word below 2**64 - (2**64 % (i + 1)), modulo i + 1.  A rejected word
-    is skipped, which shifts every later draw by one word.
-
-    The swaps are drawn first and then resolved without a Python loop.
-    Position i is final after its own swap, which moves there the value
-    that position j_i holds at that time: j_i itself, unless a step k > i
-    with j_k = j_i ran earlier.  The smallest such k (the most recent)
-    left there the value position k held just before its own swap, and
-    that value is found the same way: position k holds k unless a step
-    above k swapped with it, and then it holds what the smallest such
-    step found.  Those chains only go up, so pointer jumping resolves
-    them in log2(longest chain) rounds.
+    Entry i is j_i, drawn for position i from the top down: the next
+    ``sha_words`` word below 2**64 - (2**64 % (i + 1)), modulo i + 1.  A
+    rejected word is skipped, which shifts every later draw by one word.
+    Entry 0 is the no-op j_0 = 0.
     """
     size = 1 << n_bits
-    swap = np.zeros(size, dtype=np.int32)  # swap[i] = j_i; step 0 is the no-op j_0 = 0
+    swap = np.zeros(size, dtype=np.int32)
     top, next_word = size - 1, 0  # the highest step not yet drawn, and the word it reads first
     while top > 0:
         bounds = np.arange(top + 1, max(top - _FISHER_YATES_CHUNK, 0) + 1, -1, dtype=np.uint64)
         words = sha_words(seed, function_id, n_bits, next_word, bounds.size)
-        # word < 2**64 - r  <=>  word <= ~r, where r = 2**64 % bound = (2**64 - bound) % bound
-        rejected = np.flatnonzero(words > ~((~bounds + np.uint64(1)) % bounds))
+        # A word is rejected when word >= 2**64 - r, r = 2**64 % bound < bound, so
+        # only words >= 2**64 - bound (word > ~bound) need the exact limit ~r.
+        near = np.flatnonzero(words > ~bounds)
+        b = bounds[near]
+        rejected = near[words[near] > ~((~b + np.uint64(1)) % b)]
         take = int(rejected[0]) if rejected.size else bounds.size  # draws before the first rejection
         swap[top : top - take : -1] = words[:take] % bounds[:take]
         top -= take
         next_word += take + (take < bounds.size)  # past the rejected word, if any
+    return swap
 
-    # Steps sorted by the position they swap with, each group in ascending step order.
-    order = np.argsort(swap.astype(np.min_scalar_type(size - 1)), kind="stable").astype(np.int32)
-    grouped = swap[order]
-    same = grouped[1:] == grouped[:-1]
-    later = np.full(size, -1, dtype=np.int32)  # later[i]: next step above i with the same j, or -1
-    later[order[:-1][same]] = order[1:][same]
-    # up[p]: the smallest step above p that swaps with position p (the head of p's
-    # group), or p itself when none does.  A step p with j_p = p heads its own group,
-    # so up[p] = p there too; no chain reads it, as every step in a chain is above its j.
-    up = np.arange(size, dtype=np.int32)
-    heads = np.flatnonzero(np.concatenate(([True], ~same)))
-    up[grouped[heads]] = order[heads]
-    del order, grouped, same, heads
-    while True:
-        jumped = up[up]
-        if np.array_equal(jumped, up):
-            break
-        up = jumped
-    del jumped
-    return np.where(later >= 0, up[later], swap).astype(np.uint64)
+
+def fisher_yates_positions(seed: int, function_id: str, n_bits: int, count: int) -> np.ndarray:
+    """Final positions of the values below ``count`` in the seeded permutation
+    of {0,1}^n_bits, as an int32 array: entry v is the position that holds v.
+
+    Step k of the shuffle, from the top down, swaps positions k and
+    j_k <= k (``_fisher_yates_swaps``), so no step after k reaches
+    position k.  A value at position p is next reached either by the
+    latest step k > p still to run with j_k = p, which moves it up to k
+    for good, or, when none is left, by step p, which moves it down to
+    j_p (or leaves it at p for good when j_p = p).  So a value moves down
+    until it moves up once, and a value below ``count`` only ever waits
+    at positions below ``count``: only the steps with j_k < count are
+    read.  Grouped by j_k in step order, a value v is first reached by
+    the last step of group v, and after step p moved it down, by the step
+    before p in group j_p.  The values walk down together, one step per
+    numpy round, about n_bits rounds in all.
+    """
+    size = 1 << n_bits
+    if not 0 < count <= size:
+        raise ParameterError(f"count must be in [1, 2**{n_bits}], got {count}")
+    swap = _fisher_yates_swaps(seed, function_id, n_bits)
+    # The steps that swap with a position below count, grouped by that position
+    # in ascending step order; step 0 (j_0 = 0) heads group 0, so no walk passes 0.
+    steps = np.flatnonzero(swap < count)
+    keys = np.sort((swap[steps].astype(np.int64) << n_bits) | steps)  # (j_k, k), distinct
+    steps, groups = (keys & (size - 1)).astype(np.int32), (keys >> n_bits).astype(np.int32)
+    same = groups[1:] == groups[:-1]
+    last = np.full(count, -1, dtype=np.int32)  # last[p]: the last step in group p, or -1
+    ends = np.flatnonzero(np.append(~same, True))
+    last[groups[ends]] = steps[ends]
+    before = np.full(count, -1, dtype=np.int32)  # before[p]: the step before p in group j_p, or -1
+    low = np.flatnonzero(steps[1:] < count)  # steps[0] is 0, which no step precedes
+    before[steps[1:][low]] = np.where(same[low], steps[:-1][low], -1)
+    del steps, groups, same, keys, ends, low
+
+    position = last  # a value v whose group has a step ends at its last one
+    waiting = np.flatnonzero(position < 0)
+    at = waiting.astype(np.int32)  # the position each waiting value sits at
+    while waiting.size:
+        up = before[at]  # step at moves the value to j_at; up is the next step to reach it there
+        moved = up >= 0
+        position[waiting[moved]] = up[moved]
+        waiting, at = waiting[~moved], swap[at[~moved]]
+    return position
+
+
+def fisher_yates_table(seed: int, function_id: str, n_bits: int) -> np.ndarray:
+    """Seeded permutation table on {0,1}^n_bits as a uint64 array: the
+    ``fisher_yates_positions`` of every value, scattered."""
+    size = 1 << n_bits
+    table = np.empty(size, dtype=np.uint64)
+    table[fisher_yates_positions(seed, function_id, n_bits, size)] = np.arange(size, dtype=np.uint64)
+    return table
 
 
 class ParameterError(ValueError):

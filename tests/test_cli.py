@@ -646,8 +646,8 @@ class TestGeneratorCommands:
         assert "--keys must be at most 1000000" in err
 
     def test_prg_qs_permutation_table_cap(self, capsys, monkeypatch):
-        # a 2^21-entry table is refused before it is built
-        monkeypatch.setattr(oracles, "fisher_yates_table", lambda *a: pytest.fail("table built"))
+        # a 2^21-entry mask is refused before any of it is built
+        monkeypatch.setattr(oracles, "fisher_yates_positions", lambda *a: pytest.fail("mask built"))
         argv = ["prg-qs", "--from", "bot-oracle", "--n", "21", "--keys", "2", "--evals", "3", "--seed", "1"]
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "")

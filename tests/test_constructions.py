@@ -123,8 +123,7 @@ class TestCon1:
 
 def bad_bot_key(world, n):
     """The bad input of the bot world with the highest abort probability."""
-    table, w = world.permutation(n), world.bot_params(n).w
-    bad = [x for x in range(1 << n) if int(table[x]) >> (n - w) == 0]
+    bad = np.flatnonzero(world.bad_inputs(n)).tolist()
     return format(max(bad, key=lambda x: world.q_value(n, x)), f"0{n}b")
 
 

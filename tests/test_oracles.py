@@ -20,7 +20,7 @@ from qrandlab.oracles import (
     candidate_states,
     decode_flip_index,
     flip_state_dim,
-    _permutation_table,
+    _bad_input_mask,
     measure_flipped,
     prfqs_from_world,
     sampler_oracle,
@@ -28,7 +28,7 @@ from qrandlab.oracles import (
 )
 from qrandlab.primitives import GeneratorHandle
 from qrandlab.qcore import MemoryBudgetError, StateVector, born_distribution, haar_sample, measure_computational
-from qrandlab.rng import OWSG_SEARCH_SEED, ParameterError, SeededRng, int_to_bits
+from qrandlab.rng import OWSG_SEARCH_SEED, ParameterError, SeededRng, fisher_yates_table, int_to_bits
 from qrandlab.toys import constant_owsg, toy_owsg_basis, toy_owsg_haar, toy_prg
 from reference import apply_flip, flip_oracle, flip_target_state
 
@@ -134,13 +134,15 @@ class TestBotOracle:
     def test_permutation_is_bijection(self):
         for n in (4, 8, 12):
             world = OracleWorld("bot-world", seed=9, n_max=n)
-            table = world.permutation(n)
+            table = fisher_yates_table(world.seed, "bot-world/P", n)
             assert sorted(table.tolist()) == list(range(1 << n))
+            # the bad inputs are the positions of P_n's 2^(n-w) smallest values
+            assert np.array_equal(world.bad_inputs(n), table < 1 << (n - world.bot_params(n).w))
 
     def test_same_seed_same_world(self):
         a = OracleWorld("bot-world", seed=11, n_max=8)
         b = OracleWorld("bot-world", seed=11, n_max=8)
-        assert np.array_equal(a.permutation(8), b.permutation(8))
+        assert np.array_equal(a.bad_inputs(8), b.bad_inputs(8))
         assert bot_oracle_good_set(a, 8) == bot_oracle_good_set(b, 8)
         assert all(a.o_value(8, x) == b.o_value(8, x) for x in range(256))
 
@@ -309,14 +311,41 @@ class TestMeasureFlipped:
             measure_flipped(OracleWorld("flip-world", seed=1, n_max=21), 21, 0, SeededRng(0))
 
 
-class TestPermutationTableCache:
-    def test_holds_only_the_latest_table(self):
-        first = OracleWorld("bot-world", seed=71, n_max=8).permutation(8)
+class TestBadInputMaskCache:
+    def test_holds_only_the_latest_mask(self):
+        first = OracleWorld("bot-world", seed=71, n_max=8).bad_inputs(8)
         latest = OracleWorld("bot-world", seed=72, n_max=8)
-        assert latest.permutation(8) is latest.permutation(8)
-        info = _permutation_table.cache_info()
+        assert latest.bad_inputs(8) is latest.bad_inputs(8)
+        info = _bad_input_mask.cache_info()
         assert (info.maxsize, info.currsize) == (1, 1)
-        assert OracleWorld("bot-world", seed=71, n_max=8).permutation(8) is not first
+        assert OracleWorld("bot-world", seed=71, n_max=8).bad_inputs(8) is not first
+
+    def test_read_only_bool_mask(self):
+        mask = OracleWorld("bot-world", seed=73, n_max=16).bad_inputs(16)
+        assert mask.dtype == bool and mask.nbytes == 1 << 16
+        with pytest.raises(ValueError):
+            mask[0] = not mask[0]
+
+
+class TestBadInputMask:
+    # at c = 1, w = ceil(log2(4n)) exceeds n below n = 4
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_exactly_two_to_the_n_minus_w_bad_inputs(self, n):
+        world = OracleWorld("bot-world", seed=n, n_max=n)
+        assert np.count_nonzero(world.bad_inputs(n)) == 1 << (n - world.bot_params(n).w)
+
+    def test_n_20_equals_full_table(self):
+        world = OracleWorld("bot-world", seed=2024, n_max=20)
+        w = world.bot_params(20).w
+        assert np.array_equal(world.bad_inputs(20), fisher_yates_table(2024, "bot-world/P", 20) < 1 << (20 - w))
+
+    def test_refused_for_other_kinds_and_above_the_cap(self):
+        with pytest.raises(WrongWorldKindError):
+            OracleWorld("flip-world", seed=1, n_max=8).bad_inputs(8)
+        with pytest.raises(ParameterError):
+            OracleWorld("bot-world", seed=1, n_max=8).bad_inputs(9)
+        with pytest.raises(MemoryBudgetError, match="capped at n <= 20"):
+            OracleWorld("bot-world", seed=1, n_max=21).bad_inputs(21)
 
 
 class TestVerifyEvalOracle:

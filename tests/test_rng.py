@@ -22,6 +22,7 @@ from qrandlab.rng import (
     SeededRng,
     derive_bits,
     derive_int,
+    fisher_yates_positions,
     fisher_yates_table,
     parse_bits,
     sha_words,
@@ -310,6 +311,22 @@ class TestBulkFisherYates:
         assert table.dtype == np.uint64
         assert table.tolist() == fisher_yates_reference(seed, "bot-world/P", n_bits)
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n_bits=st.integers(1, 12), seed=st.integers(0, (1 << 64) - 1))
+    def test_positions_equal_swap_loop(self, data, n_bits, seed):
+        count = 1 << (n_bits - data.draw(st.integers(0, n_bits), label="w"))
+        reference = fisher_yates_reference(seed, "bot-world/P", n_bits)
+        positions = fisher_yates_positions(seed, "bot-world/P", n_bits, count)
+        assert positions.tolist() == np.argsort(reference)[:count].tolist()
+        mask = np.zeros(1 << n_bits, dtype=bool)
+        mask[positions] = True
+        assert mask.tolist() == [v < count for v in reference]
+
+    @pytest.mark.parametrize("count", [0, -1, 257])
+    def test_positions_count_out_of_range(self, count):
+        with pytest.raises(ParameterError, match="count must be in"):
+            fisher_yates_positions(2024, "bot-world/P", 8, count)
+
     @staticmethod
     def force_word(monkeypatch, n_bits: int, position: int, word: int):
         """Make word ``position`` of every ``sha_words`` stream ``word``; returns
@@ -335,7 +352,13 @@ class TestBulkFisherYates:
         limit = (1 << 64) - (1 << 64) % bound
         altered = self.force_word(monkeypatch, n_bits, position, limit)
         table = fisher_yates_table(2024, "bot-world/P", n_bits)
-        assert table.tolist() == fisher_yates_reference(2024, "bot-world/P", n_bits, altered)
+        reference = fisher_yates_reference(2024, "bot-world/P", n_bits, altered)
+        assert table.tolist() == reference
+        # the positions behind every bad-input mask of the shifted stream, down to one value
+        for w in range(n_bits + 1):
+            count = 1 << (n_bits - w)
+            positions = fisher_yates_positions(2024, "bot-world/P", n_bits, count)
+            assert positions.tolist() == np.argsort(reference)[:count].tolist()
         monkeypatch.undo()
         assert table.tolist() != fisher_yates_table(2024, "bot-world/P", n_bits).tolist()
 
