@@ -42,8 +42,10 @@ def toy_owsg_haar(lam: int, dim: int, seed: int = 11) -> GeneratorHandle:
     """Keys map to fixed pseudo-Haar states (one per key, derived from the seed).
 
     A key's state depends on the key alone, so the handle keeps each state
-    it builds, at most ``MAX_TENSOR_DIM**2`` amplitudes of them: the budget
-    of a ``candidate_states`` table.  The states are read-only, so sharing
+    it builds, keyed by the key string, at most ``MAX_TENSOR_DIM**2``
+    amplitudes of them: the budget of a ``candidate_states`` table.  A key
+    is checked with ``parse_bits`` when its state is built, not again when
+    the kept state is returned.  The states are read-only, so sharing
     one between callers is safe.  The process keeps the last handle made,
     memoised on ``(lam, dim, seed)``, so a repeated command reuses its
     states instead of building them again; one handle is all a command
@@ -53,14 +55,20 @@ def toy_owsg_haar(lam: int, dim: int, seed: int = 11) -> GeneratorHandle:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")
 
     @lru_cache(maxsize=MAX_TENSOR_DIM**2 // dim)
-    def state(k: int) -> StateVector:
+    def state(key: str) -> StateVector:
+        k = parse_bits(key, lam, "key")
         return haar_sample(dim, SeededRng(derive_int(seed, "toy-owsg-haar", lam, k, 64), 0))
+
+    def stategen(key, rng=None) -> StateVector:
+        if not isinstance(key, str):  # refused here, before the cache hashes it
+            parse_bits(key, lam, "key")
+        return state(key)  # a kept state's key was checked when the state was built
 
     return GeneratorHandle(
         kind="owsg",
         input_len=lam,
         output_len=0,
-        eval=lambda key, rng=None: state(parse_bits(key, lam, "key")),
+        eval=stategen,
         dim=dim,
         description=f"toy-owsg-haar lam={lam} dim={dim} seed={seed}",
     )

@@ -8,6 +8,8 @@ bounds the tests state their claims in.  ``looped_audit`` is the
 determinism audit without its early exit: every trial evaluated.
 ``looped_extract`` is the extract command's result as one serial
 loop whose repeat extraction is a second full d-cell ``extract``.
+``looped_owsg`` is the inversion game played one whole trial at a time,
+the adversary's per-trial ``decide`` included.
 ``fisher_yates_reference`` is the permutation table as the plain
 top-down swap loop, one bounded draw per step, over words that
 ``reference_words`` hashes one block at a time from the documented
@@ -233,6 +235,21 @@ def looped_extract(d: int, n_states: int, t: int, seed: int) -> dict:
         "bit_frequencies": list(ones / n_states),
         "repeat_agreement": agree / n_states,
     }
+
+
+def looped_owsg(gen, adversary, t: int, trials: int, rng: SeededRng, first_trial: int = 0) -> int:
+    """The successes of ``exp_owsg``, trial i played whole on ``rng.child(i)``
+    before trial i + 1 starts: key, copies, ``decide``, verifier, guess, coin."""
+    successes = 0
+    for i in range(first_trial, first_trial + trials):
+        trial = rng.child(i)
+        key = trial.bits(gen.input_len)
+        copies = tuple(gen.eval(key, trial) for _ in range(t))
+        guess = adversary.decide(copies, trial)
+        verifier_state = gen.eval(key, trial)
+        prob = gen.eval(guess, trial).fidelity(verifier_state)
+        successes += trial.uniform() < prob
+    return successes
 
 
 # -- the Fisher-Yates table, one swap at a time ---------------------------------------

@@ -4,7 +4,10 @@ Each case runs the CLI at a small size and pins the SHA-256 of the
 record's canonical JSON with every timing field stripped, so the
 config (subcommand, params, seed) and the whole result are covered.
 The golden digests were produced by the code before the generator
-output, diagonal estimation, moment and parameter paths were merged.
+output, diagonal estimation, moment and parameter paths were merged;
+``experiment-owsg-bruteforce-blocks``, whose 300 trials span six blocks
+of the brute-force scorer, by the code that still scored one trial at a
+time.
 """
 
 import hashlib
@@ -63,6 +66,13 @@ PINNED = {
             "--trials", "10", "--adversary", "bruteforce", "--seed", "3",
         ],
         "ed0e39240de1cec1db56091bc307b36b738c62802fd77d41b2a3775d8f04b246",
+    ),
+    "experiment-owsg-bruteforce-blocks": (
+        [
+            "experiment", "--name", "owsg", "--lambda", "8", "--dim", "16", "--t", "2",
+            "--trials", "300", "--adversary", "bruteforce", "--seed", "3",
+        ],
+        "4f07d5b5533a070846a79991bbe68996092cd43db4e9553548d77b2179831949",
     ),
     "experiment-owsg-coin-flip": (
         [

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy import stats
 
 from qrandlab.cli import canonical_json
 from qrandlab.experiments import (
+    _BLOCK_BUDGET,
     _moment_gramians,
     _moment_keys,
     AdversaryHandle,
@@ -40,7 +43,7 @@ from qrandlab.toys import (
     toy_prg,
     zero_padding_prg,
 )
-from reference import symmetric_moment
+from reference import looped_owsg, symmetric_moment
 
 
 def record_without_wallclock(report):
@@ -194,6 +197,96 @@ class TestExpOwsg:
         digest = hashlib.sha256(canonical_json(record_without_wallclock(report)).encode()).hexdigest()
         assert report["successes"] == 105
         assert digest == "351547e3083a037d72535217ad55d727cc87741718a30157b3a45ca6c3503cba"
+
+
+def haar_noise_owsg(lam: int = 8, dim: int = 16) -> GeneratorHandle:
+    """Every evaluation is a fresh Haar state drawn from the trial stream, so a
+    game's outcome rests on each stream's draw order."""
+    return GeneratorHandle(
+        kind="owsg", input_len=lam, output_len=0, dim=dim, description="haar-noise-owsg",
+        eval=lambda key, rng: haar_sample(dim, rng),
+    )
+
+
+def random_guess_adversary(lam: int) -> AdversaryHandle:
+    """A decide-only handle that draws its guess from the trial stream."""
+    return AdversaryHandle("random-guess", lambda copies, rng: rng.bits(lam))
+
+
+# At lambda = 8, dim = 16, t = 2 the brute force scores 56 trials a block.
+OWSG_GAMES = {
+    "bruteforce-keyed": (lambda: toy_owsg_haar(8, 16), bruteforce_owsg_handle),
+    "bruteforce-noise": (haar_noise_owsg, bruteforce_owsg_handle),
+    "coin-flip-keyed": (lambda: toy_owsg_haar(4, 16), lambda gen: owsg_coin_flip_adversary()),
+    "coin-flip-noise": (haar_noise_owsg, lambda gen: owsg_coin_flip_adversary()),
+    "decide-only-keyed": (lambda: toy_owsg_haar(8, 16), lambda gen: random_guess_adversary(8)),
+    "decide-only-noise": (haar_noise_owsg, lambda gen: random_guess_adversary(8)),
+}
+
+
+def spied_game(name: str):
+    """The game's generator with every evaluation logged as (stream counter,
+    key), its adversary, and the log, emptied after the adversary is made."""
+    make_gen, make_adversary = OWSG_GAMES[name]
+    gen, log = make_gen(), []
+
+    def logged_eval(key, rng):
+        log.append((rng.counter, key))
+        return gen.eval(key, rng)
+
+    spied = dataclasses.replace(gen, eval=logged_eval)
+    adversary = make_adversary(spied)
+    log.clear()
+    return spied, adversary, log
+
+
+def by_stream(log) -> dict:
+    keys = defaultdict(list)
+    for counter, key in log:
+        keys[counter].append(key)
+    return dict(keys)
+
+
+class TestBlockedPlay:
+    """A blocked inversion game plays what one whole trial at a time plays."""
+
+    @pytest.mark.parametrize("first_trial", [0, 17])
+    @pytest.mark.parametrize("trials", [1, 55, 56, 57, 300])
+    @pytest.mark.parametrize("name", sorted(OWSG_GAMES))
+    def test_equals_looped_play(self, name, trials, first_trial):
+        gen, adversary, log = spied_game(name)
+        report = exp_owsg(gen, adversary, 2, trials, SeededRng(21), first_trial)
+        blocked = by_stream(log)
+        log.clear()
+        assert report["successes"] == looped_owsg(gen, adversary, 2, trials, SeededRng(21), first_trial)
+        assert blocked == by_stream(log)
+        assert sorted(blocked) == [1 + i for i in range(first_trial, first_trial + trials)]
+
+    @pytest.mark.parametrize("name", sorted(OWSG_GAMES))
+    def test_trial_range_draws_what_a_longer_run_draws(self, name):
+        gen, adversary, log = spied_game(name)
+        longer = exp_owsg(gen, adversary, 2, 17 + 57, SeededRng(22))
+        tail = {counter: keys for counter, keys in by_stream(log).items() if counter > 17}
+        log.clear()
+        head = exp_owsg(gen, adversary, 2, 17, SeededRng(22))
+        log.clear()
+        rest = exp_owsg(gen, adversary, 2, 57, SeededRng(22), 17)
+        assert by_stream(log) == tail
+        assert head["successes"] + rest["successes"] == longer["successes"]
+
+    def test_long_game_holds_one_block(self):
+        gen = toy_owsg_haar(8, 16)
+        adversary = bruteforce_owsg_handle(gen)
+        exp_owsg(gen, adversary, 2, 40, SeededRng(30))  # every key's state is built and kept
+        peaks = {}
+        for trials in (40, 4000):
+            tracemalloc.start()
+            try:
+                exp_owsg(gen, adversary, 2, trials, SeededRng(31))
+                peaks[trials] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] <= peaks[40] + 16 * _BLOCK_BUDGET  # one block of complex128 entries
 
 
 class TestCoupling:

@@ -585,6 +585,8 @@ class TestBruteforceOwsgAdversary:
             bruteforce_owsg_handle(toy_prg(8, 24))
         with pytest.raises(ValueError, match="need at least one copy"):
             bruteforce_owsg_handle(toy_owsg_basis(4)).decide((), None)
+        with pytest.raises(ValueError, match="need at least one copy"):
+            bruteforce_owsg_handle(toy_owsg_basis(4)).decide_many([(StateVector.basis(16, 0),), ()])
 
     def test_candidate_states_rows_are_key_states(self):
         gen = toy_owsg_haar(4, 8)
@@ -627,6 +629,40 @@ class TestBruteforceOwsgAdversary:
         for copies in keyed + haar:
             expected = np.prod(np.abs(table.conj() @ copies.T) ** 2, axis=1)
             assert np.array_equal(_ml_scores(table, copies), expected)
+
+    @pytest.mark.parametrize("lam, dim", [(8, 16), (4, 256), (12, 256)])
+    @pytest.mark.parametrize("t", [1, 2, 3, 4])
+    def test_block_scores_equal_per_trial_scores(self, lam, dim, t):
+        # a trial's scores and guess do not depend on the block it is scored in
+        gen = toy_owsg_haar(lam, dim)
+        table = candidate_states(gen)
+        handle = bruteforce_owsg_handle(gen)
+        rng = SeededRng(78)
+        keyed = [(gen.eval(rng.bits(lam), None),) * t for _ in range(30)]
+        haar = [tuple(haar_sample(dim, rng) for _ in range(t)) for _ in range(29)]
+        challenges = [c for pair in zip(keyed, haar) for c in pair] + keyed[29:]
+        stack = np.array([[copy.amplitudes for copy in copies] for copies in challenges])
+        for size in (1, 2, 56):  # 59 challenges: the last block is ragged at sizes 2 and 56
+            for start in range(0, len(challenges), size):
+                block = slice(start, start + size)
+                for i, scores in enumerate(_ml_scores(table, stack[block]), start):
+                    assert np.array_equal(scores, _ml_scores(table, stack[i]))
+                guesses = handle.decide_many(challenges[block])
+                assert guesses == [handle.decide(copies, None) for copies in challenges[block]]
+
+    def test_block_guesses_are_each_trials_first_best_key(self):
+        # keys k and k + 4 share the basis state |k mod 4>, so every score ties with another key's
+        shared = GeneratorHandle(
+            kind="owsg", input_len=4, output_len=0, dim=4, description="shared-states",
+            eval=lambda key, rng: StateVector.basis(4, int(key, 2) % 4),
+        )
+        indices = [3, 1, 3, 0, 2, 1, 1, 3]
+        for t in (1, 2):
+            challenges = [(StateVector.basis(4, j),) * t for j in indices]
+            assert bruteforce_owsg_handle(shared).decide_many(challenges) == [int_to_bits(j, 4) for j in indices]
+        constant = constant_owsg(6, 8)  # every key scores 1
+        challenges = [(constant.eval("101010", None),)] * 5
+        assert bruteforce_owsg_handle(constant).decide_many(challenges) == ["000000"] * 5
 
     def test_warm_game_copies_no_table(self):
         # a per-request copy of the 16 MB table would make a warm game peak at about one table

@@ -1,6 +1,7 @@
 """The toy generators: keys read at the boundary, and the per-process state memo."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from qrandlab.cli import strip_timing_fields
 from qrandlab.experiments import bruteforce_owsg_handle, exp_owsg, owsg_coin_flip_adversary
 from qrandlab.oracles import candidate_states
 from qrandlab.qcore import InvalidDimensionError, haar_sample
-from qrandlab.rng import ParameterError, SeededRng, derive_int
+from qrandlab.rng import ParameterError, SeededRng, derive_int, parse_bits
 from qrandlab.toys import derived_bot_prg, haar_keyed_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
 
 
@@ -92,6 +93,26 @@ class TestOwsgHaarMemo:
         again = gen.eval("000", None)  # evicted, so built again, to the same amplitudes
         assert len(built) == 6
         assert np.array_equal(again.amplitudes, states[0].amplitudes)
+
+    def test_kept_key_is_checked_once(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(toys, "parse_bits", lambda bits, *args: checked.append(bits) or parse_bits(bits, *args))
+        gen = toy_owsg_haar(4, 16)
+        states = [gen.eval(key, None) for key in ("0110", "0110", "1001", "0110")]
+        assert checked == ["0110", "1001"]
+        assert states[0] is states[1] is states[3]
+
+    @pytest.mark.parametrize(
+        "key",
+        [6, b"0110", ["0", "1", "1", "0"], "011", "01100", "01x0", "0b10"],
+        ids=["int", "bytes", "unhashable", "short", "long", "non-binary", "prefixed"],
+    )
+    def test_refusals_unchanged_once_states_are_kept(self, key):
+        gen = toy_owsg_haar(4, 16)
+        for _ in range(2):  # before and after a valid key's state is kept
+            with pytest.raises(ParameterError, match=re.escape(f"key must be 4 '0'/'1' characters, got key={key!r}")):
+                gen.eval(key, None)
+            gen.eval("0110", None)
 
     def test_dimension_below_two_rejected_with_the_handle(self):
         with pytest.raises(InvalidDimensionError, match="dim must be >= 2"):
