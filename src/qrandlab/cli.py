@@ -58,9 +58,21 @@ EXPERIMENT_NAMES = ("prg", "bot-prg", "owsg", "moment")
 MAX_RESPONSES = 1 << 20  # oracle-sim holds every response, up to about 1 KB each at its peak
 
 
+_KEPT_TYPES = frozenset((int, str, bool, type(None)))  # exact types a record keeps as they are
+
+
 def _round12(obj):
-    """Recursively canonicalize numerics to 12 significant digits."""
-    if isinstance(obj, bool):
+    """Recursively canonicalize numerics to 12 significant digits.
+
+    The exact types a record is made of are dispatched first; numpy
+    scalars, lists, tuples and subclasses take the isinstance chain.
+    """
+    kind = type(obj)
+    if kind is dict:
+        return {k: _round12(v) for k, v in obj.items()}
+    if kind is float:
+        return float(f"{obj:.12g}")
+    if kind in _KEPT_TYPES:  # bool included, so the chain below never meets one
         return obj
     if isinstance(obj, (np.floating, float)):
         return float(f"{float(obj):.12g}")
@@ -74,6 +86,8 @@ def _round12(obj):
 
 
 def canonical_json(obj) -> str:
+    """One JSON line of ``obj``: numerics at 12 significant digits
+    (``_round12``), keys sorted, no spaces."""
     return json.dumps(_round12(obj), sort_keys=True, separators=(",", ":"))
 
 

@@ -10,7 +10,10 @@ masters:
   ``counter * 2**128``, so distinct counters can never overlap as long
   as each stream draws fewer than 2**128 blocks.  Counters must stay
   below 2**128: four levels of ``child`` below a counter-0 stream fit,
-  a fifth is rejected.
+  a fifth is rejected.  A stream is built from two arrays, the counter
+  words ``[0, 0, counter mod 2**64, counter >> 64]`` and the key
+  ``[seed, 0]``, which is made once per seed and shared read-only by
+  that seed's streams until another seed's stream is built.
 
 * ``derive_int`` and ``sha_words`` are two stateless keyed derivations
   (SHA-256 in counter mode) over one unambiguous prefix encoding
@@ -27,6 +30,7 @@ masters:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import struct
@@ -48,13 +52,19 @@ _CHILD_FANOUT = (1 << 32) - 1  # child indices below this never reach the next p
 
 
 class _KeySeed(np.random.bit_generator.ISeedSequence):
-    """The seed sequence whose two 64-bit words are the Philox key ``[seed, 0]``."""
+    """The seed sequence whose two 64-bit words are the Philox key ``[seed, 0]``,
+    held as one read-only uint64 array."""
 
     def __init__(self, seed: int):
         self.seed = seed
+        self.key = np.array([seed, 0], dtype=np.uint64)
+        self.key.flags.writeable = False
 
     def generate_state(self, n_words, dtype=np.uint64):
-        return np.array([self.seed, 0], dtype=dtype)
+        return self.key.astype(dtype, copy=False)
+
+
+_key_seed = functools.lru_cache(maxsize=1)(_KeySeed)  # the last seed's key, made once
 
 
 _BIT_CHARS = np.frombuffer(b"01", dtype=np.uint8)  # draw b -> ASCII '0' + b
@@ -70,9 +80,11 @@ class SeededRng:
     whose position advances with every draw.  Parallel trials should
     each construct their own ``SeededRng`` via ``child``.  The Philox
     generator is built on the first draw, so a stream that never draws
-    costs only its validation; it is built from a seed sequence that
-    gives the key ``[seed, 0]`` and from the counter ``counter << 128``,
-    so no state dict is set and no OS entropy is gathered for it.
+    costs only its validation.  It is built from a seed sequence that
+    gives the key ``[seed, 0]``, kept from the last build of the same
+    seed, and from the counter words of ``counter << 128``, so no state
+    dict is set, no OS entropy is gathered and no Python int is split
+    into words for it.
     """
 
     seed: int
@@ -88,8 +100,10 @@ class SeededRng:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            # Philox(key=seed) would first gather OS entropy that the key then discards
-            philox = np.random.Philox(_KeySeed(self.seed), counter=self.counter << 128)
+            # Philox(key=seed) would first gather OS entropy that the key then discards;
+            # the words [0, 0, c mod 2**64, c >> 64] are the 256-bit counter c << 128
+            counter = np.array((0, 0, self.counter & _U64, self.counter >> 64), dtype=np.uint64)
+            philox = np.random.Philox(_key_seed(self.seed), counter=counter)
             self._gen = np.random.Generator(philox)
         return self._gen
 

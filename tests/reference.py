@@ -15,7 +15,9 @@ top-down swap loop, one bounded draw per step, over words that
 ``reference_words`` hashes one block at a time from the documented
 encoding without calling the library.  ``philox_uniforms`` is
 Philox4x64-10 (Salmon et al., SC 2011) in plain integers, the stream
-``SeededRng`` names, read as numpy reads a double.
+``SeededRng`` names, read as numpy reads a double.  ``round12`` is the
+record canonicaliser as one isinstance chain, the check of
+``cli._round12``'s exact-type dispatch.
 """
 
 from __future__ import annotations
@@ -309,3 +311,21 @@ def philox_uniforms(seed: int, counter: int, k: int) -> list[float]:
         position = (position + 1) & ((1 << 256) - 1)
         words.extend(philox_block(position, (seed, 0)))
     return [(w >> 11) * 2.0**-53 for w in words[:k]]
+
+
+# -- the record canonicaliser as one isinstance chain -----------------------------------
+
+
+def round12(obj):
+    """Recursively canonicalize numerics to 12 significant digits."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, (np.floating, float)):
+        return float(f"{float(obj):.12g}")
+    if isinstance(obj, (np.integer, int)):
+        return int(obj)
+    if isinstance(obj, dict):
+        return {k: round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round12(v) for v in obj]
+    return obj

@@ -7,13 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qrandlab
 from qrandlab import cli, oracles
 from qrandlab.cli import canonical_json, main, strip_timing_fields as strip_timing
 from qrandlab.qcore import MAX_TENSOR_DIM
 from qrandlab.toys import toy_owsg_basis
-from reference import looped_extract
+from reference import looped_extract, round12
 
 
 def run_cli(capsys, argv):
@@ -26,6 +28,39 @@ def parse_lines(out):
     return [json.loads(line) for line in out.strip().splitlines()]
 
 
+class _DictSubclass(dict):
+    pass
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 2.225e-308, 0.30000000000000004]),
+    st.floats(0.1, 1.0).map(lambda x: float(f"{x:.16e}")),  # 17 significant digits
+)
+_LEAVES = st.one_of(
+    st.booleans(),
+    st.integers(),
+    st.integers(1 << 63, 1 << 70),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32, allow_subnormal=True).map(np.float32),
+    st.integers(-(1 << 63), (1 << 63) - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.none(),
+    st.text(max_size=4),
+)
+RECORD_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4),
+        st.dictionaries(st.text(max_size=3), inner, max_size=4).map(_DictSubclass),
+    ),
+    max_leaves=12,
+)
+
+
 class TestCanonicalJson:
     def test_floats_are_12_significant_digits(self):
         value = 0.1234567890123456789
@@ -33,6 +68,23 @@ class TestCanonicalJson:
 
     def test_keys_sorted(self):
         assert canonical_json({"b": 1, "a": 2}) == '{"a":2,"b":1}'
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=RECORD_VALUES)
+    @example(value={"x": [0.1234567890123456789, -0.0, 5e-324, 1 << 64, np.float32(0.1), (np.int64(-3), True)]})
+    @example(value=_DictSubclass(a=np.bool_(True)))  # json refuses np.bool_ in both
+    def test_equals_isinstance_chain(self, value):
+        # the exact-type dispatch gives the one-chain canonicaliser's string, or its exception type
+        expected = error = None
+        try:
+            expected = json.dumps(round12(value), sort_keys=True, separators=(",", ":"))
+        except Exception as e:  # the exact type is what must match
+            error = type(e)
+        if error is None:
+            assert canonical_json(value) == expected
+        else:
+            with pytest.raises(error):
+                canonical_json(value)
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
@@ -684,6 +736,12 @@ class TestFloatFlags:
         assert (code, out) == (2, "")
         assert "--con3-c 4.00000000000001 has more than the 12 significant digits" in err
         assert "its rerun would use 4.0" in err
+
+    def test_thirteen_digit_c_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, self.PRG_QS + ["--c", "0.1234567890123"])
+        assert (code, out) == (2, "")
+        assert "--c 0.1234567890123 has more than the 12 significant digits a record keeps; " in err
+        assert "its rerun would use 0.123456789012" in err
 
     def test_twelve_digit_float_reruns_identically(self, capsys, tmp_path):
         record = tmp_path / "run.jsonl"

@@ -11,7 +11,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrandlab import rng
@@ -101,6 +101,64 @@ class TestPhiloxReference:
     def test_uniform_calls(self, seed, counter):
         stream = SeededRng(seed, counter)
         assert [stream.uniform() for _ in range(12)] == philox_uniforms(seed, counter, 12)
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, so two states compare with ==."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+SEEDS = st.integers(0, (1 << 64) - 1)
+COUNTERS = st.integers(0, (1 << 128) - 1)
+
+
+class TestStreamBuild:
+    """A stream is built from its counter words and its seed's shared key array;
+    it is numpy's keyed Philox over the whole seed and counter range."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, counter=COUNTERS)
+    @example(seed=0, counter=0)
+    @example(seed=0, counter=(1 << 128) - 1)
+    @example(seed=(1 << 64) - 1, counter=0)
+    @example(seed=(1 << 64) - 1, counter=(1 << 128) - 1)
+    def test_equals_keyed_philox(self, seed, counter):
+        ours = SeededRng(seed, counter)
+        keyed = np.random.Generator(np.random.Philox(key=seed, counter=counter << 128))
+        assert _plain(ours.generator.bit_generator.state) == _plain(keyed.bit_generator.state)
+        assert ours.uniform() == keyed.random()
+        assert ours.integers(0, 1 << 40, size=5).tolist() == keyed.integers(0, 1 << 40, size=5).tolist()
+        assert ours.standard_normal(7).tolist() == keyed.standard_normal(7).tolist()
+        assert ours.bits(9) == "".join("01"[b] for b in keyed.integers(0, 2, size=9))
+        assert ours.bit() == keyed.integers(0, 2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seeds=st.tuples(SEEDS, SEEDS), counters=st.tuples(COUNTERS, COUNTERS))
+    @example(seeds=(0, (1 << 64) - 1), counters=(0, (1 << 128) - 1))
+    def test_interleaved_seeds_draw_as_alone(self, seeds, counters):
+        # streams of the two seeds alternate, so each build swaps the once-per-seed key
+        names = [(s, c) for c in counters for s in seeds]
+        names += [(s, ((c % (1 << 96)) << 32) + 1 + 7) for s, c in names]  # child(7) of counter c mod 2**96
+        alone = [SeededRng(s, c).generator.random(4).tolist() for s, c in names]
+        streams = [SeededRng(s, c) for s, c in names[:4]]
+        streams += [SeededRng(r.seed, r.counter % (1 << 96)).child(7) for r in streams]
+        rounds = [[r.uniform() for r in streams] for _ in range(4)]  # the first round builds each in turn
+        assert [list(draws) for draws in zip(*rounds)] == alone
+        for r in streams:
+            key = r.generator.bit_generator.seed_seq.key
+            assert key.tolist() == [r.seed, 0] and not key.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                key[1] = 1
+
+    def test_one_key_per_seed(self):
+        a, b = SeededRng(5, 1), SeededRng(5, 2).child(3)
+        other = SeededRng(6)
+        key = a.generator.bit_generator.seed_seq
+        assert b.generator.bit_generator.seed_seq is key  # the same seed's next stream reuses it
+        assert other.generator.bit_generator.seed_seq is not key
+        assert SeededRng(5).generator.bit_generator.seed_seq is not key  # another seed came between
 
 
 class TestStreamLimits:
