@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .oracles import candidate_image, candidate_states
+from .oracles import candidate_image, candidate_search
 from .primitives import BotValue, GeneratorHandle, as_bot, is_bot
 from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, StateVector, measure_computational
 from .rng import ParameterError, SeededRng, int_to_bits
@@ -118,21 +118,41 @@ def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
     key k by the product over copies of |<state_k|copy>|^2 and returns the
     first best key; the copies are identical vectors, so the score is a
     power of one overlap and t cannot change the guess.  The candidate
-    states come from ``candidate_states``, which keeps the last table it
+    states come from ``candidate_search``, which keeps the last table it
     built, so a handle made again for the same generator object builds
     no state; ``_ml_scores`` reads that table with no per-request copy.
-    A block of trials is scored with one stacked product, and ``decide``
-    is the block decider's one-trial case.  The strategy id stays
-    ``bruteforce-ml``, the name that records carry.
+
+    The guess is a pure function of the copies, so it is kept with the
+    table, keyed on the bytes of the trial's stacked t x dim copies, up
+    to ``_BLOCK_BUDGET`` amplitudes of stored challenges; past that a
+    challenge is answered without being stored.  A block of trials looks
+    up every challenge and scores the ones not stored with one stacked
+    product, which gives each trial the guess it gets alone, and
+    ``decide`` is the block decider's one-trial case.  The strategy id
+    stays ``bruteforce-ml``, the name that records carry.
     """
-    table = candidate_states(gen)
+    table, answers = candidate_search(gen)
 
     def decide_many(challenges: Sequence[Sequence[StateVector]]) -> list[str]:
         if not all(challenges):
             raise ParameterError("need at least one copy")
         stack = np.array([[copy.amplitudes for copy in copies] for copies in challenges])
-        best = _ml_scores(table, stack).argmax(axis=1)  # each trial's first best key
-        return [int_to_bits(k, gen.input_len) for k in best.tolist()]
+        keys = [trial.tobytes() for trial in stack]
+        fresh = {}  # each challenge with no stored answer: its first trial, then its guess
+        for i, key in enumerate(keys):
+            if key not in answers:
+                fresh.setdefault(key, i)
+        if fresh:
+            rows = list(fresh.values())
+            # a block of distinct fresh challenges is scored as it stands, with no fancy-index copy
+            best = _ml_scores(table, stack if len(rows) == len(stack) else stack[rows]).argmax(axis=1)
+            room = stack.itemsize * _BLOCK_BUDGET - sum(map(len, answers))  # bytes the store may still take
+            for key, k in zip(fresh, best.tolist()):  # each challenge's first best key
+                fresh[key] = int_to_bits(k, gen.input_len)
+                if len(key) <= room:
+                    answers[key] = fresh[key]
+                    room -= len(key)
+        return [fresh[key] if key in fresh else answers[key] for key in keys]
 
     return AdversaryHandle("bruteforce-ml", lambda copies, rng: decide_many((copies,))[0], decide_many)
 

@@ -6,7 +6,8 @@ two runs (or two implementations) with the same seed see bit-identical
 worlds.  O_n, P_n and Q_n values are derived lazily, one input at a
 time.  The module keeps two exponential tables, the last one built of
 each: the bot world's bad-input mask, 2^n booleans capped at n <= 20,
-and the brute-force ``candidate_states`` table below.
+and the brute-force ``candidate_states`` table below, with the answers
+stored from it.
 
 Kinds:
 
@@ -427,26 +428,27 @@ def candidate_image(candidate: GeneratorHandle) -> set[str]:
     return image
 
 
-# The last candidate_states table, with the handle it was built from.  A
-# command searches one generator, so, as with the bad-input mask, one
-# table is all a run reuses.  The entry is keyed on the handle's identity
-# and holds the handle, so its id cannot pass to another one: handles
-# compare without their eval, so two equal handles can hold different states.
-_last_states: tuple[GeneratorHandle, np.ndarray] | None = None
+# The last candidate_states table, with the handle it was built from and
+# the answers stored from it.  A command searches one generator, so, as
+# with the bad-input mask, one table is all a run reuses; its answers go
+# with it, so they never answer for another table or keep a replaced one
+# alive.  The entry is keyed on the handle's identity and holds the
+# handle, so its id cannot pass to another one: handles compare without
+# their eval, so two equal handles can hold different states.
+_last_states: tuple[GeneratorHandle, np.ndarray, dict] | None = None
 
 
-def candidate_states(gen: GeneratorHandle) -> np.ndarray:
-    """Amplitudes of a state generator over its whole key space, one row per key.
+def candidate_search(gen: GeneratorHandle) -> tuple[np.ndarray, dict]:
+    """``candidate_states(gen)`` and the answers kept with that table.
 
-    Key k is evaluated once, on the stream (OWSG_SEARCH_SEED, k); the
-    result is a read-only 2^lambda x dim array.  The last table built is
-    kept for the handle object it was built from, so a handle that is
-    searched again (``toy_owsg_haar`` keeps its last one) reuses it.
+    The answers start as an empty dict when the table is built and are
+    dropped with it; a search stores there what it computes from the
+    table alone.
     """
     global _last_states
     last = _last_states  # read once: another thread may replace the entry
     if last is not None and last[0] is gen:
-        return last[1]
+        return last[1], last[2]
     if gen.kind != "owsg":
         raise ParameterError(f"expected an owsg handle, got {gen.kind}")
     if gen.input_len > MAX_OWSG_KEY_BITS:
@@ -460,5 +462,17 @@ def candidate_states(gen: GeneratorHandle) -> np.ndarray:
     states = (gen.eval(int_to_bits(k, gen.input_len), SeededRng(OWSG_SEARCH_SEED, k)) for k in keys)
     table = np.array([state.amplitudes for state in states])
     table.setflags(write=False)
-    _last_states = (gen, table)
-    return table
+    answers: dict = {}
+    _last_states = (gen, table, answers)
+    return table, answers
+
+
+def candidate_states(gen: GeneratorHandle) -> np.ndarray:
+    """Amplitudes of a state generator over its whole key space, one row per key.
+
+    Key k is evaluated once, on the stream (OWSG_SEARCH_SEED, k); the
+    result is a read-only 2^lambda x dim array.  The last table built is
+    kept for the handle object it was built from, so a handle that is
+    searched again (``toy_owsg_haar`` keeps its last one) reuses it.
+    """
+    return candidate_search(gen)[0]

@@ -38,8 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-PHILOX_ALGORITHM = "philox4x64-10/block128"
-
 # Seeds of the fixed streams that evaluate a generator outside any caller's
 # stream; distinct so no two of them share draws.
 IMAGE_SEARCH_SEED = 0xA0D1  # brute-force image search, stream (key << 8) + eval
@@ -72,8 +70,8 @@ _BIT_CHARS = np.frombuffer(b"01", dtype=np.uint8)  # draw b -> ASCII '0' + b
 
 @dataclass
 class SeededRng:
-    """Named, reproducible randomness stream over Philox4x64-10
-    (``PHILOX_ALGORITHM``).
+    """Named, reproducible randomness stream over Philox4x64-10, the
+    counter-based generator of Salmon et al. (SC 2011).
 
     Identical ``(seed, counter)`` pairs yield identical draw sequences.
     The object is single-owner: it holds a live numpy ``Generator``

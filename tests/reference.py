@@ -9,7 +9,8 @@ determinism audit without its early exit: every trial evaluated.
 ``looped_extract`` is the extract command's result as one serial
 loop whose repeat extraction is a second full d-cell ``extract``.
 ``looped_owsg`` is the inversion game played one whole trial at a time,
-the adversary's per-trial ``decide`` included.
+the adversary's per-trial ``decide`` included, and ``haar_noise_owsg``
+a state generator whose copies never repeat.
 ``fisher_yates_reference`` is the permutation table as the plain
 top-down swap loop, one bounded draw per step, over words that
 ``reference_words`` hashes one block at a time from the documented
@@ -32,7 +33,7 @@ import numpy as np
 
 from qrandlab.extraction import RoundParams, extract, good_set_member
 from qrandlab.oracles import OracleWorld, WrongWorldKindError, _flip_index, flip_state_dim
-from qrandlab.primitives import _cluster_states, _plurality
+from qrandlab.primitives import GeneratorHandle, _cluster_states, _plurality
 from qrandlab.qcore import (
     ATOL,
     MAX_TENSOR_DIM,
@@ -252,6 +253,15 @@ def looped_owsg(gen, adversary, t: int, trials: int, rng: SeededRng, first_trial
         prob = gen.eval(guess, trial).fidelity(verifier_state)
         successes += trial.uniform() < prob
     return successes
+
+
+def haar_noise_owsg(lam: int = 8, dim: int = 16) -> GeneratorHandle:
+    """Every evaluation is a fresh Haar state drawn from the trial stream, so a
+    game's outcome rests on each stream's draw order and no two copies repeat."""
+    return GeneratorHandle(
+        kind="owsg", input_len=lam, output_len=0, dim=dim, description="haar-noise-owsg",
+        eval=lambda key, rng: haar_sample(dim, rng),
+    )
 
 
 # -- the Fisher-Yates table, one swap at a time ---------------------------------------

@@ -43,7 +43,7 @@ from qrandlab.toys import (
     toy_prg,
     zero_padding_prg,
 )
-from reference import looped_owsg, symmetric_moment
+from reference import haar_noise_owsg, looped_owsg, symmetric_moment
 
 
 def record_without_wallclock(report):
@@ -197,15 +197,6 @@ class TestExpOwsg:
         digest = hashlib.sha256(canonical_json(record_without_wallclock(report)).encode()).hexdigest()
         assert report["successes"] == 105
         assert digest == "351547e3083a037d72535217ad55d727cc87741718a30157b3a45ca6c3503cba"
-
-
-def haar_noise_owsg(lam: int = 8, dim: int = 16) -> GeneratorHandle:
-    """Every evaluation is a fresh Haar state drawn from the trial stream, so a
-    game's outcome rests on each stream's draw order."""
-    return GeneratorHandle(
-        kind="owsg", input_len=lam, output_len=0, dim=dim, description="haar-noise-owsg",
-        eval=lambda key, rng: haar_sample(dim, rng),
-    )
 
 
 def random_guess_adversary(lam: int) -> AdversaryHandle:

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qrandlab.experiments import _ml_scores, bruteforce_owsg_handle, bruteforce_prg_handle, exp_owsg, exp_prg
+from qrandlab import experiments
+from qrandlab.experiments import (
+    _BLOCK_BUDGET,
+    _ml_scores,
+    bruteforce_owsg_handle,
+    bruteforce_prg_handle,
+    exp_owsg,
+    exp_prg,
+)
 from qrandlab.oracles import (
     BotOracleParams,
     KeySpaceTooLargeError,
@@ -17,6 +25,7 @@ from qrandlab.oracles import (
     bot_oracle_eval_many,
     bot_oracle_good_set,
     bot_prg_handle,
+    candidate_search,
     candidate_states,
     decode_flip_index,
     flip_state_dim,
@@ -30,7 +39,7 @@ from qrandlab.primitives import GeneratorHandle
 from qrandlab.qcore import MemoryBudgetError, StateVector, born_distribution, haar_sample, measure_computational
 from qrandlab.rng import OWSG_SEARCH_SEED, ParameterError, SeededRng, fisher_yates_table, int_to_bits
 from qrandlab.toys import constant_owsg, toy_owsg_basis, toy_owsg_haar, toy_prg
-from reference import apply_flip, flip_oracle, flip_target_state
+from reference import apply_flip, flip_oracle, flip_target_state, haar_noise_owsg
 
 
 class TestBotOracleParams:
@@ -713,3 +722,115 @@ class TestCandidateStatesMemo:
         table = candidate_states(toy_owsg_haar(4, 8))
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0
+
+
+def _fresh_guesses(table, challenges, lam):
+    """Each challenge's first best key, scored on its own."""
+    stacks = (np.array([copy.amplitudes for copy in copies]) for copies in challenges)
+    return [int_to_bits(int(_ml_scores(table, stack).argmax()), lam) for stack in stacks]
+
+
+@pytest.fixture
+def scored_rows(monkeypatch):
+    """The number of challenges each ``_ml_scores`` call of the brute force scores."""
+    rows = []
+    score = experiments._ml_scores
+
+    def counted(table, copies):
+        rows.append(len(copies) if copies.ndim == 3 else 1)
+        return score(table, copies)
+
+    monkeypatch.setattr(experiments, "_ml_scores", counted)
+    return rows
+
+
+class TestBruteforceOwsgAnswers:
+    """bruteforce_owsg_handle answers each distinct challenge once per candidate_states table."""
+
+    @pytest.fixture(autouse=True)
+    def cold_table(self):
+        toy_owsg_haar.cache_clear()  # a new handle object: its table is built with no answers
+        yield
+        toy_owsg_haar.cache_clear()
+
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    def test_answers_equal_fresh_scoring(self, t, scored_rows):
+        gen = toy_owsg_haar(8, 16)
+        table = candidate_states(gen)
+        challenges = [(gen.eval(int_to_bits(k, 8), None),) * t for k in range(256)]
+        expected = _fresh_guesses(table, challenges, 8)
+        first, second = bruteforce_owsg_handle(gen), bruteforce_owsg_handle(gen)
+        first.decide_many(challenges[:100])  # warm: these are answered from the store below
+        rng = SeededRng(90 + t)
+        order = [int(rng.bits(8), 2) for _ in range(300)]
+        # random blocks repeat challenges within and across blocks; then one repeat-heavy block and every key
+        blocks = [order[i : i + 56] for i in range(0, 300, 56)] + [[7, 7, 200, 7, 150], list(range(256))]
+        for index, block in enumerate(blocks):
+            handle = (first, second)[index % 2]  # two handles made for the same generator share the answers
+            assert handle.decide_many([challenges[k] for k in block]) == [expected[k] for k in block]
+        scored_rows.clear()
+        assert [second.decide(copies, None) for copies in challenges] == expected
+        assert first.decide_many(challenges[::-1]) == expected[::-1]
+        assert scored_rows == []  # every key is stored: nothing is scored again
+
+    def test_repeats_in_a_block_are_scored_once(self, scored_rows):
+        gen = toy_owsg_haar(8, 16)
+        states = [gen.eval(int_to_bits(k, 8), None) for k in (3, 9)]
+        guesses = bruteforce_owsg_handle(gen).decide_many([(states[0],) * 2, (states[1],) * 2] * 3)
+        assert guesses == ["00000011", "00001001"] * 3
+        assert scored_rows == [2]
+
+    def test_noise_guesses_equal_empty_store_guesses(self):
+        # the noise generator's copies never repeat, so no stored answer may be given
+        gen = haar_noise_owsg(8, 16)
+        handle = bruteforce_owsg_handle(gen)
+        table, answers = candidate_search(gen)
+        rng = SeededRng(94)
+        blocks = [[tuple(gen.eval(None, rng) for _ in range(2)) for _ in range(56)] for _ in range(6)]
+        warm = [handle.decide_many(block) for block in blocks]
+        assert len(answers) == 6 * 56
+        for block, guesses in zip(blocks, warm):
+            answers.clear()
+            assert handle.decide_many(block) == guesses == _fresh_guesses(table, block, 8)
+        report = exp_owsg(gen, handle, 2, 300, SeededRng(95))
+        answers.clear()
+        assert exp_owsg(gen, handle, 2, 300, SeededRng(95))["successes"] == report["successes"]
+
+    def test_evicted_table_takes_its_answers(self, scored_rows):
+        gen = toy_owsg_haar(8, 16)
+        exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(96))
+        cold = sum(scored_rows)
+        assert cold > 30  # the distinct keys of 40 draws from 256
+        table = weakref.ref(candidate_states(gen))
+        scored_rows.clear()
+        exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(96))
+        assert scored_rows == []
+        other = toy_owsg_haar(4, 16)  # another size evicts the handle and its table, as in one CLI process
+        exp_owsg(other, bruteforce_owsg_handle(other), 2, 5, SeededRng(97))
+        del gen, other
+        gc.collect()
+        assert table() is None
+        gen = toy_owsg_haar(8, 16)
+        scored_rows.clear()
+        exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(96))
+        assert sum(scored_rows) == cold  # the new table's handle scores every challenge again
+
+    def test_store_is_capped(self):
+        gen = haar_noise_owsg(8, 16)
+        handle = bruteforce_owsg_handle(gen)
+        table, answers = candidate_search(gen)
+        exp_owsg(gen, handle, 2, 4000, SeededRng(97))  # so Python's free lists hold no traced block below
+        answers.clear()
+        tracemalloc.start()
+        try:
+            exp_owsg(gen, handle, 2, 4000, SeededRng(98))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        stored = sum(map(len, answers))
+        assert len(answers) == 1024 and stored == 16 * _BLOCK_BUDGET  # 2^15 amplitudes: 1 024 challenges of 2 x 16
+        assert held <= stored + 160 * len(answers)  # each key's bytes header, its guess and its dict slot
+        rng = SeededRng(99)
+        past = [tuple(gen.eval(None, rng) for _ in range(2)) for _ in range(56)]
+        assert handle.decide_many(past) == _fresh_guesses(table, past, 8)
+        assert len(answers) == 1024
