@@ -37,7 +37,7 @@ from .experiments import (
     moment_distance,
     owsg_coin_flip_adversary,
 )
-from .extraction import RoundParams, extract, extract_from_prefix, gaussian_block_check, good_set_member
+from .extraction import RoundParams, gaussian_block_check, good_set_member, round_mask
 from .oracles import (
     OracleWorld,
     bot_oracle_eval,
@@ -49,6 +49,7 @@ from .oracles import (
 from .primitives import determinism_audit
 from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, born_distribution, haar_sample
 from .rng import ParameterError, SeededRng, parse_bits
+from .tomography import sampled_diagonal, sampled_prefix
 from .toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
 
 USAGE_ERROR = 2
@@ -173,15 +174,15 @@ def cmd_extract(params: dict, seed: int) -> dict:
                 if stop.is_set():
                     return
                 child = rng.child(i)
-                psi = haar_sample(d, child)
-                good += good_set_member(born_distribution(psi), rparams)
-                first = extract(psi, rparams, t, child)
+                probs = born_distribution(haar_sample(d, child))
+                good += good_set_member(probs, rparams)
+                first = round_mask(probs if t is None else sampled_diagonal(probs, t, child), rparams)
                 # The repeat is the last draw on child(i): its prefix draw gives
                 # the bits of a full d-cell draw and only leaves the stream
                 # elsewhere, which nothing reads.
-                second = extract(psi, rparams) if t is None else extract_from_prefix(psi, rparams, t, child)
-                agree += first == second
-                ones += np.array([b == "1" for b in first])
+                second = first if t is None else round_mask(sampled_prefix(probs, t, rparams.k, child), rparams)
+                agree += np.array_equal(first, second)
+                ones += first
         except BaseException as exc:  # re-raised below, once every share has stopped
             shares[w] = exc
             stop.set()

@@ -10,10 +10,10 @@ strictly against r/d to produce one output bit.  A state is in the good
 set when every block sum clears the threshold by a margin of more than
 2/d, which is what makes the whole pipeline deterministic on that state.
 
-Rounding reads only the first k = l*r entries, so ``extract_from_prefix``
-rounds a t-copy estimate of those k alone (``tomography.sampled_prefix``):
-the bits ``extract`` gives on the same stream, from a (k + 1)-cell draw
-in place of a d-cell one, for a stream nothing draws on afterwards.
+Rounding reads only the first k = l*r entries.  ``round_mask`` rounds a
+diagonal, or a t-copy estimate of its first k entries alone
+(``tomography.sampled_prefix``), into a bool vector of bits;
+``round_bits`` and ``extract`` format it as the '0'/'1' string the API returns.
 
 ``gaussian_block_check`` measures how closely the block sums of Haar
 states follow their limiting normal law N(r/d, r/d^2).
@@ -22,6 +22,7 @@ states follow their limiting normal law N(r/d, r/d^2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .qcore import (
     haar_sample,
 )
 from .rng import SeededRng
-from .tomography import estimate_diagonal, sampled_prefix
+from .tomography import estimate_diagonal
 
 
 @dataclass(frozen=True)
@@ -54,29 +55,29 @@ class RoundParams:
         if d > MAX_TENSOR_DIM**2:
             raise MemoryBudgetError(f"a d = {d} state exceeds {MAX_TENSOR_DIM**2} amplitudes")
 
-    @property
+    @cached_property
     def a(self) -> int:
         return (self.d.bit_length() - 1) // 6
 
-    @property
+    @cached_property
     def k(self) -> int:
         return 1 << (5 * self.a)
 
-    @property
+    @cached_property
     def r(self) -> int:
         return 1 << (4 * self.a)
 
-    @property
+    @cached_property
     def num_bits(self) -> int:
         """Output length l = d^(1/6)."""
         return 1 << self.a
 
-    @property
+    @cached_property
     def threshold(self) -> float:
         """r/d = 2^(-2a), exactly representable."""
         return self.r / self.d
 
-    @property
+    @cached_property
     def margin(self) -> float:
         return 2 / self.d
 
@@ -91,28 +92,32 @@ def block_sums(diag: np.ndarray, params: RoundParams) -> np.ndarray:
     """q_i = sum of the i-th block of r consecutive diagonal entries.
 
     Only the first l*r = k entries are consumed; the tail is ignored.
-    This length check is the dimension check of every path but
-    ``extract_from_prefix``, which checks the state's dimension.
     """
     if len(diag) != params.d:
         raise DimensionMismatchError(f"diagonal dim {len(diag)} != params d {params.d}")
     return _head_sums(diag, params)
 
 
-def _bits(q: np.ndarray, params: RoundParams) -> str:
-    """b_i = 1 iff q_i > r/d (strict); ties round to 0."""
-    return "".join("1" if qi > params.threshold else "0" for qi in q)
+def round_mask(head: np.ndarray, params: RoundParams) -> np.ndarray:
+    """The rounded block sums as a bool vector: b_i = q_i > r/d (strict;
+    ties round to 0), from a diagonal or from its first k entries."""
+    if len(head) != params.d and len(head) != params.k:
+        raise DimensionMismatchError(f"diagonal length {len(head)} is neither d = {params.d} nor k = {params.k}")
+    return _head_sums(head, params) > params.threshold
 
 
 def round_bits(diag: np.ndarray, params: RoundParams) -> str:
-    """The rounded block sums of a diagonal: b_i = 1 iff q_i > r/d (strict)."""
-    return _bits(block_sums(diag, params), params)
+    """``round_mask``'s bits as a '0'/'1' string."""
+    return "".join("1" if b else "0" for b in round_mask(diag, params))
+
+
+def _clears_margin(q: np.ndarray, params: RoundParams) -> bool:
+    return bool(np.all(np.abs(q - params.threshold) > params.margin))
 
 
 def good_set_member(diag: np.ndarray, params: RoundParams) -> bool:
     """True iff every block sum clears the threshold by more than 2/d."""
-    q = block_sums(diag, params)
-    return bool(np.all(np.abs(q - params.threshold) > params.margin))
+    return _clears_margin(block_sums(diag, params), params)
 
 
 def extract(
@@ -120,15 +125,6 @@ def extract(
 ) -> str:
     """Diagonal estimation (from t sampled copies, or exact when t is None) followed by rounding."""
     return round_bits(estimate_diagonal(psi, t, rng), params)
-
-
-def extract_from_prefix(psi: StateVector, params: RoundParams, t: int, rng: SeededRng) -> str:
-    """``extract(psi, params, t, rng)``'s bits from a t-copy estimate of the
-    k entries rounding reads (``sampled_prefix``), for the last draw on ``rng``:
-    it leaves ``rng`` at another position than ``extract`` does."""
-    if psi.dim != params.d:
-        raise DimensionMismatchError(f"state dim {psi.dim} != params d {params.d}")
-    return _bits(_head_sums(sampled_prefix(psi, t, params.k, rng), params), params)
 
 
 def gaussian_block_check(d: int, n_states: int, rng: SeededRng) -> dict:
@@ -145,9 +141,8 @@ def gaussian_block_check(d: int, n_states: int, rng: SeededRng) -> dict:
     sums = np.empty((n_states, params.num_bits))
     good = 0
     for i in range(n_states):
-        diag = born_distribution(haar_sample(d, rng))
-        sums[i] = block_sums(diag, params)
-        good += good_set_member(diag, params)
+        sums[i] = block_sums(born_distribution(haar_sample(d, rng)), params)
+        good += _clears_margin(sums[i], params)
     # imported here, its one use: scipy.stats takes over a second to load,
     # and every CLI run would pay it at import time
     from scipy import stats

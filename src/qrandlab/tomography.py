@@ -2,13 +2,15 @@
 
 The downstream rounding step reads only the diagonal of an estimated
 density matrix, so estimation here is diagonal-only, and a diagonal is
-a plain 1-D array of probabilities: ``sampled_diagonal`` is the
-frequency estimate from t simulated measurements and
-``qcore.born_distribution`` is its t -> infinity idealization, the
-exact diagonal; ``estimate_diagonal`` takes t = None for the latter.
-``sampled_prefix`` is the first k entries of ``sampled_diagonal`` from
-a (k + 1)-cell draw, equal bit for bit on the same stream position but
-leaving the stream elsewhere, so it serves only a stream's last draw.
+a plain 1-D array of probabilities; a state's exact one, ``probs`` =
+``qcore.born_distribution(psi)``, is computed once by the caller.
+``sampled_diagonal(probs, t, rng)`` is the frequency estimate from t
+simulated measurements and ``probs`` its t -> infinity idealization;
+``estimate_diagonal(psi, ...)`` is the state-level entry, t = None giving
+the latter.  ``sampled_prefix`` is the first k entries of
+``sampled_diagonal`` from a (k + 1)-cell draw, equal bit for bit on the
+same stream position but leaving the stream elsewhere, so it serves
+only a stream's last draw.
 Estimation error is judged in the L-infinity norm on probability
 vectors, the norm the rounding thresholds actually respond to.
 """
@@ -30,18 +32,18 @@ def _check_sample_count(t: int) -> None:
         raise InvalidSampleCountError(f"t must be in [1, 2**63 - 1], got t={t}")
 
 
-def sampled_diagonal(psi: StateVector, t: int, rng: SeededRng) -> np.ndarray:
-    """Empirical frequencies k_i / t of t computational-basis measurements.
+def sampled_diagonal(probs: np.ndarray, t: int, rng: SeededRng) -> np.ndarray:
+    """Empirical frequencies k_i / t of t measurements with outcome law ``probs``.
 
     Counts of t i.i.d. categorical draws are exactly multinomial, so the
     t measurements are simulated with one multinomial draw.
     """
     _check_sample_count(t)
-    return rng.multinomial(t, born_distribution(psi)) / t
+    return rng.multinomial(t, probs) / t
 
 
-def sampled_prefix(psi: StateVector, t: int, k: int, rng: SeededRng) -> np.ndarray:
-    """``sampled_diagonal(psi, t, rng)[:k]``, bit for bit, from the draw
+def sampled_prefix(probs: np.ndarray, t: int, k: int, rng: SeededRng) -> np.ndarray:
+    """``sampled_diagonal(probs, t, rng)[:k]``, bit for bit, from the draw
     Multinomial(t, [p_0 ... p_{k-1}, tail]), tail = max(0, 1 - sum p_i).
 
     numpy draws a multinomial's cells in order: cell j is a binomial on
@@ -49,12 +51,12 @@ def sampled_prefix(psi: StateVector, t: int, k: int, rng: SeededRng) -> np.ndarr
     takes the remainder without a draw.  So the first k counts are the
     full draw's, on the same stream position; only the position the draw
     leaves ``rng`` at differs.  Use it only where nothing draws on ``rng``
-    afterwards.  1 <= k < dim; k = dim would draw the last cell too.
+    afterwards.  1 <= k < len(probs); k = len(probs) would draw the last cell too.
     """
     _check_sample_count(t)
-    if not 1 <= k < psi.dim:
-        raise ParameterError(f"prefix length must be in [1, {psi.dim - 1}], got k={k}")
-    head = born_distribution(psi)[:k]
+    if not 1 <= k < len(probs):
+        raise ParameterError(f"prefix length must be in [1, {len(probs) - 1}], got k={k}")
+    head = probs[:k]
     return rng.multinomial(t, np.append(head, max(0.0, 1.0 - head.sum())))[:k] / t
 
 
@@ -64,4 +66,4 @@ def estimate_diagonal(psi: StateVector, t: int | None, rng: SeededRng | None) ->
         return born_distribution(psi)
     if rng is None:
         raise ParameterError("a t-copy estimate needs an rng")
-    return sampled_diagonal(psi, t, rng)
+    return sampled_diagonal(born_distribution(psi), t, rng)

@@ -7,7 +7,8 @@ against, together with the density-operator algebra and tomography
 bounds the tests state their claims in.  ``looped_audit`` is the
 determinism audit without its early exit: every trial evaluated.
 ``looped_extract`` is the extract command's result as one serial
-loop whose repeat extraction is a second full d-cell ``extract``.
+loop over validated states and ``extract`` calls, whose repeat
+extraction is a second full d-cell ``extract``.
 ``looped_owsg`` is the inversion game played one whole trial at a time,
 the adversary's per-trial ``decide`` included, and ``haar_noise_owsg``
 a state generator whose copies never repeat.
@@ -216,9 +217,10 @@ def looped_audit(handle, key, trials: int, rng: SeededRng):
     return modal, count / trials
 
 
-def looped_extract(d: int, n_states: int, t: int, seed: int) -> dict:
-    """The sampled ``extract`` result, state i on ``SeededRng(seed).child(i)``
-    with two full ``extract`` calls, one after the other, on that stream."""
+def looped_extract(d: int, n_states: int, t: int | None, seed: int) -> dict:
+    """The ``extract`` result, sampled from t copies or exact when t is None,
+    state i on ``SeededRng(seed).child(i)`` with two full ``extract`` calls,
+    one after the other, on that stream."""
     params = RoundParams(d)
     good = agree = 0
     ones = np.zeros(params.num_bits, dtype=np.int64)
@@ -232,7 +234,7 @@ def looped_extract(d: int, n_states: int, t: int, seed: int) -> dict:
     return {
         "d": d,
         "n_states": n_states,
-        "mode": "sampled",
+        "mode": "exact" if t is None else "sampled",
         "t": t,
         "good_fraction": good / n_states,
         "bit_frequencies": list(ones / n_states),

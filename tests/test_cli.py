@@ -215,6 +215,20 @@ class TestExtractShares:
             params = {"d": d, "states": 8, "mode": "sampled", "t": t}
             assert cli.cmd_extract(params, seed) == looped_extract(d, 8, t, seed)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("d, t", [(d, t) for d in (64, 4096) for t in (None, 1000, 10**6)])
+    def test_record_equals_serial_reference(self, capsys, monkeypatch, d, t, workers):
+        # one Born diagonal per state, a prefix repeat draw and rounding on arrays
+        # record what validated states and two full extract calls per state give
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(cli, "_MIN_SPREAD_D", 64)
+        mode = ["--mode", "exact"] if t is None else ["--mode", "sampled", "--t", str(t)]
+        for seed in (0, 5, 2**63 - 1):
+            code, out, _ = run_cli(capsys, ["extract", "--d", str(d), "--states", "8", *mode, "--seed", str(seed)])
+            assert code == 0
+            record = strip_timing(parse_lines(out)[0])
+            assert record["result"] == json.loads(canonical_json(looped_extract(d, 8, t, seed)))
+
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
         assert cli._extract_workers(2**24, 8) == 1  # one state fills the amplitude budget

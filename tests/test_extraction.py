@@ -7,10 +7,10 @@ from qrandlab.extraction import (
     RoundParams,
     block_sums,
     extract,
-    extract_from_prefix,
     gaussian_block_check,
     good_set_member,
     round_bits,
+    round_mask,
 )
 from qrandlab.qcore import (
     DimensionMismatchError,
@@ -20,6 +20,7 @@ from qrandlab.qcore import (
     haar_sample,
 )
 from qrandlab.rng import SeededRng
+from qrandlab.tomography import sampled_diagonal, sampled_prefix
 
 P4096 = RoundParams(4096)
 
@@ -77,6 +78,15 @@ class TestRoundBits:
 
     def test_concentrated_first_block(self):
         assert round_bits(concentrated_diag(4096, 256), P4096) == "1000"
+
+    @pytest.mark.parametrize("d", [64, 4096])
+    def test_mask_reads_the_first_k_entries(self, d):
+        params = RoundParams(d)
+        for i in range(20):
+            diag = born_distribution(haar_sample(d, SeededRng(d, i)))
+            mask = round_mask(diag, params)
+            assert mask.dtype == bool and np.array_equal(round_mask(diag[: params.k], params), mask)
+            assert round_bits(diag, params) == "".join("1" if b else "0" for b in mask)
 
     def test_output_length(self):
         for d in (64, 4096):
@@ -152,15 +162,14 @@ class TestExtract:
             extract(psi, P4096, t=10**6)
 
     def test_dim_mismatch(self):
-        # block_sums' length check on both estimators; the prefix path checks the state
+        # round_mask's length check on both estimators, and on a prefix of neither k nor d entries
         psi = haar_sample(64, SeededRng(0))
         for t in (None, 100):
             with pytest.raises(DimensionMismatchError):
                 extract(psi, P4096, t=t, rng=SeededRng(1))
-        rng = SeededRng(1)
-        with pytest.raises(DimensionMismatchError):
-            extract_from_prefix(psi, P4096, 100, rng)
-        assert not rng.drawn
+        for length in (64, P4096.k - 1, P4096.k + 1):
+            with pytest.raises(DimensionMismatchError):
+                round_mask(uniform_diag(length), P4096)
 
     @pytest.mark.parametrize("t", [1, 1000, 10**6])
     @pytest.mark.parametrize("d", [64, 4096])
@@ -169,7 +178,12 @@ class TestExtract:
         states = [haar_sample(d, SeededRng(d, i)) for i in range(20)]
         states += [StateVector.basis(d, i) for i in (0, params.k - 1, params.k, d - 1)]
         for i, psi in enumerate(states):
-            assert extract_from_prefix(psi, params, t, SeededRng(3, i)) == extract(psi, params, t, SeededRng(3, i))
+            # rounding the k-entry prefix draw gives the full d-cell draw's bits, and extract's
+            probs = born_distribution(psi)
+            prefix = sampled_prefix(probs, t, params.k, SeededRng(3, i))
+            full = sampled_diagonal(probs, t, SeededRng(3, i))
+            assert np.array_equal(round_mask(prefix, params), round_mask(full, params))
+            assert round_bits(prefix, params) == extract(psi, params, t, SeededRng(3, i))
 
 
 class TestMarginRobustness:

@@ -15,6 +15,10 @@ def uniform_state(dim):
     return StateVector.normalized(np.ones(dim))
 
 
+def uniform_probs(dim):
+    return born_distribution(uniform_state(dim))
+
+
 class TestExactDiagonal:
     def test_basis_state(self):
         assert np.array_equal(born_distribution(StateVector.basis(4, 0)), [1, 0, 0, 0])
@@ -31,26 +35,26 @@ class TestExactDiagonal:
 
 class TestSampledDiagonal:
     def test_basis_state_deterministic(self):
-        diag = sampled_diagonal(StateVector.basis(8, 0), 100, SeededRng(1))
+        diag = sampled_diagonal(born_distribution(StateVector.basis(8, 0)), 100, SeededRng(1))
         assert np.array_equal(diag, [1, 0, 0, 0, 0, 0, 0, 0])
 
     def test_uniform_qubit_large_t(self):
         t = 10**6
-        diag = sampled_diagonal(uniform_state(2), t, SeededRng(2))
+        diag = sampled_diagonal(uniform_probs(2), t, SeededRng(2))
         assert np.abs(diag - 0.5).max() <= 3 * math.sqrt(0.25 / t)
 
     def test_zero_samples_rejected(self):
         with pytest.raises(InvalidSampleCountError):
-            sampled_diagonal(uniform_state(2), 0, SeededRng(0))
+            sampled_diagonal(uniform_probs(2), 0, SeededRng(0))
         with pytest.raises(InvalidSampleCountError):
-            sampled_prefix(uniform_state(2), 0, 1, SeededRng(0))
+            sampled_prefix(uniform_probs(2), 0, 1, SeededRng(0))
 
     @pytest.mark.parametrize("t", [2**63, 10**20])
     def test_oversized_count_rejected_before_drawing(self, t):
         # numpy's multinomial takes a C long; a larger t is a usage error
         for draw in (
-            lambda rng: sampled_diagonal(uniform_state(2), t, rng),
-            lambda rng: sampled_prefix(uniform_state(2), t, 1, rng),
+            lambda rng: sampled_diagonal(uniform_probs(2), t, rng),
+            lambda rng: sampled_prefix(uniform_probs(2), t, 1, rng),
         ):
             rng = SeededRng(0)
             with pytest.raises(InvalidSampleCountError):
@@ -62,10 +66,9 @@ class TestSampledDiagonal:
         dim, t, trials = 16, 2000, 200
         bound = math.sqrt(math.log(2 * dim / 0.01) / (2 * t))
         rng = SeededRng(3)
-        psi = haar_sample(dim, rng)
-        reference = born_distribution(psi)
+        reference = born_distribution(haar_sample(dim, rng))
         violations = sum(
-            linf_error(sampled_diagonal(psi, t, rng.child(i)), reference) > bound
+            linf_error(sampled_diagonal(reference, t, rng.child(i)), reference) > bound
             for i in range(trials)
         )
         assert violations <= math.ceil(0.01 * trials) + 2
@@ -74,7 +77,7 @@ class TestSampledDiagonal:
     @settings(max_examples=25, deadline=None)
     def test_frequencies_are_multiples_summing_to_one(self, seed, t):
         rng = SeededRng(seed)
-        diag = sampled_diagonal(haar_sample(8, rng), t, rng)
+        diag = sampled_diagonal(born_distribution(haar_sample(8, rng)), t, rng)
         counts = np.rint(diag * t)
         assert counts.sum() == t
         assert np.array_equal(diag, counts / t)
@@ -82,12 +85,11 @@ class TestSampledDiagonal:
     def test_error_shrinks_as_t_grows(self):
         dim, trials = 16, 100
         rng = SeededRng(5)
-        psi = haar_sample(dim, rng)
-        reference = born_distribution(psi)
+        reference = born_distribution(haar_sample(dim, rng))
         medians = []
         for t in (10**3, 10**4, 10**5, 10**6):
             errs = [
-                linf_error(sampled_diagonal(psi, t, rng.child(1000 * t + i)), reference)
+                linf_error(sampled_diagonal(reference, t, rng.child(1000 * t + i)), reference)
                 for i in range(trials)
             ]
             medians.append(np.median(errs))
@@ -97,8 +99,8 @@ class TestSampledDiagonal:
         t = 10**6
         for seed in range(20):
             rng = SeededRng(seed)
-            psi = haar_sample(64, rng)
-            err = linf_error(sampled_diagonal(psi, t, rng), born_distribution(psi))
+            probs = born_distribution(haar_sample(64, rng))
+            err = linf_error(sampled_diagonal(probs, t, rng), probs)
             assert err <= 0.005
 
 
@@ -117,8 +119,9 @@ class TestSampledPrefix:
         # |0>: the tail is 0; |d-1>: the prefix is all zero
         states += [StateVector.basis(d, i) for i in (0, k - 1, k, d - 1)]
         for i, psi in enumerate(states):
-            full = sampled_diagonal(psi, t, SeededRng(7, i))
-            prefix = sampled_prefix(psi, t, k, SeededRng(7, i))
+            probs = born_distribution(psi)
+            full = sampled_diagonal(probs, t, SeededRng(7, i))
+            prefix = sampled_prefix(probs, t, k, SeededRng(7, i))
             assert prefix.shape == (k,)
             assert np.array_equal(prefix, full[:k])
 
@@ -127,7 +130,7 @@ class TestSampledPrefix:
         # at k = dim the last cell would be drawn, not take the remainder
         rng = SeededRng(0)
         with pytest.raises(ParameterError):
-            sampled_prefix(uniform_state(8), 10, k, rng)
+            sampled_prefix(uniform_probs(8), 10, k, rng)
         assert not rng.drawn
 
 
