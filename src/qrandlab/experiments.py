@@ -11,13 +11,6 @@ adversary`` in the distinguishing games, and ``key, copies, adversary,
 verifier, guess, coin`` in the inversion game.  With a deterministic
 never-aborting generator this makes the single-query abort game couple
 exactly with the plain distinguishing game under a shared seed.
-
-Trials are played in blocks when the adversary has a block decider
-(``AdversaryHandle.decide_many``): every trial of a block draws its
-challenge, one call answers them all, then every trial finishes.  Such a
-decider draws nothing, and each trial draws only on its own stream, so
-every stream's draws keep the order above and a blocked run draws what a
-trial-by-trial run draws.
 """
 
 from __future__ import annotations
@@ -45,16 +38,12 @@ class AdversaryHandle:
 
     ``decide`` receives (challenge, rng); the challenge is an s-bit
     string for the distinguishing game, a tuple of outputs for the abort
-    game, and a tuple of state copies for the inversion game.
-    ``decide_many``, if given, maps a sequence of challenges to
-    ``decide``'s answers to them, in order, and takes no rng: a handle may
-    have one only if ``decide`` draws nothing.  The games then hand it a
-    block of trials' challenges at once.
+    game, and a tuple of state copies for the inversion game.  A game
+    calls it once per trial, on that trial's stream.
     """
 
     strategy_id: str
     decide: Callable = field(compare=False)
-    decide_many: Optional[Callable] = field(default=None, compare=False)
 
 
 def coin_flip_adversary() -> AdversaryHandle:
@@ -95,19 +84,17 @@ def bruteforce_prg_handle(candidate: GeneratorHandle) -> AdversaryHandle:
 
 
 def _ml_scores(table: np.ndarray, copies: np.ndarray) -> np.ndarray:
-    """Product over copies c of |<k|c>|^2 for each row k of ``table``, which is not copied:
-    the copies are conjugated instead, and |<k|c>| is |conj <k|c>| bit for bit.
-
-    ``copies`` is one trial's t x dim array, giving one score per key, or a
-    stack of trials' B x t x dim arrays, giving B x 2^lambda scores.  The
-    stacked product makes the same gemm call per trial, so a trial's scores
-    do not depend on the block it is scored in.
-    """
-    weights = np.abs(table @ np.swapaxes(copies.conj(), -1, -2)) ** 2
-    scores = weights[..., 0]
-    for column in np.moveaxis(weights, -1, 0)[1:]:  # left to right, as np.prod multiplies
+    """Product over one trial's t x dim ``copies`` c of |<k|c>|^2 for each row k of
+    ``table``, which is not copied: the copies are conjugated instead, and
+    |<k|c>| is |conj <k|c>| bit for bit."""
+    weights = np.abs(table @ copies.conj().T) ** 2
+    scores = weights[:, 0]
+    for column in weights.T[1:]:  # left to right, as np.prod multiplies
         scores = scores * column
     return scores
+
+
+_ANSWER_BUDGET = 1 << 15  # amplitudes of challenges whose answers a search table keeps
 
 
 def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
@@ -124,37 +111,26 @@ def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
 
     The guess is a pure function of the copies, so it is kept with the
     table, keyed on the bytes of the trial's stacked t x dim copies, up
-    to ``_BLOCK_BUDGET`` amplitudes of stored challenges; past that a
-    challenge is answered without being stored.  A block of trials looks
-    up every challenge and scores the ones not stored with one stacked
-    product, which gives each trial the guess it gets alone, and
-    ``decide`` is the block decider's one-trial case.  The strategy id
-    stays ``bruteforce-ml``, the name that records carry.
+    to ``_ANSWER_BUDGET`` amplitudes of stored challenges; a repeated
+    challenge is answered from there, and past the budget a challenge is
+    scored without being stored.  The strategy id stays ``bruteforce-ml``,
+    the name that records carry.
     """
     table, answers = candidate_search(gen)
 
-    def decide_many(challenges: Sequence[Sequence[StateVector]]) -> list[str]:
-        if not all(challenges):
+    def decide(copies: Sequence[StateVector], rng) -> str:
+        if not copies:
             raise ParameterError("need at least one copy")
-        stack = np.array([[copy.amplitudes for copy in copies] for copies in challenges])
-        keys = [trial.tobytes() for trial in stack]
-        fresh = {}  # each challenge with no stored answer: its first trial, then its guess
-        for i, key in enumerate(keys):
-            if key not in answers:
-                fresh.setdefault(key, i)
-        if fresh:
-            rows = list(fresh.values())
-            # a block of distinct fresh challenges is scored as it stands, with no fancy-index copy
-            best = _ml_scores(table, stack if len(rows) == len(stack) else stack[rows]).argmax(axis=1)
-            room = stack.itemsize * _BLOCK_BUDGET - sum(map(len, answers))  # bytes the store may still take
-            for key, k in zip(fresh, best.tolist()):  # each challenge's first best key
-                fresh[key] = int_to_bits(k, gen.input_len)
-                if len(key) <= room:
-                    answers[key] = fresh[key]
-                    room -= len(key)
-        return [fresh[key] if key in fresh else answers[key] for key in keys]
+        stack = np.array([copy.amplitudes for copy in copies])
+        key = stack.tobytes()
+        guess = answers.get(key)
+        if guess is None:
+            guess = int_to_bits(int(_ml_scores(table, stack).argmax()), gen.input_len)  # the first best key
+            if len(key) + sum(map(len, answers)) <= stack.itemsize * _ANSWER_BUDGET:
+                answers[key] = guess
+        return guess
 
-    return AdversaryHandle("bruteforce-ml", lambda copies, rng: decide_many((copies,))[0], decide_many)
+    return AdversaryHandle("bruteforce-ml", decide)
 
 
 def owsg_coin_flip_adversary() -> AdversaryHandle:
@@ -191,9 +167,6 @@ def advantage_ci(successes: int, trials: int) -> tuple[float, tuple[float, float
     return p - 0.5, (center - half - 0.5, center + half - 0.5)
 
 
-_BLOCK_BUDGET = 1 << 15  # amplitudes and scores that a block of trials holds at once
-
-
 def _run_trials(
     name: str,
     gen: GeneratorHandle,
@@ -201,33 +174,18 @@ def _run_trials(
     trials: int,
     rng: SeededRng,
     first_trial: int,
-    pose: Callable[[SeededRng], tuple],
-    trial_size: int,
+    play: Callable[[SeededRng], bool],
     **game_params,
 ) -> dict:
-    """The one trial loop: trial i plays on stream ``rng.child(i)``.
-
-    ``pose(trial)`` makes the trial's draws up to its challenge and returns
-    the challenge with ``judge``, which takes the adversary's answer, makes
-    the trial's remaining draws and returns whether the adversary won.  An
-    adversary with ``decide_many`` answers a block of challenges at once,
-    as many as ``_BLOCK_BUDGET`` holds at ``trial_size`` entries a trial;
-    any other adversary answers each trial on its own stream before the
-    next trial starts.  Returns the run's record, whose advantage and
-    Wilson interval come from ``advantage_ci``; the game's own parameters
-    are recorded between the shared ones."""
+    """The one trial loop: ``play(trial)`` plays trial i whole on stream
+    ``rng.child(i)`` and returns whether the adversary won.  Returns the
+    run's record, whose advantage and Wilson interval come from
+    ``advantage_ci``; the game's own parameters are recorded between the
+    shared ones."""
     t0 = time.perf_counter()
-    block = 1 if adversary.decide_many is None else max(1, _BLOCK_BUDGET // trial_size)
-    stop = first_trial + trials
     successes = 0
-    for start in range(first_trial, stop, block):
-        streams = [rng.child(i) for i in range(start, min(start + block, stop))]
-        challenges, judges = zip(*map(pose, streams))
-        if adversary.decide_many is None:
-            answers = [adversary.decide(challenge, trial) for challenge, trial in zip(challenges, streams)]
-        else:
-            answers = adversary.decide_many(challenges)
-        successes += sum(judge(answer) for judge, answer in zip(judges, answers))
+    for i in range(first_trial, first_trial + trials):
+        successes += play(rng.child(i))
     parameters = {"generator": gen.description, "adversary": adversary.strategy_id}
     parameters.update(game_params, first_trial=first_trial)
     advantage, ci95 = advantage_ci(successes, trials)
@@ -266,13 +224,13 @@ def exp_prg(
     if s > MAX_TENSOR_DIM**2:  # a uniform challenge is drawn as s integers
         raise MemoryBudgetError(f"an s = {s} bit challenge exceeds {MAX_TENSOR_DIM**2} entries")
 
-    def pose(trial: SeededRng):
+    def play(trial: SeededRng) -> bool:
         key = gen.sample_key(trial)
         b = trial.bit()
         y = _challenge_bits(gen.eval(key, trial)) if b == 0 else trial.bits(s)
-        return y, lambda answer: answer == b
+        return adversary.decide(y, trial) == b
 
-    return _run_trials("prg", gen, adversary, trials, rng, first_trial, pose, s, output_len=s)
+    return _run_trials("prg", gen, adversary, trials, rng, first_trial, play, output_len=s)
 
 
 def exp_botprg(
@@ -295,7 +253,7 @@ def exp_botprg(
     if q * m > MAX_TENSOR_DIM**2:  # a trial holds its q outputs at once
         raise MemoryBudgetError(f"{q} queries of {m} bits exceed {MAX_TENSOR_DIM**2} entries")
 
-    def pose(trial: SeededRng):
+    def play(trial: SeededRng) -> bool:
         key = gen.sample_key(trial)
         b = trial.bit()
         if b == 0:
@@ -303,9 +261,9 @@ def exp_botprg(
         else:
             y = trial.bits(m)
             ys = tuple(is_bot(as_bot(gen.eval(key, trial)), y) for _ in range(q))
-        return ys, lambda answer: answer == b
+        return adversary.decide(ys, trial) == b
 
-    return _run_trials("bot-prg", gen, adversary, trials, rng, first_trial, pose, q * m, q=q, output_len=m)
+    return _run_trials("bot-prg", gen, adversary, trials, rng, first_trial, play, q=q, output_len=m)
 
 
 def exp_owsg(
@@ -331,20 +289,15 @@ def exp_owsg(
             f" with the verifier's and the guess's states"
         )
 
-    def pose(trial: SeededRng):
+    def play(trial: SeededRng) -> bool:
         key = trial.bits(gen.input_len)
         copies = tuple(gen.eval(key, trial) for _ in range(t))
+        guess = adversary.decide(copies, trial)
+        verifier_state = gen.eval(key, trial)
+        prob = gen.eval(guess, trial).fidelity(verifier_state)  # bound first: the coin is the trial's last draw
+        return trial.uniform() < prob
 
-        def judge(guess: str) -> bool:
-            verifier_state = gen.eval(key, trial)
-            prob = gen.eval(guess, trial).fidelity(verifier_state)
-            return trial.uniform() < prob
-
-        return copies, judge
-
-    # a trial's states, and t scores per key for a decider that scores every key
-    trial_size = (t + 2) * gen.dim + (t << gen.input_len)
-    return _run_trials("owsg", gen, adversary, trials, rng, first_trial, pose, trial_size, t=t)
+    return _run_trials("owsg", gen, adversary, trials, rng, first_trial, play, t=t)
 
 
 # -- moment-closeness statistic ----------------------------------------------

@@ -72,6 +72,8 @@ class StateVector:
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "StateVector":
+        if not 0 <= index < dim:
+            raise ParameterError(f"basis index {index} outside [0, {dim})")
         amps = np.zeros(dim, dtype=complex)
         amps[index] = 1.0
         return cls(amps)

@@ -5,9 +5,9 @@ record's canonical JSON with every timing field stripped, so the
 config (subcommand, params, seed) and the whole result are covered.
 The golden digests were produced by the code before the generator
 output, diagonal estimation, moment and parameter paths were merged;
-``experiment-owsg-bruteforce-blocks``, whose 300 trials span six blocks
-of the brute-force scorer, by the code that still scored one trial at a
-time.
+``experiment-owsg-bruteforce-blocks``, a 300-trial brute-force game
+past the 256 keys of the answer store, by the code that scored one
+trial at a time.
 """
 
 import hashlib

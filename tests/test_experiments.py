@@ -10,7 +10,7 @@ from scipy import stats
 
 from qrandlab.cli import canonical_json
 from qrandlab.experiments import (
-    _BLOCK_BUDGET,
+    _ANSWER_BUDGET,
     _moment_gramians,
     _moment_keys,
     AdversaryHandle,
@@ -204,7 +204,6 @@ def random_guess_adversary(lam: int) -> AdversaryHandle:
     return AdversaryHandle("random-guess", lambda copies, rng: rng.bits(lam))
 
 
-# At lambda = 8, dim = 16, t = 2 the brute force scores 56 trials a block.
 OWSG_GAMES = {
     "bruteforce-keyed": (lambda: toy_owsg_haar(8, 16), bruteforce_owsg_handle),
     "bruteforce-noise": (haar_noise_owsg, bruteforce_owsg_handle),
@@ -239,7 +238,7 @@ def by_stream(log) -> dict:
 
 
 class TestBlockedPlay:
-    """A blocked inversion game plays what one whole trial at a time plays."""
+    """The inversion game plays what ``reference.looped_owsg`` plays, one whole trial at a time."""
 
     @pytest.mark.parametrize("first_trial", [0, 17])
     @pytest.mark.parametrize("trials", [1, 55, 56, 57, 300])
@@ -277,7 +276,7 @@ class TestBlockedPlay:
                 peaks[trials] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[4000] <= peaks[40] + 16 * _BLOCK_BUDGET  # one block of complex128 entries
+        assert peaks[4000] <= peaks[40] + 16 * _ANSWER_BUDGET  # the stored answers' cap, in complex128 entries
 
 
 class TestCoupling:

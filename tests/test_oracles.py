@@ -9,7 +9,7 @@ from scipy import stats
 
 from qrandlab import experiments
 from qrandlab.experiments import (
-    _BLOCK_BUDGET,
+    _ANSWER_BUDGET,
     _ml_scores,
     bruteforce_owsg_handle,
     bruteforce_prg_handle,
@@ -594,8 +594,6 @@ class TestBruteforceOwsgAdversary:
             bruteforce_owsg_handle(toy_prg(8, 24))
         with pytest.raises(ValueError, match="need at least one copy"):
             bruteforce_owsg_handle(toy_owsg_basis(4)).decide((), None)
-        with pytest.raises(ValueError, match="need at least one copy"):
-            bruteforce_owsg_handle(toy_owsg_basis(4)).decide_many([(StateVector.basis(16, 0),), ()])
 
     def test_candidate_states_rows_are_key_states(self):
         gen = toy_owsg_haar(4, 8)
@@ -639,39 +637,23 @@ class TestBruteforceOwsgAdversary:
             expected = np.prod(np.abs(table.conj() @ copies.T) ** 2, axis=1)
             assert np.array_equal(_ml_scores(table, copies), expected)
 
-    @pytest.mark.parametrize("lam, dim", [(8, 16), (4, 256), (12, 256)])
-    @pytest.mark.parametrize("t", [1, 2, 3, 4])
-    def test_block_scores_equal_per_trial_scores(self, lam, dim, t):
-        # a trial's scores and guess do not depend on the block it is scored in
-        gen = toy_owsg_haar(lam, dim)
-        table = candidate_states(gen)
-        handle = bruteforce_owsg_handle(gen)
-        rng = SeededRng(78)
-        keyed = [(gen.eval(rng.bits(lam), None),) * t for _ in range(30)]
-        haar = [tuple(haar_sample(dim, rng) for _ in range(t)) for _ in range(29)]
-        challenges = [c for pair in zip(keyed, haar) for c in pair] + keyed[29:]
-        stack = np.array([[copy.amplitudes for copy in copies] for copies in challenges])
-        for size in (1, 2, 56):  # 59 challenges: the last block is ragged at sizes 2 and 56
-            for start in range(0, len(challenges), size):
-                block = slice(start, start + size)
-                for i, scores in enumerate(_ml_scores(table, stack[block]), start):
-                    assert np.array_equal(scores, _ml_scores(table, stack[i]))
-                guesses = handle.decide_many(challenges[block])
-                assert guesses == [handle.decide(copies, None) for copies in challenges[block]]
-
     def test_block_guesses_are_each_trials_first_best_key(self):
-        # keys k and k + 4 share the basis state |k mod 4>, so every score ties with another key's
+        # keys k and k + 4 share the basis state |k mod 4>, so every score ties with another key's;
+        # a run of trials repeats challenges, and a repeat answered from the store keeps its first best key
         shared = GeneratorHandle(
             kind="owsg", input_len=4, output_len=0, dim=4, description="shared-states",
             eval=lambda key, rng: StateVector.basis(4, int(key, 2) % 4),
         )
         indices = [3, 1, 3, 0, 2, 1, 1, 3]
         for t in (1, 2):
-            challenges = [(StateVector.basis(4, j),) * t for j in indices]
-            assert bruteforce_owsg_handle(shared).decide_many(challenges) == [int_to_bits(j, 4) for j in indices]
+            decide = bruteforce_owsg_handle(shared).decide
+            guesses = [decide((StateVector.basis(4, j),) * t, None) for j in indices]
+            assert guesses == [int_to_bits(j, 4) for j in indices]
+            assert len(candidate_search(shared)[1]) == 4 * t  # each t stores its 4 distinct challenges
         constant = constant_owsg(6, 8)  # every key scores 1
-        challenges = [(constant.eval("101010", None),)] * 5
-        assert bruteforce_owsg_handle(constant).decide_many(challenges) == ["000000"] * 5
+        decide = bruteforce_owsg_handle(constant).decide
+        assert [decide((constant.eval("101010", None),), None) for _ in range(5)] == ["000000"] * 5
+        assert len(candidate_search(constant)[1]) == 1
 
     def test_warm_game_copies_no_table(self):
         # a per-request copy of the 16 MB table would make a warm game peak at about one table
@@ -731,17 +713,17 @@ def _fresh_guesses(table, challenges, lam):
 
 
 @pytest.fixture
-def scored_rows(monkeypatch):
-    """The number of challenges each ``_ml_scores`` call of the brute force scores."""
-    rows = []
+def scored(monkeypatch):
+    """The bytes of each challenge the brute force scores, one entry per ``_ml_scores`` call."""
+    challenges = []
     score = experiments._ml_scores
 
     def counted(table, copies):
-        rows.append(len(copies) if copies.ndim == 3 else 1)
+        challenges.append(copies.tobytes())
         return score(table, copies)
 
     monkeypatch.setattr(experiments, "_ml_scores", counted)
-    return rows
+    return challenges
 
 
 class TestBruteforceOwsgAnswers:
@@ -754,31 +736,32 @@ class TestBruteforceOwsgAnswers:
         toy_owsg_haar.cache_clear()
 
     @pytest.mark.parametrize("t", [1, 2, 4])
-    def test_answers_equal_fresh_scoring(self, t, scored_rows):
+    def test_answers_equal_fresh_scoring(self, t, scored):
         gen = toy_owsg_haar(8, 16)
         table = candidate_states(gen)
         challenges = [(gen.eval(int_to_bits(k, 8), None),) * t for k in range(256)]
         expected = _fresh_guesses(table, challenges, 8)
         first, second = bruteforce_owsg_handle(gen), bruteforce_owsg_handle(gen)
-        first.decide_many(challenges[:100])  # warm: these are answered from the store below
+        for copies in challenges[:100]:  # warm: these are answered from the store below
+            first.decide(copies, None)
         rng = SeededRng(90 + t)
         order = [int(rng.bits(8), 2) for _ in range(300)]
-        # random blocks repeat challenges within and across blocks; then one repeat-heavy block and every key
-        blocks = [order[i : i + 56] for i in range(0, 300, 56)] + [[7, 7, 200, 7, 150], list(range(256))]
-        for index, block in enumerate(blocks):
+        # random runs repeat challenges within and across runs; then one repeat-heavy run and every key
+        runs = [order[i : i + 56] for i in range(0, 300, 56)] + [[7, 7, 200, 7, 150], list(range(256))]
+        for index, run in enumerate(runs):
             handle = (first, second)[index % 2]  # two handles made for the same generator share the answers
-            assert handle.decide_many([challenges[k] for k in block]) == [expected[k] for k in block]
-        scored_rows.clear()
+            assert [handle.decide(challenges[k], None) for k in run] == [expected[k] for k in run]
+        scored.clear()
         assert [second.decide(copies, None) for copies in challenges] == expected
-        assert first.decide_many(challenges[::-1]) == expected[::-1]
-        assert scored_rows == []  # every key is stored: nothing is scored again
+        assert [first.decide(copies, None) for copies in challenges[::-1]] == expected[::-1]
+        assert scored == []  # every key is stored: nothing is scored again
 
-    def test_repeats_in_a_block_are_scored_once(self, scored_rows):
+    def test_repeats_in_a_block_are_scored_once(self, scored):
         gen = toy_owsg_haar(8, 16)
-        states = [gen.eval(int_to_bits(k, 8), None) for k in (3, 9)]
-        guesses = bruteforce_owsg_handle(gen).decide_many([(states[0],) * 2, (states[1],) * 2] * 3)
-        assert guesses == ["00000011", "00001001"] * 3
-        assert scored_rows == [2]
+        stacks = [(gen.eval(int_to_bits(k, 8), None),) * 2 for k in (3, 9)]
+        decide = bruteforce_owsg_handle(gen).decide
+        assert [decide(copies, None) for copies in stacks * 3] == ["00000011", "00001001"] * 3
+        assert scored == [np.array([copy.amplitudes for copy in copies]).tobytes() for copies in stacks]
 
     def test_noise_guesses_equal_empty_store_guesses(self):
         # the noise generator's copies never repeat, so no stored answer may be given
@@ -786,34 +769,34 @@ class TestBruteforceOwsgAnswers:
         handle = bruteforce_owsg_handle(gen)
         table, answers = candidate_search(gen)
         rng = SeededRng(94)
-        blocks = [[tuple(gen.eval(None, rng) for _ in range(2)) for _ in range(56)] for _ in range(6)]
-        warm = [handle.decide_many(block) for block in blocks]
+        runs = [[tuple(gen.eval(None, rng) for _ in range(2)) for _ in range(56)] for _ in range(6)]
+        warm = [[handle.decide(copies, None) for copies in run] for run in runs]
         assert len(answers) == 6 * 56
-        for block, guesses in zip(blocks, warm):
+        for run, guesses in zip(runs, warm):
             answers.clear()
-            assert handle.decide_many(block) == guesses == _fresh_guesses(table, block, 8)
+            assert [handle.decide(copies, None) for copies in run] == guesses == _fresh_guesses(table, run, 8)
         report = exp_owsg(gen, handle, 2, 300, SeededRng(95))
         answers.clear()
         assert exp_owsg(gen, handle, 2, 300, SeededRng(95))["successes"] == report["successes"]
 
-    def test_evicted_table_takes_its_answers(self, scored_rows):
+    def test_evicted_table_takes_its_answers(self, scored):
         gen = toy_owsg_haar(8, 16)
         exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(96))
-        cold = sum(scored_rows)
+        cold = len(scored)
         assert cold > 30  # the distinct keys of 40 draws from 256
         table = weakref.ref(candidate_states(gen))
-        scored_rows.clear()
+        scored.clear()
         exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(96))
-        assert scored_rows == []
+        assert scored == []
         other = toy_owsg_haar(4, 16)  # another size evicts the handle and its table, as in one CLI process
         exp_owsg(other, bruteforce_owsg_handle(other), 2, 5, SeededRng(97))
         del gen, other
         gc.collect()
         assert table() is None
         gen = toy_owsg_haar(8, 16)
-        scored_rows.clear()
+        scored.clear()
         exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(96))
-        assert sum(scored_rows) == cold  # the new table's handle scores every challenge again
+        assert len(scored) == cold  # the new table's handle scores every challenge again
 
     def test_store_is_capped(self):
         gen = haar_noise_owsg(8, 16)
@@ -828,9 +811,9 @@ class TestBruteforceOwsgAnswers:
         finally:
             tracemalloc.stop()
         stored = sum(map(len, answers))
-        assert len(answers) == 1024 and stored == 16 * _BLOCK_BUDGET  # 2^15 amplitudes: 1 024 challenges of 2 x 16
+        assert len(answers) == 1024 and stored == 16 * _ANSWER_BUDGET  # 2^15 amplitudes: 1 024 challenges of 2 x 16
         assert held <= stored + 160 * len(answers)  # each key's bytes header, its guess and its dict slot
         rng = SeededRng(99)
         past = [tuple(gen.eval(None, rng) for _ in range(2)) for _ in range(56)]
-        assert handle.decide_many(past) == _fresh_guesses(table, past, 8)
+        assert [handle.decide(copies, None) for copies in past] == _fresh_guesses(table, past, 8)
         assert len(answers) == 1024

@@ -14,7 +14,7 @@ from qrandlab.qcore import (
     haar_sample,
     measure_computational,
 )
-from qrandlab.rng import SeededRng
+from qrandlab.rng import ParameterError, SeededRng
 from reference import DensityOp, RankTwoFlip, apply_flip, density, symmetric_moment, trace_distance
 
 ATOL = 1e-10
@@ -37,6 +37,16 @@ class TestStateVector:
         psi = StateVector.basis(4, 0)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_basis_rejects_index_outside_dim(self, index):
+        # a negative index would wrap to |3>, and 4 would fail in numpy's indexing
+        with pytest.raises(ParameterError, match=rf"basis index {index} outside \[0, 4\)"):
+            StateVector.basis(4, index)
+
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_basis_ends(self, index):
+        assert np.array_equal(StateVector.basis(4, index).amplitudes, np.eye(4)[index])
 
 
 class TestHaarSample:
