@@ -126,7 +126,7 @@ def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
         guess = answers.get(key)
         if guess is None:
             guess = int_to_bits(int(_ml_scores(table, stack).argmax()), gen.input_len)  # the first best key
-            if len(key) + sum(map(len, answers)) <= stack.itemsize * _ANSWER_BUDGET:
+            if len(key) + answers.nbytes <= stack.itemsize * _ANSWER_BUDGET:
                 answers[key] = guess
         return guess
 

@@ -428,6 +428,23 @@ def candidate_image(candidate: GeneratorHandle) -> set[str]:
     return image
 
 
+class AnswerStore(dict):
+    """Answers kept with a search table, keyed on bytes, and ``nbytes``, the
+    total length of its keys: item assignment and ``clear`` keep it exact,
+    so a capped store reads its size without summing its keys."""
+
+    nbytes = 0
+
+    def __setitem__(self, key: bytes, value) -> None:
+        if key not in self:
+            self.nbytes += len(key)
+        super().__setitem__(key, value)
+
+    def clear(self) -> None:
+        super().clear()
+        self.nbytes = 0
+
+
 # The last candidate_states table, with the handle it was built from and
 # the answers stored from it.  A command searches one generator, so, as
 # with the bad-input mask, one table is all a run reuses; its answers go
@@ -435,15 +452,15 @@ def candidate_image(candidate: GeneratorHandle) -> set[str]:
 # alive.  The entry is keyed on the handle's identity and holds the
 # handle, so its id cannot pass to another one: handles compare without
 # their eval, so two equal handles can hold different states.
-_last_states: tuple[GeneratorHandle, np.ndarray, dict] | None = None
+_last_states: tuple[GeneratorHandle, np.ndarray, AnswerStore] | None = None
 
 
-def candidate_search(gen: GeneratorHandle) -> tuple[np.ndarray, dict]:
+def candidate_search(gen: GeneratorHandle) -> tuple[np.ndarray, AnswerStore]:
     """``candidate_states(gen)`` and the answers kept with that table.
 
-    The answers start as an empty dict when the table is built and are
-    dropped with it; a search stores there what it computes from the
-    table alone.
+    The answers start as an empty ``AnswerStore`` when the table is built
+    and are dropped with it; a search stores there what it computes from
+    the table alone.
     """
     global _last_states
     last = _last_states  # read once: another thread may replace the entry
@@ -462,7 +479,7 @@ def candidate_search(gen: GeneratorHandle) -> tuple[np.ndarray, dict]:
     states = (gen.eval(int_to_bits(k, gen.input_len), SeededRng(OWSG_SEARCH_SEED, k)) for k in keys)
     table = np.array([state.amplitudes for state in states])
     table.setflags(write=False)
-    answers: dict = {}
+    answers = AnswerStore()
     _last_states = (gen, table, answers)
     return table, answers
 

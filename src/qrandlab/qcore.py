@@ -52,7 +52,7 @@ class StateVector:
                 f"state needs a 1-d amplitude vector of dim >= 2, got shape {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > ATOL:
+        if not abs(norm - 1.0) <= ATOL:  # a NaN norm fails this too
             raise ParameterError(f"state norm {norm} deviates from 1 by more than {ATOL}")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -68,6 +68,8 @@ class StateVector:
         norm = np.linalg.norm(raw)
         if norm == 0:
             raise ParameterError("cannot normalize the zero vector")
+        if not np.isfinite(norm):  # refused before the divide, which would warn
+            raise ParameterError(f"cannot normalize a vector of norm {norm}")
         return cls(raw / norm)
 
     @classmethod

@@ -19,13 +19,17 @@ masters:
   (SHA-256 in counter mode) over one unambiguous prefix encoding
   ``seed || function-id || n``, so an oracle world is reproducible from
   its seed alone, across platforms and languages.  ``derive_int`` hashes
-  an input ``x`` and a 4-byte block counter (``derive_bits`` is its
-  '0'/'1' string); ``sha_words``, the word stream of the seeded
+  an input ``x`` below 2**128 and a 4-byte block counter (``derive_bits``
+  is its '0'/'1' string); ``sha_words``, the word stream of the seeded
   Fisher-Yates shuffle, an 8-byte one.  Both widths are part of
   ``DERIVATION_ID`` v1.  ``fisher_yates_positions`` resolves the
   shuffle's swaps for the values below a count only, which is all the
   bot world's bad-input mask reads; ``fisher_yates_table``, the whole
-  permutation, is its count = 2^n case.
+  permutation, is its count = 2^n case.  The digests are SHA-256's
+  whichever code computes them: ``_sha256`` is CPython's built-in
+  SHA-256 (module ``_sha256`` on 3.10/3.11, ``_sha2`` from 3.12), which
+  skips the per-call set-up of hashlib's OpenSSL constructor, and that
+  constructor only on a CPython built without its own.
 """
 
 from __future__ import annotations
@@ -142,6 +146,12 @@ class SeededRng:
         return self.generator.multinomial(n, pvals)
 
 
+try:  # CPython's own SHA-256: the same digests without OpenSSL's per-call set-up
+    _sha256 = hashlib.__get_builtin_constructor("sha256")
+except ValueError:  # a CPython built without it
+    _sha256 = hashlib.sha256
+
+
 def _derivation_prefix(seed: int, function_id: str, n: int) -> bytes:
     fid = function_id.encode("utf-8")
     return struct.pack(">QI", seed & _U64, len(fid)) + fid + struct.pack(">I", n)
@@ -153,13 +163,17 @@ def derive_int(seed: int, function_id: str, n: int, x: int, nbits: int) -> int:
     SHA-256 in counter mode over the fixed-width encoding
     ``seed(8B) || len(id)(4B) || id || n(4B) || x(16B) || block(4B)``;
     the value is the first nbits of the digests, most significant first.
+    An ``x`` outside [0, 2**128), which 16 bytes cannot hold, is refused.
     """
     if nbits <= 0:
         raise ParameterError("nbits must be positive")
-    prefix = _derivation_prefix(seed, function_id, n) + x.to_bytes(16, "big")
+    try:
+        prefix = _derivation_prefix(seed, function_id, n) + x.to_bytes(16, "big")
+    except OverflowError:  # checked here, where it costs nothing on an input that fits
+        raise ParameterError(f"input x must be in [0, 2**128) for its 128-bit encoding, got x={x}") from None
     out = b""
     for block in range(-(-nbits // 256)):
-        out += hashlib.sha256(prefix + struct.pack(">I", block)).digest()
+        out += _sha256(prefix + struct.pack(">I", block)).digest()
     return int.from_bytes(out, "big") >> (8 * len(out) - nbits)
 
 
@@ -178,15 +192,8 @@ def sha_words(seed: int, function_id: str, n: int, start: int, count: int) -> np
     b(8B)``, read as four big-endian words, so word i is word i % 4 of
     block i // 4 and any span is computed without the words before it.
     """
-    prefixed = hashlib.sha256(_derivation_prefix(seed, function_id, n))  # hashed once per call
-
-    def digest(block: int) -> bytes:
-        h = prefixed.copy()
-        h.update(_BLOCK.pack(block))
-        return h.digest()
-
-    first = start // 4
-    data = b"".join(map(digest, range(first, -(-(start + count) // 4))))
+    prefix, first, end = _derivation_prefix(seed, function_id, n), start // 4, -(-(start + count) // 4)
+    data = b"".join([_sha256(prefix + _BLOCK.pack(b)).digest() for b in range(first, end)])
     skip = start - 4 * first
     return np.frombuffer(data, dtype=">u8")[skip : skip + count].astype(np.uint64)
 

@@ -15,7 +15,8 @@ a state generator whose copies never repeat.
 ``fisher_yates_reference`` is the permutation table as the plain
 top-down swap loop, one bounded draw per step, over words that
 ``reference_words`` hashes one block at a time from the documented
-encoding without calling the library.  ``philox_uniforms`` is
+encoding without calling the library; ``reference_derive_int`` is
+``derive_int`` hashed the same way.  ``philox_uniforms`` is
 Philox4x64-10 (Salmon et al., SC 2011) in plain integers, the stream
 ``SeededRng`` names, read as numpy reads a double.  ``round12`` is the
 record canonicaliser as one isinstance chain, the check of
@@ -277,6 +278,16 @@ def reference_words(seed: int, function_id: str, n_bits: int):
     prefix = struct.pack(">QI", seed, len(fid)) + fid + struct.pack(">I", n_bits)
     for block in itertools.count():
         yield from struct.unpack(">4Q", hashlib.sha256(prefix + struct.pack(">Q", block)).digest())
+
+
+def reference_derive_int(seed: int, function_id: str, n: int, x: int, nbits: int) -> int:
+    """The first nbits of the digests over ``seed(8B) || len(id)(4B) || id ||
+    n(4B) || x(16B) || b(4B)`` for b = 0, 1, ..., big-endian, as an integer."""
+    fid = function_id.encode("utf-8")
+    prefix = struct.pack(">QI", seed, len(fid)) + fid + struct.pack(">I", n) + x.to_bytes(16, "big")
+    blocks = -(-nbits // 256)
+    digests = b"".join(hashlib.sha256(prefix + struct.pack(">I", b)).digest() for b in range(blocks))
+    return int.from_bytes(digests, "big") >> (256 * blocks - nbits)
 
 
 def fisher_yates_reference(seed: int, function_id: str, n_bits: int, words=None) -> list[int]:

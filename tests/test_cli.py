@@ -719,6 +719,23 @@ class TestGeneratorCommands:
         assert (code, out) == (2, "")
         assert "capped at n <= 20" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prg-qs", "--from", "bot-oracle", "--n", "130", "--keys", "1", "--evals", "2", "--seed", "1"],
+            ["sprs-qs", "--from", "prg-qs", "--n", "130", "--N", "8", "--keys", "1", "--seed", "1"],
+        ],
+        ids=["prg-qs", "sprs-qs"],
+    )
+    def test_input_above_the_derivations_128_bits(self, capsys, tmp_path, argv):
+        # an n = 130 key or input does not fit derive_int's 16-byte encoding: a usage error, not a traceback
+        path = tmp_path / "r.jsonl"
+        code, out, err = run_cli(capsys, [*argv, "--out", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "[0, 2**128)" in err
+        assert not path.exists()
+        assert run_cli(capsys, argv)[:2] == (2, "")
+
     def test_unknown_source_rejected(self, capsys):
         code, _, err = run_cli(capsys, ["prg-qs", "--from", "thin-air", "--seed", "1"])
         assert code == 2

@@ -817,3 +817,19 @@ class TestBruteforceOwsgAnswers:
         past = [tuple(gen.eval(None, rng) for _ in range(2)) for _ in range(56)]
         assert [handle.decide(copies, None) for copies in past] == _fresh_guesses(table, past, 8)
         assert len(answers) == 1024
+
+    @pytest.mark.parametrize(
+        "generator, trials", [(toy_owsg_haar, 300), (haar_noise_owsg, 100), (haar_noise_owsg, 1100)]
+    )
+    def test_store_counts_its_key_bytes(self, generator, trials):
+        # below the cap, at it, and with repeated challenges: the running count is the keys' total length
+        gen = generator(8, 16)
+        handle = bruteforce_owsg_handle(gen)
+        answers = candidate_search(gen)[1]
+        for seed in (100, 101):
+            exp_owsg(gen, handle, 2, trials, SeededRng(seed))
+            assert answers.nbytes == sum(map(len, answers)) <= 16 * _ANSWER_BUDGET
+        answers.clear()
+        assert answers.nbytes == 0 and len(answers) == 0
+        exp_owsg(gen, handle, 2, 5, SeededRng(102))
+        assert answers.nbytes == sum(map(len, answers)) > 0

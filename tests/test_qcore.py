@@ -48,6 +48,23 @@ class TestStateVector:
     def test_basis_ends(self, index):
         assert np.array_equal(StateVector.basis(4, index).amplitudes, np.eye(4)[index])
 
+    @pytest.mark.parametrize(
+        "amps",
+        [[np.nan, 0], [1, np.nan], [complex(0, np.nan), 0], [np.inf, 0], [1, -np.inf], [np.nan, np.inf]],
+    )
+    def test_rejects_non_finite_amplitudes(self, amps):
+        # every comparison with NaN is False, so the norm check must be "within ATOL" to refuse it
+        with pytest.raises(ParameterError, match="state norm"):
+            StateVector(np.array(amps, dtype=complex))
+
+    @pytest.mark.parametrize(
+        "raw", [[np.nan, 1.0], [np.inf, 1.0], [1.0, complex(np.inf, 1)], [np.nan, np.inf]]
+    )
+    def test_normalized_rejects_non_finite_norm(self, raw):
+        # refused before the divide, which would give an all-NaN state or a RuntimeWarning
+        with pytest.raises(ParameterError, match="cannot normalize a vector of norm"):
+            StateVector.normalized(raw)
+
 
 class TestHaarSample:
     def test_unit_norm(self):

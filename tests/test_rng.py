@@ -28,7 +28,7 @@ from qrandlab.rng import (
     sha_words,
 )
 from qrandlab.toys import random_phase_sprs
-from reference import fisher_yates_reference, philox_uniforms, reference_words
+from reference import fisher_yates_reference, philox_uniforms, reference_derive_int, reference_words
 
 
 class TestSeededRngStreams:
@@ -264,6 +264,72 @@ class TestDerivation:
         assert sorted(table.tolist()) == list(range(256))
         digest = hashlib.sha256(table.astype(">u8").tobytes()).hexdigest()
         assert digest == "b5376f2d665c0df7536e991757c18c4bf4b3e26fc5c385694a04ea278f80a188"
+
+
+# the constructor rng resolved at import, and hashlib's OpenSSL one, its fallback
+KERNELS = pytest.mark.parametrize("kernel", [rng._sha256, hashlib.sha256], ids=["resolved", "fallback"])
+
+
+class TestSha256Kernel:
+    """Both derivations equal plain hashlib loops over the documented encoding,
+    whichever SHA-256 constructor computes their digests."""
+
+    def test_resolved_at_import(self):
+        # CPython's built-in SHA-256, and hashlib's only where the interpreter has none;
+        # getattr, since a class body would mangle the dunder name
+        try:
+            builtin = getattr(hashlib, "__get_builtin_constructor")("sha256")
+        except ValueError:
+            builtin = hashlib.sha256
+        assert rng._sha256 is builtin
+        assert rng._sha256(b"abc").hexdigest() == hashlib.sha256(b"abc").hexdigest()
+
+    @KERNELS
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=SEEDS,
+        function_id=st.text(max_size=12),
+        n=st.integers(0, (1 << 32) - 1),
+        start=st.integers(0, 5000),
+        count=st.integers(0, 40),
+    )
+    @example(seed=(1 << 64) - 1, function_id="bot-wörld/P☃", n=16, start=4094, count=8)
+    @example(seed=0, function_id="", n=0, start=3, count=1)
+    def test_sha_words_equal_reference(self, kernel, seed, function_id, n, start, count):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_sha256", kernel)
+            words = sha_words(seed, function_id, n, start, count)
+        assert words.dtype == np.uint64
+        assert words.tolist() == list(islice(reference_words(seed, function_id, n), start, start + count))
+
+    @KERNELS
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=SEEDS,
+        function_id=st.text(max_size=12),
+        n=st.integers(0, (1 << 32) - 1),
+        x=st.integers(0, (1 << 128) - 1),
+        nbits=st.integers(1, 800),
+    )
+    @example(seed=(1 << 64) - 1, function_id="haar-kéyed-sprs", n=7, x=(1 << 128) - 1, nbits=513)
+    def test_derive_int_equals_reference(self, kernel, seed, function_id, n, x, nbits):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rng, "_sha256", kernel)
+            value = derive_int(seed, function_id, n, x, nbits)
+        assert value == reference_derive_int(seed, function_id, n, x, nbits)
+
+    @pytest.mark.parametrize("x", [1 << 128, -1, 1 << 130, -(1 << 200)])
+    def test_input_outside_128_bits_is_refused(self, x):
+        # the encoding holds x in 16 bytes: a ParameterError, which the CLI reports with exit 2
+        with pytest.raises(ParameterError, match=r"\[0, 2\*\*128\) for its 128-bit encoding"):
+            derive_int(2024, "toy-prg", 8, x, 24)
+        with pytest.raises(ParameterError, match="128-bit encoding"):
+            derive_bits(2024, "toy-prg", 8, x, 24)
+
+    def test_largest_input_is_accepted(self):
+        x = (1 << 128) - 1
+        assert derive_int(2024, "toy-prg", 8, x, 24) == reference_derive_int(2024, "toy-prg", 8, x, 24)
+        assert derive_int(2024, "toy-prg", 8, 0, 24) == reference_derive_int(2024, "toy-prg", 8, 0, 24)
 
 
 class TestPinnedStatistics:
