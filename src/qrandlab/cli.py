@@ -37,7 +37,7 @@ from .experiments import (
     moment_distance,
     owsg_coin_flip_adversary,
 )
-from .extraction import RoundParams, gaussian_block_check, good_set_member, round_mask
+from .extraction import RoundParams, _clears_margin, block_sums, gaussian_block_check, round_mask
 from .oracles import (
     OracleWorld,
     bot_oracle_eval,
@@ -47,9 +47,9 @@ from .oracles import (
     sampler_oracle,
 )
 from .primitives import determinism_audit
-from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, born_distribution, haar_sample
+from .qcore import MAX_TENSOR_DIM, MemoryBudgetError
 from .rng import ParameterError, SeededRng, parse_bits
-from .tomography import sampled_diagonal, sampled_prefix
+from .tomography import _check_sample_count, prefix_law
 from .toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
 
 USAGE_ERROR = 2
@@ -131,6 +131,10 @@ def _count(params: dict, name: str) -> int:
 # contend for the interpreter lock: at d = 64 two were about 1.6x slower.
 _MIN_SPREAD_D = 4096
 
+# A share of cmd_extract holds the states of one block at a time, at most this
+# many amplitudes: 8 states at d = 4096, one from d = 2^15 up.
+_BLOCK_AMPLITUDES = 2**15
+
 
 def _usable_cpus() -> int:
     """CPUs this process may run on: its affinity set, where the OS has one."""
@@ -140,14 +144,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _block_states(d: int) -> int:
+    """States a share of ``cmd_extract`` rounds together: as many d-amplitude
+    states as ``_BLOCK_AMPLITUDES`` holds, and at least one."""
+    return max(1, _BLOCK_AMPLITUDES // d)
+
+
 def _extract_workers(d: int, n_states: int) -> int:
     """Shares that ``cmd_extract`` spreads its states over: one per usable CPU
-    and at most one per state, with no more d-amplitude states in flight
-    than the one-state budget of ``MAX_TENSOR_DIM**2`` amplitudes; one below
+    and at most one per state, with no more amplitudes in the shares' blocks
+    than the one-state budget of ``MAX_TENSOR_DIM**2``; one below
     d = ``_MIN_SPREAD_D``."""
     if d < _MIN_SPREAD_D:
         return 1
-    return min(_usable_cpus(), n_states, MAX_TENSOR_DIM**2 // d)
+    return min(_usable_cpus(), n_states, MAX_TENSOR_DIM**2 // (_block_states(d) * d))
 
 
 def cmd_extract(params: dict, seed: int) -> dict:
@@ -155,34 +165,61 @@ def cmd_extract(params: dict, seed: int) -> dict:
     rparams = RoundParams(d)
     mode = params["mode"]
     t = params["t"] if mode == "sampled" else None  # None: the exact diagonal
-    if mode == "sampled" and not t:
-        raise ParameterError("sampled mode needs --t copies")
+    if mode == "sampled":
+        if not t:
+            raise ParameterError("sampled mode needs --t copies")
+        _check_sample_count(t)
     rng = SeededRng(seed)
     n_states = _count(params, "states")
     workers = _extract_workers(d, n_states)
+    block, k = _block_states(d), rparams.k
     # Share w runs states w, w + workers, ..., each on its own stream rng.child(i),
-    # and keeps integer counts, so the totals do not depend on the worker count.
-    # The numpy draws release the interpreter lock, so the shares run in parallel.
+    # a block of them at a time, and keeps integer counts, so the totals depend on
+    # neither the worker count nor the block size.  A state's own calls are its
+    # draws and its norm, which release the interpreter lock; the arithmetic
+    # between them is a few calls per block on 2-D arrays, so the shares seldom
+    # wait for the lock and run in parallel.
     shares: list = [None] * workers  # share w's (good, agree, ones), or what it raised
     stop = threading.Event()
 
     def run_share(w: int) -> None:
         good = agree = 0
         ones = np.zeros(rparams.num_bits, dtype=np.int64)
+        amps = np.empty((block, d), dtype=complex)  # each row's normals, normalised in place
+        normals = amps.view(np.float64)
+        norms = np.empty((block, 1))
+        probs = np.empty((block, d))
+        quotients = None if t is None else np.empty((block, 2, k))  # each row's two draws' first k counts, over t
+        own = range(w, n_states, workers)
         try:
-            for i in range(w, n_states, workers):
+            for start in range(0, len(own), block):
                 if stop.is_set():
                     return
-                child = rng.child(i)
-                probs = born_distribution(haar_sample(d, child))
-                good += good_set_member(probs, rparams)
-                first = round_mask(probs if t is None else sampled_diagonal(probs, t, child), rparams)
-                # The repeat is the last draw on child(i): its prefix draw gives
-                # the bits of a full d-cell draw and only leaves the stream
-                # elsewhere, which nothing reads.
-                second = first if t is None else round_mask(sampled_prefix(probs, t, rparams.k, child), rparams)
-                agree += np.array_equal(first, second)
-                ones += first
+                children = [rng.child(i) for i in own[start : start + block]]
+                m = len(children)
+                for j, child in enumerate(children):
+                    child.generator.standard_normal(out=normals[j])
+                    norms[j] = np.linalg.norm(amps[j])
+                np.divide(amps[:m], norms[:m], out=amps[:m])
+                np.abs(amps[:m], out=probs[:m])
+                np.square(probs[:m], out=probs[:m])
+                good += int(_clears_margin(block_sums(probs[:m], rparams), rparams).sum())
+                if t is None:
+                    first = second = round_mask(probs[:m], rparams)
+                else:
+                    for j, child in enumerate(children):
+                        quotients[j, 0] = child.multinomial(t, probs[j])[:k]
+                    # The repeat is the last draw on child(i): its prefix draw gives
+                    # the bits of a full d-cell draw and only leaves the stream
+                    # elsewhere, which nothing reads.
+                    laws = prefix_law(probs[:m], k)
+                    for j, child in enumerate(children):
+                        quotients[j, 1] = child.multinomial(t, laws[j])[:k]
+                    np.divide(quotients[:m], t, out=quotients[:m])
+                    masks = round_mask(quotients[:m], rparams)
+                    first, second = masks[:, 0], masks[:, 1]
+                agree += int(np.all(first == second, axis=-1).sum())
+                ones += first.sum(axis=0)
         except BaseException as exc:  # re-raised below, once every share has stopped
             shares[w] = exc
             stop.set()

@@ -83,26 +83,29 @@ class RoundParams:
 
 
 def _head_sums(head: np.ndarray, params: RoundParams) -> np.ndarray:
-    """Block sums of the first l*r = k entries of ``head``."""
+    """Block sums of the first l*r = k entries of ``head``'s last axis."""
     l, r = params.num_bits, params.r
-    return head[: l * r].reshape(l, r).sum(axis=1)
+    return head[..., : l * r].reshape(*head.shape[:-1], l, r).sum(axis=-1)
 
 
 def block_sums(diag: np.ndarray, params: RoundParams) -> np.ndarray:
     """q_i = sum of the i-th block of r consecutive diagonal entries.
 
-    Only the first l*r = k entries are consumed; the tail is ignored.
+    Only the first l*r = k entries are consumed; the tail is ignored.  On
+    a stack of diagonals (the last axis holding the entries) it sums each one.
     """
-    if len(diag) != params.d:
-        raise DimensionMismatchError(f"diagonal dim {len(diag)} != params d {params.d}")
+    if diag.shape[-1] != params.d:
+        raise DimensionMismatchError(f"diagonal dim {diag.shape[-1]} != params d {params.d}")
     return _head_sums(diag, params)
 
 
 def round_mask(head: np.ndarray, params: RoundParams) -> np.ndarray:
     """The rounded block sums as a bool vector: b_i = q_i > r/d (strict;
-    ties round to 0), from a diagonal or from its first k entries."""
-    if len(head) != params.d and len(head) != params.k:
-        raise DimensionMismatchError(f"diagonal length {len(head)} is neither d = {params.d} nor k = {params.k}")
+    ties round to 0), from a diagonal or from its first k entries.  On a
+    stack of them (the last axis holding the entries) it rounds each one."""
+    length = head.shape[-1]
+    if length != params.d and length != params.k:
+        raise DimensionMismatchError(f"diagonal length {length} is neither d = {params.d} nor k = {params.k}")
     return _head_sums(head, params) > params.threshold
 
 
@@ -111,13 +114,14 @@ def round_bits(diag: np.ndarray, params: RoundParams) -> str:
     return "".join("1" if b else "0" for b in round_mask(diag, params))
 
 
-def _clears_margin(q: np.ndarray, params: RoundParams) -> bool:
-    return bool(np.all(np.abs(q - params.threshold) > params.margin))
+def _clears_margin(q: np.ndarray, params: RoundParams) -> np.ndarray:
+    """Whether every block sum on ``q``'s last axis clears the threshold by more than 2/d."""
+    return np.all(np.abs(q - params.threshold) > params.margin, axis=-1)
 
 
 def good_set_member(diag: np.ndarray, params: RoundParams) -> bool:
     """True iff every block sum clears the threshold by more than 2/d."""
-    return _clears_margin(block_sums(diag, params), params)
+    return bool(_clears_margin(block_sums(diag, params), params))
 
 
 def extract(
@@ -139,10 +143,8 @@ def gaussian_block_check(d: int, n_states: int, rng: SeededRng) -> dict:
     if n_states * params.num_bits > MAX_TENSOR_DIM**2:
         raise MemoryBudgetError(f"{n_states} x {params.num_bits} block sums exceed {MAX_TENSOR_DIM**2} entries")
     sums = np.empty((n_states, params.num_bits))
-    good = 0
     for i in range(n_states):
         sums[i] = block_sums(born_distribution(haar_sample(d, rng)), params)
-        good += _clears_margin(sums[i], params)
     # imported here, its one use: scipy.stats takes over a second to load,
     # and every CLI run would pay it at import time
     from scipy import stats
@@ -157,5 +159,5 @@ def gaussian_block_check(d: int, n_states: int, rng: SeededRng) -> dict:
         "variance": float(pooled.var(ddof=1)),
         "ks_statistic": float(ks),
         "bit_frequencies": [float(f) for f in (sums > params.threshold).mean(axis=0)],
-        "good_fraction": good / n_states,
+        "good_fraction": int(_clears_margin(sums, params).sum()) / n_states,
     }

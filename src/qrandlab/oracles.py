@@ -99,7 +99,10 @@ class BotOracleParams:
 
     @property
     def w(self) -> int:
-        return math.ceil(math.log2(4 / self.mu))
+        w = math.ceil(math.log2(4 / self.mu))
+        # log2 can round up onto an integer: 32^-0.4 is 0.24999999999999997 and
+        # log2(4 / mu) comes out 4.0, one ulp short of the width 2^-w <= mu/4 needs
+        return w + 1 if 2.0**-w > self.mu / 4 else w
 
     @property
     def m(self) -> int:

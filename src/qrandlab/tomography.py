@@ -10,7 +10,8 @@ simulated measurements and ``probs`` its t -> infinity idealization;
 the latter.  ``sampled_prefix`` is the first k entries of
 ``sampled_diagonal`` from a (k + 1)-cell draw, equal bit for bit on the
 same stream position but leaving the stream elsewhere, so it serves
-only a stream's last draw.
+only a stream's last draw; ``prefix_law`` makes that draw's cell law,
+for one diagonal or a stack of them.
 Estimation error is judged in the L-infinity norm on probability
 vectors, the norm the rounding thresholds actually respond to.
 """
@@ -42,9 +43,19 @@ def sampled_diagonal(probs: np.ndarray, t: int, rng: SeededRng) -> np.ndarray:
     return rng.multinomial(t, probs) / t
 
 
+def prefix_law(probs: np.ndarray, k: int) -> np.ndarray:
+    """The cell law [p_0 ... p_{k-1}, tail], tail = max(0, 1 - sum p_i), of
+    ``sampled_prefix``'s draw, made in place: entry k of ``probs``'s last
+    axis is overwritten by the tail, and the first k + 1 entries are
+    returned as a view.  On a stack of diagonals it makes each row's law."""
+    law = probs[..., : k + 1]
+    law[..., k] = np.maximum(0.0, 1.0 - law[..., :k].sum(axis=-1))
+    return law
+
+
 def sampled_prefix(probs: np.ndarray, t: int, k: int, rng: SeededRng) -> np.ndarray:
     """``sampled_diagonal(probs, t, rng)[:k]``, bit for bit, from the draw
-    Multinomial(t, [p_0 ... p_{k-1}, tail]), tail = max(0, 1 - sum p_i).
+    Multinomial(t, ``prefix_law(probs, k)``).
 
     numpy draws a multinomial's cells in order: cell j is a binomial on
     the count left and p_j over the probability left, and the last cell
@@ -56,8 +67,7 @@ def sampled_prefix(probs: np.ndarray, t: int, k: int, rng: SeededRng) -> np.ndar
     _check_sample_count(t)
     if not 1 <= k < len(probs):
         raise ParameterError(f"prefix length must be in [1, {len(probs) - 1}], got k={k}")
-    head = probs[:k]
-    return rng.multinomial(t, np.append(head, max(0.0, 1.0 - head.sum())))[:k] / t
+    return rng.multinomial(t, prefix_law(probs[: k + 1].copy(), k))[:k] / t
 
 
 def estimate_diagonal(psi: StateVector, t: int | None, rng: SeededRng | None) -> np.ndarray:

@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 import qrandlab
 from qrandlab import cli, oracles
 from qrandlab.cli import canonical_json, main, strip_timing_fields as strip_timing
-from qrandlab.qcore import MAX_TENSOR_DIM
+from qrandlab.extraction import RoundParams, good_set_member, round_mask
+from qrandlab.qcore import MAX_TENSOR_DIM, born_distribution, haar_sample
+from qrandlab.rng import SeededRng
+from qrandlab.tomography import sampled_diagonal, sampled_prefix
 from qrandlab.toys import toy_owsg_basis
 from reference import looped_extract, round12
 
@@ -144,17 +147,17 @@ class TestExtractShares:
     @staticmethod
     def run_with_workers(capsys, monkeypatch, argv, workers):
         """The stripped record of ``argv`` with the CPU set forced to ``workers``
-        CPUs, and the threads that sampled its states."""
+        CPUs, and the threads that made its states' streams."""
         monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(cli, "_MIN_SPREAD_D", 64)  # spread d = 64 too, which runs serially
         samplers = set()  # thread objects, not idents: a finished thread's ident is reused
-        sample = cli.haar_sample
+        child = SeededRng.child
 
-        def haar_sample(d, rng):
+        def child_stream(rng, index):
             samplers.add(threading.current_thread())
-            return sample(d, rng)
+            return child(rng, index)
 
-        monkeypatch.setattr(cli, "haar_sample", haar_sample)
+        monkeypatch.setattr(SeededRng, "child", child_stream)
         code, out, _ = run_cli(capsys, [*argv, "--seed", "5"])
         monkeypatch.undo()
         assert code == 0
@@ -179,30 +182,32 @@ class TestExtractShares:
 
     def test_error_in_another_share_stops_the_run(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        sample = cli.haar_sample
+        child = SeededRng.child
         main_states, failed = [], []
         main_started, worker_entered = threading.Event(), threading.Event()
 
-        def haar_sample(d, rng):
+        def child_stream(rng, index):
             if threading.current_thread() is threading.main_thread():
-                # state 0 finishes only after share 1 has failed on state 1 and exited
-                main_started.set()
-                assert worker_entered.wait(timeout=30)
-                failed[0].join(timeout=30)
-                assert not failed[0].is_alive()
-                main_states.append(rng.counter)
-                return sample(d, rng)
+                if not main_states:
+                    # share 0's first block starts only after share 1 has failed on state 1 and exited
+                    main_started.set()
+                    assert worker_entered.wait(timeout=30)
+                    failed[0].join(timeout=30)
+                    assert not failed[0].is_alive()
+                main_states.append(index)
+                return child(rng, index)
             failed.append(threading.current_thread())
             worker_entered.set()
             assert main_started.wait(timeout=30)
             raise cli.ParameterError("share 1 failed")
 
-        monkeypatch.setattr(cli, "haar_sample", haar_sample)
-        code, out, err = run_cli(capsys, ["extract", "--d", "4096", "--states", "8", "--seed", "1"])
+        monkeypatch.setattr(SeededRng, "child", child_stream)
+        # 40 states: three blocks of up to 8 per share
+        code, out, err = run_cli(capsys, ["extract", "--d", "4096", "--states", "40", "--seed", "1"])
         assert (code, out) == (2, "")
         assert "share 1 failed" in err
         assert len(failed) == 1  # share 1 stopped at its first state
-        assert len(main_states) == 1  # share 0 stopped at its next state
+        assert main_states == list(range(0, 16, 2))  # share 0 stopped at its next block
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("d, t", [(64, 1), (64, 500), (4096, 1000), (4096, 10**6)])
@@ -228,6 +233,54 @@ class TestExtractShares:
             assert code == 0
             record = strip_timing(parse_lines(out)[0])
             assert record["result"] == json.loads(canonical_json(looped_extract(d, 8, t, seed)))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("t", [None, 10**6])
+    @pytest.mark.parametrize("d, n_states", [(4096, 1), (4096, 9), (4096, 37), (64, 1100)])
+    def test_blocks_equal_serial_reference(self, monkeypatch, d, n_states, t, workers):
+        # one block, several and a ragged last one per share: 8 states a block at
+        # d = 4096, 512 at d = 64
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(cli, "_MIN_SPREAD_D", 64)
+        mode = "exact" if t is None else "sampled"
+        params = {"d": d, "states": n_states, "mode": mode, "t": t}
+        assert cli.cmd_extract(params, 4) == looped_extract(d, n_states, t, 4)
+
+    @pytest.mark.parametrize("t", [None, 1000, 10**6])
+    @pytest.mark.parametrize("d, n_states", [(4096, 9), (64, 600)])
+    def test_block_steps_equal_per_state_calls(self, monkeypatch, d, n_states, t):
+        # serially, block rows are states in order: each row's diagonal, quotients,
+        # good test and masks are what the per-state calls give, bit for bit
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        calls = {"block_sums": [], "_clears_margin": [], "round_mask": []}
+        for name, seen in calls.items():
+
+            def spy(block, params, _call=getattr(cli, name), _seen=seen):
+                out = _call(block, params)
+                _seen.append((block.copy(), out))
+                return out
+
+            monkeypatch.setattr(cli, name, spy)
+        mode = "exact" if t is None else "sampled"
+        cli.cmd_extract({"d": d, "states": n_states, "mode": mode, "t": t}, 3)
+        diags = np.concatenate([block for block, _ in calls["block_sums"]])
+        good = np.concatenate([out for _, out in calls["_clears_margin"]])
+        rounded = np.concatenate([block for block, _ in calls["round_mask"]])
+        masks = np.concatenate([out for _, out in calls["round_mask"]])
+        assert len(diags) == len(good) == len(masks) == n_states
+        params = RoundParams(d)
+        for i in range(n_states):
+            child = SeededRng(3).child(i)
+            probs = born_distribution(haar_sample(d, child))
+            assert diags[i].tobytes() == probs.tobytes()
+            assert good[i] == good_set_member(probs, params)
+            if t is None:
+                assert np.array_equal(masks[i], round_mask(probs, params))
+                continue
+            first = sampled_diagonal(probs, t, child)
+            second = sampled_prefix(probs, t, params.k, child)
+            assert rounded[i].tobytes() == np.stack([first[: params.k], second]).tobytes()
+            assert np.array_equal(masks[i], [round_mask(first, params), round_mask(second, params)])
 
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 8)
@@ -390,6 +443,23 @@ class TestExitStatus:
         monkeypatch.setitem(cli._DISPATCH, "haar-stats", broken)
         with pytest.raises(type(error), match="internal"):
             main(["haar-stats", "--d", "64", "--seed", "1"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["prg-qs", "--from", "bot-oracle", "--n", "32", "--c", "0.4", "--keys", "1", "--evals", "2"],
+            ["experiment", "--name", "bot-prg", "--n", "32", "--c", "1.6", "--trials", "2"],
+            ["oracle-sim", "--world", "bot", "--n", "32", "--c", "0.8"],
+        ],
+    )
+    def test_n32_bot_world_is_the_mask_cap_usage_error(self, capsys, tmp_path, argv):
+        # 32^-c at these c once made a bad-prefix width the world refused with a traceback
+        queries = tmp_path / "queries.jsonl"
+        queries.write_text(json.dumps({"x": "0" * 32}) + "\n")
+        extra = ["--queries", str(queries)] if argv[0] == "oracle-sim" else []
+        code, out, err = run_cli(capsys, [*argv, *extra, "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert "capped at n <= 20" in err
 
     def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
         argv = ["extract", "--d", "64", "--states", "2", "--seed", "1", "--out", str(tmp_path)]

@@ -5,6 +5,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from qrandlab import experiments
@@ -47,6 +49,27 @@ class TestBotOracleParams:
         params = BotOracleParams(12, 1.0)
         assert params.w == 6
         assert params.mu / 16 <= 2.0**-params.w <= params.mu / 4
+
+    # 32^-c lands one ulp below a power of two at these c, so log2(4 / mu) rounds
+    # down onto an integer; a scan of n <= 128 and c in steps of 0.001 finds no others
+    LOG2_EDGE_C = [0.4, 0.8, 1.6, 1.8, 2.6, 3.2, 3.6, 4.2, 5.2]
+
+    @pytest.mark.parametrize("c", LOG2_EDGE_C)
+    def test_world_builds_where_log2_rounds_onto_an_integer(self, c):
+        params = OracleWorld("bot-world", 1, n_max=32, c=c).bot_params(32)
+        assert 2.0**-params.w <= params.mu / 4 < 2.0 ** -(params.w - 1)
+
+    @given(st.integers(2, 128), st.floats(0.01, 10).map(lambda c: float(f"{c:.12g}")))
+    @example(32, 0.4)
+    @example(12, 1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_w_is_the_smallest_width_under_a_quarter_of_mu(self, n, c):
+        try:
+            params = BotOracleParams(n, c)
+        except ParameterError as exc:  # mu too small for n
+            assert "exceeds" in str(exc)
+            return
+        assert params.mu / 16 <= 2.0**-params.w <= params.mu / 4 < 2.0 ** -(params.w - 1)
 
     def test_w_exceeding_n_rejected(self):
         with pytest.raises(ValueError):
