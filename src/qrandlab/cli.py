@@ -25,7 +25,6 @@ import numpy as np
 
 from .constructions import Con3Params, con1_handle, con3_handle
 from .experiments import (
-    AdversaryHandle,
     bot_count_adversary,
     bruteforce_owsg_handle,
     bruteforce_prg_handle,
@@ -53,8 +52,6 @@ from .tomography import _check_sample_count, prefix_law
 from .toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
 
 USAGE_ERROR = 2
-
-EXPERIMENT_NAMES = ("prg", "bot-prg", "owsg", "moment")
 
 MAX_RESPONSES = 1 << 20  # oracle-sim holds every response, up to about 1 KB each at its peak
 
@@ -256,8 +253,6 @@ def cmd_haar_stats(params: dict, seed: int) -> dict:
 
 
 def cmd_prg_qs(params: dict, seed: int) -> dict:
-    if params["source"] != "bot-oracle":
-        raise ParameterError("only --from bot-oracle is available")
     stride = 10**6  # key i samples on child(i) and is audited on child(stride + i)
     if _count(params, "keys") > stride:
         raise ParameterError(f"--keys must be at most {stride}, or key sampling reuses an audit stream")
@@ -290,8 +285,6 @@ def cmd_prg_qs(params: dict, seed: int) -> dict:
 
 
 def cmd_sprs_qs(params: dict, seed: int) -> dict:
-    if params["source"] != "prg-qs":
-        raise ParameterError("only --from prg-qs is available")
     stride = 1000  # key i samples on child(i) and evaluates on child(stride + i), child(2 * stride + i)
     if _count(params, "keys") > stride:
         raise ParameterError(f"--keys must be at most {stride}, or key sampling reuses an evaluation stream")
@@ -336,26 +329,24 @@ def _json_lines(path: str):
 
 
 def cmd_oracle_sim(params: dict, seed: int) -> dict:
-    kind = {"flip": "flip-world", "bot": "bot-world", "sampler": "sampler-world"}.get(
-        params["world"]
-    )
-    if kind is None:
-        raise ParameterError(f"unknown world {params['world']!r}; pick flip, bot, or sampler")
+    world_name = params["world"]
+    if world_name == "bot" and not params["queries"]:
+        raise ParameterError("a bot world answers the 'x' of each query: give them in a --queries file")
     queries = _json_lines(params["queries"]) if params["queries"] else itertools.repeat({}, _count(params, "draws"))
     queries = list(itertools.islice(queries, MAX_RESPONSES + 1))  # one past the cap is enough to refuse
     if len(queries) > MAX_RESPONSES:
         raise MemoryBudgetError(f"oracle-sim answers at most {MAX_RESPONSES} queries (--draws or --queries lines)")
     n = params["n"]
-    world = OracleWorld(kind, seed, n_max=n, c=params["c"])
+    world = OracleWorld(f"{world_name}-world", seed, n_max=n, c=params["c"])
     rng = SeededRng(seed, 1)
     responses = []
     for i, query in enumerate(queries):
         child = rng.child(i)
-        if kind == "bot-world":
+        if world_name == "bot":
             x = query.get("x")
             parse_bits(x, n, name=f"query {i}: 'x'")
             responses.append({"query": i, "x": x, "value": str(bot_oracle_eval(world, x, child))})
-        elif kind == "sampler-world":
+        elif world_name == "sampler":
             x, y = sampler_oracle(world, n, child)
             responses.append({"query": i, "x": x, "y": y})
         else:
@@ -365,48 +356,43 @@ def cmd_oracle_sim(params: dict, seed: int) -> dict:
     return {"world": world.to_record(), "responses": responses}
 
 
-def _prg_adversary(name: str, gen) -> AdversaryHandle:
-    if name == "bruteforce":
-        return bruteforce_prg_handle(gen)
-    if name == "coin-flip":
-        return coin_flip_adversary()
-    if name == "constant-0":
-        return constant_adversary(0)
-    raise ParameterError(f"unknown adversary {name!r}")
+# Each game's adversaries by name, each built over the game's generator.
+_ADVERSARIES = {
+    "prg": {
+        "bruteforce": bruteforce_prg_handle,
+        "coin-flip": lambda gen: coin_flip_adversary(),
+        "constant-0": lambda gen: constant_adversary(0),
+    },
+    "bot-prg": {
+        "bot-count": lambda gen: bot_count_adversary(),
+        "coin-flip": lambda gen: coin_flip_adversary(),
+    },
+    "owsg": {
+        "bruteforce": bruteforce_owsg_handle,
+        "coin-flip": lambda gen: owsg_coin_flip_adversary(),
+    },
+}
 
 
 def cmd_experiment(params: dict, seed: int) -> dict:
-    name = params["name"]
+    name, adversary = params["name"], params["adversary"]
     rng = SeededRng(seed)
-    if name == "prg":
-        gen = toy_prg(params["lam"], params["s"])
-        adversary = _prg_adversary(params["adversary"], gen)
-        return exp_prg(gen, adversary, params["trials"], rng)
-    if name == "bot-prg":
-        world = OracleWorld("bot-world", seed, n_max=params["n"], c=params["c"])
-        gen = bot_prg_handle(world, params["n"])
-        if params["adversary"] == "bot-count":
-            adversary = bot_count_adversary()
-        elif params["adversary"] == "coin-flip":
-            adversary = coin_flip_adversary()
-        else:
-            raise ParameterError(f"unknown adversary {params['adversary']!r}")
-        return exp_botprg(gen, adversary, params["q"], params["trials"], rng)
-    if name == "owsg":
-        if params["adversary"] == "bruteforce":
-            gen = toy_owsg_haar(params["lam"], params["dim"])
-            adversary = bruteforce_owsg_handle(gen)
-        elif params["adversary"] == "coin-flip":
-            gen = toy_owsg_basis(params["lam"])
-            adversary = owsg_coin_flip_adversary()
-        else:
-            raise ParameterError(f"unknown adversary {params['adversary']!r}")
-        return exp_owsg(gen, adversary, params["t"], params["trials"], rng)
     if name == "moment":
         gen = random_phase_sprs(params["N"])
         dist = moment_distance(gen, params["t"], _count(params, "keys"), "monte-carlo", rng)
         return {"name": "moment", "N": params["N"], "t": params["t"], "keys": params["keys"], "distance": dist}
-    raise ParameterError(f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}")
+    adversaries = _ADVERSARIES[name]
+    if adversary not in adversaries:
+        raise ParameterError(f"{name} has no adversary {adversary!r}; valid adversaries: {', '.join(adversaries)}")
+    if name == "prg":
+        gen = toy_prg(params["lam"], params["s"])
+        return exp_prg(gen, adversaries[adversary](gen), params["trials"], rng)
+    if name == "bot-prg":
+        gen = bot_prg_handle(OracleWorld("bot-world", seed, n_max=params["n"], c=params["c"]), params["n"])
+        return exp_botprg(gen, adversaries[adversary](gen), params["q"], params["trials"], rng)
+    # the brute force searches Haar states' amplitudes; the coin flip measures a basis state
+    gen = toy_owsg_haar(params["lam"], params["dim"]) if adversary == "bruteforce" else toy_owsg_basis(params["lam"])
+    return exp_owsg(gen, adversaries[adversary](gen), params["t"], params["trials"], rng)
 
 
 _DISPATCH = {
@@ -464,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("prg-qs", help="retry-and-vote generator over an abort oracle")
-    p.add_argument("--from", dest="source", required=True)
+    p.add_argument("--from", dest="source", choices=["bot-oracle"], required=True)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--keys", type=int, default=20)
@@ -472,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("sprs-qs", help="phase states over a quantum-sampled-key generator")
-    p.add_argument("--from", dest="source", required=True)
+    p.add_argument("--from", dest="source", choices=["prg-qs"], required=True)
     p.add_argument("--n", type=int, default=16)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--con3-c", dest="con3_c", type=float, default=4.0)
@@ -481,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("oracle-sim", help="replay a query list against a seeded world")
-    p.add_argument("--world", required=True)
+    p.add_argument("--world", choices=["flip", "bot", "sampler"], required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--queries", type=str, default=None, help="JSON-lines query file")
@@ -489,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("experiment", help="run one of the boxed security experiments")
-    p.add_argument("--name", required=True)
+    p.add_argument("--name", choices=[*_ADVERSARIES, "moment"], required=True)
     p.add_argument("--lambda", dest="lam", type=int, default=8)
     p.add_argument("--s", type=int, default=24)
     p.add_argument("--n", type=int, default=12)
@@ -499,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=8)
     p.add_argument("--keys", type=int, default=20000)
     p.add_argument("--trials", type=int, default=500)
-    p.add_argument("--adversary", type=str, default="coin-flip")
+    adversaries = "; ".join(f"{game}: {', '.join(names)}" for game, names in _ADVERSARIES.items())
+    p.add_argument("--adversary", type=str, default="coin-flip", help=adversaries)
     p.add_argument("--dim", type=int, default=16)
     add_common(p)
 

@@ -110,14 +110,6 @@ class BotOracleParams:
         return 2 * self.n
 
 
-def _check_w_window(params: BotOracleParams) -> None:
-    lo, hi = params.mu / 16, params.mu / 4
-    if not lo <= 2.0**-params.w <= hi:
-        raise ValueError(
-            f"2^-w = {2.0 ** -params.w} falls outside [mu/16, mu/4] = [{lo}, {hi}]"
-        )
-
-
 @dataclass(frozen=True)
 class OracleWorld:
     """Seed-derived oracle family; immutable and shareable.
@@ -137,8 +129,8 @@ class OracleWorld:
             raise ParameterError(f"unknown world kind {self.kind!r}")
         if self.n_max < 2:
             raise ParameterError(f"n_max must be >= 2, got {self.n_max}")
-        if self.kind == "bot-world":
-            _check_w_window(self.bot_params(self.n_max))
+        if self.kind == "bot-world":  # an invalid (n_max, c) fails here, not at the first query
+            self.bot_params(self.n_max)
 
     def _check_n(self, n: int) -> None:
         if not 2 <= n <= self.n_max:

@@ -316,5 +316,5 @@ def parse_bits(bits, width: int | None = None, name: str = "bits") -> int:
     """
     if not isinstance(bits, str) or bits.strip("01") or (width is not None and len(bits) != width):
         chars = "'0'/'1' characters" if width is None else f"{width} '0'/'1' characters"
-        raise ParameterError(f"{name} must be {chars}, got {name}={bits!r}")
+        raise ParameterError(f"{name} must be {chars}, got {bits!r}")
     return int(bits, 2) if bits else 0

@@ -31,6 +31,17 @@ def parse_lines(out):
     return [json.loads(line) for line in out.strip().splitlines()]
 
 
+def parser_exit(capsys, argv, choices):
+    """``argv`` is refused by argparse: exit 2, the flag's ``choices`` listed on stderr, no traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    _, listed = err.split("invalid choice")
+    assert all(choice in listed.split("choose from")[1] for choice in choices)
+
+
 class _DictSubclass(dict):
     pass
 
@@ -419,11 +430,20 @@ class TestRerun:
         assert out == "" and "Traceback" not in err
 
     def test_unknown_mode_is_rejected_by_the_parser(self, capsys, tmp_path):
-        path = self.mutated_record(capsys, tmp_path, lambda c: c["params"].update(mode="weird"), self.EXTRACT)
-        with pytest.raises(SystemExit) as exc:
-            main(["rerun", "--record", path])
-        assert exc.value.code == 2
-        assert "invalid choice: 'weird'" in capsys.readouterr().err
+        sim = ["oracle-sim", "--world", "flip", "--n", "2", "--draws", "1", "--seed", "5"]
+        sprs = ["sprs-qs", "--from", "prg-qs", "--n", "12", "--keys", "1", "--seed", "5"]
+        for argv, name, value in [
+            (self.EXTRACT, "mode", "weird"),
+            (sim, "world", "flip-world"),
+            (self.PRG_QS, "source", "prg-qs"),
+            (sprs, "source", "bot-oracle"),
+        ]:
+            path = self.mutated_record(capsys, tmp_path, lambda c: c["params"].update({name: value}), argv)
+            with pytest.raises(SystemExit) as exc:
+                main(["rerun", "--record", path])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and f"invalid choice: {value!r}" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("text", ["[]\n", "{not json\n", "", "\n\n"])
     def test_record_file_without_a_record(self, capsys, tmp_path, text):
@@ -553,6 +573,7 @@ class TestOracleSim:
         code, out, err = run_cli(capsys, [*argv, "--seed", "1"])
         assert (code, out) == (2, "")
         assert f"query 1: {field!r} must be" in err
+        assert err.count(repr(field)) == 1 and f"characters, got {query.get(field)!r}\n" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -590,9 +611,13 @@ class TestOracleSim:
         assert code == 0 and len(parse_lines(out)[0]["result"]["responses"][0]["x"]) == 63
 
     def test_unknown_world(self, capsys):
-        code, _, err = run_cli(capsys, ["oracle-sim", "--world", "warp", "--n", "4", "--seed", "1"])
-        assert code == 2
-        assert "flip" in err and "sampler" in err
+        parser_exit(capsys, ["oracle-sim", "--world", "warp", "--n", "4", "--seed", "1"], ("flip", "bot", "sampler"))
+
+    def test_bot_world_needs_a_query_file(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "OracleWorld", lambda *a, **k: pytest.fail("world built"))
+        code, out, err = run_cli(capsys, ["oracle-sim", "--world", "bot", "--n", "8", "--draws", "1", "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert "--queries" in err and "Traceback" not in err
 
 
 class TestExperimentCommand:
@@ -627,10 +652,28 @@ class TestExperimentCommand:
         assert "key space 2^17 exceeds the 2^16 search budget" in err
 
     def test_unknown_experiment_lists_names(self, capsys):
-        code, _, err = run_cli(capsys, ["experiment", "--name", "nosuch", "--seed", "1"])
-        assert code == 2
-        for name in ("prg", "bot-prg", "owsg", "moment"):
-            assert name in err
+        parser_exit(capsys, ["experiment", "--name", "nosuch", "--seed", "1"], ("prg", "bot-prg", "owsg", "moment"))
+
+    @pytest.mark.parametrize(
+        "game, adversary, valid",
+        [
+            ("prg", "bot-count", "bruteforce, coin-flip, constant-0"),
+            ("prg", "oracle", "bruteforce, coin-flip, constant-0"),
+            ("bot-prg", "bruteforce", "bot-count, coin-flip"),
+            ("bot-prg", "constant-0", "bot-count, coin-flip"),
+            ("owsg", "constant-0", "bruteforce, coin-flip"),
+            ("owsg", "bot-count", "bruteforce, coin-flip"),
+        ],
+    )
+    def test_adversary_outside_its_game_is_usage_error(self, capsys, monkeypatch, game, adversary, valid):
+        # the adversary is checked before any generator or world is built
+        for builder in ("toy_prg", "OracleWorld", "toy_owsg_haar", "toy_owsg_basis"):
+            monkeypatch.setattr(cli, builder, lambda *a, **k: pytest.fail("generator built"))
+        argv = ["experiment", "--name", game, "--adversary", adversary, "--seed", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert f"{game} has no adversary {adversary!r}; valid adversaries: {valid}" in err
+        assert "Traceback" not in err
 
     def test_moment_experiment(self, capsys):
         code, out, _ = run_cli(
@@ -807,9 +850,8 @@ class TestGeneratorCommands:
         assert run_cli(capsys, argv)[:2] == (2, "")
 
     def test_unknown_source_rejected(self, capsys):
-        code, _, err = run_cli(capsys, ["prg-qs", "--from", "thin-air", "--seed", "1"])
-        assert code == 2
-        assert "bot-oracle" in err
+        parser_exit(capsys, ["prg-qs", "--from", "thin-air", "--seed", "1"], ("bot-oracle",))
+        parser_exit(capsys, ["sprs-qs", "--from", "bot-oracle", "--seed", "1"], ("prg-qs",))
 
 
 class TestFloatFlags:

@@ -7,7 +7,10 @@ The golden digests were produced by the code before the generator
 output, diagonal estimation, moment and parameter paths were merged;
 ``experiment-owsg-bruteforce-blocks``, a 300-trial brute-force game
 past the 256 keys of the answer store, by the code that scored one
-trial at a time.
+trial at a time.  ``experiment-prg-coin-flip``, ``experiment-prg-constant-0``
+and ``experiment-bot-prg-coin-flip`` were recorded by the code that chose
+each game's adversary with its own if-chain, before one table held them,
+so every (game, adversary) pair the CLI offers has a pin.
 """
 
 import hashlib
@@ -53,12 +56,33 @@ PINNED = {
         ],
         "2b66284382e36d33a5729289a30c5fd285e21f26d97f11038a699a9c55406f8a",
     ),
+    "experiment-prg-coin-flip": (
+        [
+            "experiment", "--name", "prg", "--lambda", "6", "--s", "16",
+            "--trials", "20", "--adversary", "coin-flip", "--seed", "3",
+        ],
+        "438faff8733ab893d00f385624dcde6bbeff3dc7db87c1b5ee116ca7fcdc9fdf",
+    ),
+    "experiment-prg-constant-0": (
+        [
+            "experiment", "--name", "prg", "--lambda", "6", "--s", "16",
+            "--trials", "20", "--adversary", "constant-0", "--seed", "3",
+        ],
+        "261d7e7c9e17762973c6a7b82170a0f2115f2297c2ffd435041e6cca9f964595",
+    ),
     "experiment-bot-prg": (
         [
             "experiment", "--name", "bot-prg", "--n", "8", "--q", "3",
             "--trials", "20", "--adversary", "bot-count", "--seed", "3",
         ],
         "23c60bcbc35800b5ecc1095a66faebb1c8a3d630b4b9816b77efefb87b1087ab",
+    ),
+    "experiment-bot-prg-coin-flip": (
+        [
+            "experiment", "--name", "bot-prg", "--n", "8", "--q", "3",
+            "--trials", "20", "--adversary", "coin-flip", "--seed", "3",
+        ],
+        "633c21990a228cbc349b0b807f8c16a8daacbe6eb3fa6fcf43523e35bcda21a7",
     ),
     "experiment-owsg-bruteforce": (
         [

@@ -201,12 +201,13 @@ class TestParseBits:
 
     @pytest.mark.parametrize("bits", ["011", "01101"])
     def test_width(self, bits):
-        with pytest.raises(ParameterError, match=f"^key must be 4 '0'/'1' characters, got key={bits!r}$"):
+        with pytest.raises(ParameterError, match=f"^key must be 4 '0'/'1' characters, got {bits!r}$"):
             parse_bits(bits, 4, name="key")
 
     @pytest.mark.parametrize("bits", [5, None, b"01", ["0", "1"]])
     def test_non_string(self, bits):
-        with pytest.raises(ParameterError, match=re.escape(f"got bits={bits!r}")):
+        message = f"bits must be '0'/'1' characters, got {bits!r}"  # the field is named once
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             parse_bits(bits)
 
     def test_is_a_value_error(self):

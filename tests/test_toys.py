@@ -110,7 +110,7 @@ class TestOwsgHaarMemo:
     def test_refusals_unchanged_once_states_are_kept(self, key):
         gen = toy_owsg_haar(4, 16)
         for _ in range(2):  # before and after a valid key's state is kept
-            with pytest.raises(ParameterError, match=re.escape(f"key must be 4 '0'/'1' characters, got key={key!r}")):
+            with pytest.raises(ParameterError, match=re.escape(f"key must be 4 '0'/'1' characters, got {key!r}")):
                 gen.eval(key, None)
             gen.eval("0110", None)
 
@@ -130,7 +130,7 @@ class TestToyKeys:
     )
     def test_malformed_key_rejected(self, make, key):
         gen = make()
-        with pytest.raises(ParameterError, match=f"key must be 4 '0'/'1' characters, got key={key!r}"):
+        with pytest.raises(ParameterError, match=f"key must be 4 '0'/'1' characters, got {key!r}"):
             gen.eval(key, None)
 
     def test_haar_keyed_sprs_reads_key_len_bits(self):
