@@ -371,19 +371,21 @@ _ADVERSARIES = {
         "bruteforce": bruteforce_owsg_handle,
         "coin-flip": lambda gen: owsg_coin_flip_adversary(),
     },
+    # the moment study plays no adversary; it accepts only the flag's default, which its record keeps
+    "moment": {"coin-flip": None},
 }
 
 
 def cmd_experiment(params: dict, seed: int) -> dict:
     name, adversary = params["name"], params["adversary"]
+    adversaries = _ADVERSARIES[name]
+    if adversary not in adversaries:
+        raise ParameterError(f"{name} has no adversary {adversary!r}; valid adversaries: {', '.join(adversaries)}")
     rng = SeededRng(seed)
     if name == "moment":
         gen = random_phase_sprs(params["N"])
         dist = moment_distance(gen, params["t"], _count(params, "keys"), "monte-carlo", rng)
         return {"name": "moment", "N": params["N"], "t": params["t"], "keys": params["keys"], "distance": dist}
-    adversaries = _ADVERSARIES[name]
-    if adversary not in adversaries:
-        raise ParameterError(f"{name} has no adversary {adversary!r}; valid adversaries: {', '.join(adversaries)}")
     if name == "prg":
         gen = toy_prg(params["lam"], params["s"])
         return exp_prg(gen, adversaries[adversary](gen), params["trials"], rng)
@@ -475,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("experiment", help="run one of the boxed security experiments")
-    p.add_argument("--name", choices=[*_ADVERSARIES, "moment"], required=True)
+    p.add_argument("--name", choices=list(_ADVERSARIES), required=True)
     p.add_argument("--lambda", dest="lam", type=int, default=8)
     p.add_argument("--s", type=int, default=24)
     p.add_argument("--n", type=int, default=12)

@@ -54,15 +54,6 @@ def constant_adversary(bit: int) -> AdversaryHandle:
     return AdversaryHandle(f"constant-{bit}", lambda challenge, rng: bit)
 
 
-def padding_check_adversary(lam: int) -> AdversaryHandle:
-    """Perfect distinguisher for the zero-padding generator."""
-
-    def decide(challenge: str, rng) -> int:
-        return 0 if set(challenge[lam:]) <= {"0"} else 1
-
-    return AdversaryHandle("padding-check", decide)
-
-
 def bot_count_adversary() -> AdversaryHandle:
     """Guess from the abort pattern only; zero advantage by design of the game."""
 

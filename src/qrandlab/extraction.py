@@ -11,8 +11,8 @@ set when every block sum clears the threshold by a margin of more than
 2/d, which is what makes the whole pipeline deterministic on that state.
 
 Rounding reads only the first k = l*r entries.  ``round_mask`` rounds a
-diagonal, or a t-copy estimate of its first k entries alone
-(``tomography.sampled_prefix``), into a bool vector of bits;
+diagonal, or a t-copy estimate of its first k entries alone (a
+multinomial over ``tomography.prefix_law``), into a bool vector of bits;
 ``round_bits`` and ``extract`` format it as the '0'/'1' string the API returns.
 
 ``gaussian_block_check`` measures how closely the block sums of Haar

@@ -24,8 +24,8 @@ masters:
   Fisher-Yates shuffle, an 8-byte one.  Both widths are part of
   ``DERIVATION_ID`` v1.  ``fisher_yates_positions`` resolves the
   shuffle's swaps for the values below a count only, which is all the
-  bot world's bad-input mask reads; ``fisher_yates_table``, the whole
-  permutation, is its count = 2^n case.  The digests are SHA-256's
+  bot world's bad-input mask reads; at count = 2^n it places every
+  value, the whole permutation.  The digests are SHA-256's
   whichever code computes them: ``_sha256`` is CPython's built-in
   SHA-256 (module ``_sha256`` on 3.10/3.11, ``_sha2`` from 3.12), which
   skips the per-call set-up of hashlib's OpenSSL constructor, and that
@@ -271,15 +271,6 @@ def fisher_yates_positions(seed: int, function_id: str, n_bits: int, count: int)
         position[waiting[moved]] = up[moved]
         waiting, at = waiting[~moved], swap[at[~moved]]
     return position
-
-
-def fisher_yates_table(seed: int, function_id: str, n_bits: int) -> np.ndarray:
-    """Seeded permutation table on {0,1}^n_bits as a uint64 array: the
-    ``fisher_yates_positions`` of every value, scattered."""
-    size = 1 << n_bits
-    table = np.empty(size, dtype=np.uint64)
-    table[fisher_yates_positions(seed, function_id, n_bits, size)] = np.arange(size, dtype=np.uint64)
-    return table
 
 
 class ParameterError(ValueError):

@@ -16,7 +16,7 @@ from qrandlab.cli import canonical_json, main, strip_timing_fields as strip_timi
 from qrandlab.extraction import RoundParams, good_set_member, round_mask
 from qrandlab.qcore import MAX_TENSOR_DIM, born_distribution, haar_sample
 from qrandlab.rng import SeededRng
-from qrandlab.tomography import sampled_diagonal, sampled_prefix
+from qrandlab.tomography import sampled_diagonal
 from qrandlab.toys import toy_owsg_basis
 from reference import looped_extract, round12
 
@@ -289,7 +289,7 @@ class TestExtractShares:
                 assert np.array_equal(masks[i], round_mask(probs, params))
                 continue
             first = sampled_diagonal(probs, t, child)
-            second = sampled_prefix(probs, t, params.k, child)
+            second = sampled_diagonal(probs, t, child)[: params.k]
             assert rounded[i].tobytes() == np.stack([first[: params.k], second]).tobytes()
             assert np.array_equal(masks[i], [round_mask(first, params), round_mask(second, params)])
 
@@ -663,11 +663,12 @@ class TestExperimentCommand:
             ("bot-prg", "constant-0", "bot-count, coin-flip"),
             ("owsg", "constant-0", "bruteforce, coin-flip"),
             ("owsg", "bot-count", "bruteforce, coin-flip"),
+            ("moment", "nonsense", "coin-flip"),
         ],
     )
     def test_adversary_outside_its_game_is_usage_error(self, capsys, monkeypatch, game, adversary, valid):
         # the adversary is checked before any generator or world is built
-        for builder in ("toy_prg", "OracleWorld", "toy_owsg_haar", "toy_owsg_basis"):
+        for builder in ("toy_prg", "OracleWorld", "toy_owsg_haar", "toy_owsg_basis", "random_phase_sprs"):
             monkeypatch.setattr(cli, builder, lambda *a, **k: pytest.fail("generator built"))
         argv = ["experiment", "--name", game, "--adversary", adversary, "--seed", "1"]
         code, out, err = run_cli(capsys, argv)

@@ -173,6 +173,7 @@ INVALID = st.one_of(
     invalid(EXP_OWSG, "--lambda", NON_POSITIVE),
     invalid(EXP_MOMENT, "--keys", NON_POSITIVE, own=True),
     invalid(EXP_MOMENT, "--N", NOT_POWER_OF_TWO),
+    invalid(EXP_MOMENT, "--adversary", st.sampled_from(["nonsense", "bruteforce"])),  # the study plays no adversary
 )
 
 

@@ -27,7 +27,8 @@ from qrandlab.oracles import OracleWorld, bot_oracle_good_set, bot_prg_handle
 from qrandlab.primitives import BOT, BotValue, GeneratorHandle, determinism_audit
 from qrandlab.qcore import StateVector, born_distribution
 from qrandlab.rng import ParameterError, SeededRng
-from qrandlab.toys import (
+from qrandlab.toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
+from fixtures import (
     always_bot_prg,
     constant_bot_prg,
     constant_owsg,
@@ -36,10 +37,6 @@ from qrandlab.toys import (
     fair_coin_bot_prg,
     haar_keyed_sprs,
     haar_sprs_reference,
-    random_phase_sprs,
-    toy_owsg_basis,
-    toy_owsg_haar,
-    toy_prg,
     uniform_state_sprs,
     zero_padding_prg,
 )

@@ -26,21 +26,19 @@ from qrandlab.experiments import (
     moment_distance,
     moment_hs2,
     owsg_coin_flip_adversary,
-    padding_check_adversary,
 )
 from qrandlab.oracles import OracleWorld, bot_prg_handle, candidate_image
 from qrandlab.primitives import GeneratorHandle
 from qrandlab.qcore import haar_sample
 from qrandlab.rng import SeededRng
-from qrandlab.toys import (
+from qrandlab.toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
+from fixtures import (
+    constant_owsg,
     constant_state_sprs,
     derived_bot_prg,
     haar_keyed_sprs,
     haar_sprs_reference,
-    random_phase_sprs,
-    toy_owsg_basis,
-    toy_owsg_haar,
-    toy_prg,
+    padding_check_adversary,
     zero_padding_prg,
 )
 from reference import haar_noise_owsg, looped_owsg, symmetric_moment
@@ -171,8 +169,6 @@ class TestExpOwsg:
         assert report["ci95"][0] <= 0 <= report["ci95"][1]
 
     def test_constant_generator_accepts_any_guess(self):
-        from qrandlab.toys import constant_owsg
-
         gen = constant_owsg(6, 8)
 
         def arbitrary(copies, rng):

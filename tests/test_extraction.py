@@ -20,7 +20,7 @@ from qrandlab.qcore import (
     haar_sample,
 )
 from qrandlab.rng import SeededRng
-from qrandlab.tomography import sampled_diagonal, sampled_prefix
+from qrandlab.tomography import prefix_law, sampled_diagonal
 
 P4096 = RoundParams(4096)
 
@@ -180,7 +180,7 @@ class TestExtract:
         for i, psi in enumerate(states):
             # rounding the k-entry prefix draw gives the full d-cell draw's bits, and extract's
             probs = born_distribution(psi)
-            prefix = sampled_prefix(probs, t, params.k, SeededRng(3, i))
+            prefix = SeededRng(3, i).multinomial(t, prefix_law(probs.copy(), params.k))[: params.k] / t
             full = sampled_diagonal(probs, t, SeededRng(3, i))
             assert np.array_equal(round_mask(prefix, params), round_mask(full, params))
             assert round_bits(prefix, params) == extract(psi, params, t, SeededRng(3, i))

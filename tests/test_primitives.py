@@ -14,12 +14,7 @@ from qrandlab.primitives import (
     vote_non_bot,
 )
 from qrandlab.rng import SeededRng
-from qrandlab.toys import (
-    constant_bot_prg,
-    fair_coin_bot_prg,
-    haar_keyed_sprs,
-    haar_sprs_reference,
-)
+from fixtures import constant_bot_prg, fair_coin_bot_prg, haar_keyed_sprs, haar_sprs_reference
 
 bits4 = st.text(alphabet="01", min_size=4, max_size=4)
 maybe_bot = st.one_of(st.none(), bits4).map(lambda p: BOT if p is None else BotValue.of(p))

@@ -23,7 +23,6 @@ from qrandlab.rng import (
     derive_bits,
     derive_int,
     fisher_yates_positions,
-    fisher_yates_table,
     parse_bits,
     sha_words,
 )
@@ -260,7 +259,7 @@ class TestDerivation:
         assert words.tolist() == list(islice(reference_words(2024, "bot-world/P", 16), 4094, 4102))
 
     def test_fisher_yates_table(self):
-        table = fisher_yates_table(2024, "bot-world/P", 8)
+        table = np.argsort(fisher_yates_positions(2024, "bot-world/P", 8, 1 << 8)).astype(np.uint64)
         assert table[:16].tolist() == [55, 117, 67, 21, 133, 141, 221, 178, 152, 177, 199, 196, 75, 77, 173, 176]
         assert sorted(table.tolist()) == list(range(256))
         digest = hashlib.sha256(table.astype(">u8").tobytes()).hexdigest()
@@ -427,13 +426,13 @@ class TestBulkFisherYates:
         ],
     )
     def test_known_answers(self, n_bits, digest):
-        assert _table_digest(fisher_yates_table(2024, "bot-world/P", n_bits)) == digest
+        table = np.argsort(fisher_yates_positions(2024, "bot-world/P", n_bits, 1 << n_bits)).astype(np.uint64)
+        assert _table_digest(table) == digest
 
     @settings(max_examples=30, deadline=None)
     @given(n_bits=st.integers(1, 12), seed=st.integers(0, (1 << 64) - 1))
     def test_equals_swap_loop(self, n_bits, seed):
-        table = fisher_yates_table(seed, "bot-world/P", n_bits)
-        assert table.dtype == np.uint64
+        table = np.argsort(fisher_yates_positions(seed, "bot-world/P", n_bits, 1 << n_bits))
         assert table.tolist() == fisher_yates_reference(seed, "bot-world/P", n_bits)
 
     @settings(max_examples=40, deadline=None)
@@ -476,7 +475,7 @@ class TestBulkFisherYates:
         bound = (1 << n_bits) - position
         limit = (1 << 64) - (1 << 64) % bound
         altered = self.force_word(monkeypatch, n_bits, position, limit)
-        table = fisher_yates_table(2024, "bot-world/P", n_bits)
+        table = np.argsort(fisher_yates_positions(2024, "bot-world/P", n_bits, 1 << n_bits))
         reference = fisher_yates_reference(2024, "bot-world/P", n_bits, altered)
         assert table.tolist() == reference
         # the positions behind every bad-input mask of the shifted stream, down to one value
@@ -485,7 +484,8 @@ class TestBulkFisherYates:
             positions = fisher_yates_positions(2024, "bot-world/P", n_bits, count)
             assert positions.tolist() == np.argsort(reference)[:count].tolist()
         monkeypatch.undo()
-        assert table.tolist() != fisher_yates_table(2024, "bot-world/P", n_bits).tolist()
+        unforced = np.argsort(fisher_yates_positions(2024, "bot-world/P", n_bits, 1 << n_bits))
+        assert table.tolist() != unforced.tolist()
 
     def test_word_below_limit_is_kept(self, monkeypatch):
         # Step 252 of the n = 8 table draws word 3 for the bound 253.
@@ -494,7 +494,7 @@ class TestBulkFisherYates:
 
         def table_with_word_3(word):
             altered = self.force_word(monkeypatch, 8, 3, word)
-            table = fisher_yates_table(2024, "bot-world/P", 8).tolist()
+            table = np.argsort(fisher_yates_positions(2024, "bot-world/P", 8, 1 << 8)).tolist()
             monkeypatch.undo()
             return table, fisher_yates_reference(2024, "bot-world/P", 8, altered)
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrandlab.qcore import StateVector, born_distribution, haar_sample
-from qrandlab.rng import ParameterError, SeededRng
-from qrandlab.tomography import InvalidSampleCountError, sampled_diagonal, sampled_prefix
+from qrandlab.rng import SeededRng
+from qrandlab.tomography import InvalidSampleCountError, prefix_law, sampled_diagonal
 from reference import linf_error, tomography_samples_required
 
 
@@ -46,20 +46,14 @@ class TestSampledDiagonal:
     def test_zero_samples_rejected(self):
         with pytest.raises(InvalidSampleCountError):
             sampled_diagonal(uniform_probs(2), 0, SeededRng(0))
-        with pytest.raises(InvalidSampleCountError):
-            sampled_prefix(uniform_probs(2), 0, 1, SeededRng(0))
 
     @pytest.mark.parametrize("t", [2**63, 10**20])
     def test_oversized_count_rejected_before_drawing(self, t):
         # numpy's multinomial takes a C long; a larger t is a usage error
-        for draw in (
-            lambda rng: sampled_diagonal(uniform_probs(2), t, rng),
-            lambda rng: sampled_prefix(uniform_probs(2), t, 1, rng),
-        ):
-            rng = SeededRng(0)
-            with pytest.raises(InvalidSampleCountError):
-                draw(rng)
-            assert not rng.drawn
+        rng = SeededRng(0)
+        with pytest.raises(InvalidSampleCountError):
+            sampled_diagonal(uniform_probs(2), t, rng)
+        assert not rng.drawn
 
     def test_hoeffding_envelope(self):
         # P(linf error > sqrt(ln(2 dim / 0.01) / 2t)) <= 0.01
@@ -105,7 +99,7 @@ class TestSampledDiagonal:
 
 
 class TestSampledPrefix:
-    """The (k + 1)-cell draw gives the first k counts of the full d-cell draw."""
+    """The (k + 1)-cell draw over ``prefix_law`` gives the first k counts of the full d-cell draw."""
 
     # d -> (k = d^(5/6), the cells rounding reads; Haar states per t)
     CASES = {64: (32, 50), 4096: (1024, 50), 2**18: (2**15, 3)}
@@ -121,17 +115,9 @@ class TestSampledPrefix:
         for i, psi in enumerate(states):
             probs = born_distribution(psi)
             full = sampled_diagonal(probs, t, SeededRng(7, i))
-            prefix = sampled_prefix(probs, t, k, SeededRng(7, i))
+            prefix = SeededRng(7, i).multinomial(t, prefix_law(probs.copy(), k))[:k] / t
             assert prefix.shape == (k,)
             assert np.array_equal(prefix, full[:k])
-
-    @pytest.mark.parametrize("k", [0, 8])
-    def test_prefix_must_leave_a_cell(self, k):
-        # at k = dim the last cell would be drawn, not take the remainder
-        rng = SeededRng(0)
-        with pytest.raises(ParameterError):
-            sampled_prefix(uniform_probs(8), 10, k, rng)
-        assert not rng.drawn
 
 
 class TestSamplesRequired:

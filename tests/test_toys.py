@@ -12,7 +12,8 @@ from qrandlab.experiments import bruteforce_owsg_handle, exp_owsg, owsg_coin_fli
 from qrandlab.oracles import candidate_states
 from qrandlab.qcore import InvalidDimensionError, haar_sample
 from qrandlab.rng import ParameterError, SeededRng, derive_int, parse_bits
-from qrandlab.toys import derived_bot_prg, haar_keyed_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
+from qrandlab.toys import toy_owsg_basis, toy_owsg_haar, toy_prg
+from fixtures import derived_bot_prg, haar_keyed_sprs
 
 
 @pytest.fixture(autouse=True)
