@@ -195,7 +195,7 @@ def cmd_extract(params: dict, seed: int) -> dict:
                 children = [rng.child(i) for i in own[start : start + block]]
                 m = len(children)
                 for j, child in enumerate(children):
-                    child.generator.standard_normal(out=normals[j])
+                    child.standard_normal(out=normals[j])
                     norms[j] = np.linalg.norm(amps[j])
                 np.divide(amps[:m], norms[:m], out=amps[:m])
                 np.abs(amps[:m], out=probs[:m])
@@ -356,7 +356,9 @@ def cmd_oracle_sim(params: dict, seed: int) -> dict:
     return {"world": world.to_record(), "responses": responses}
 
 
-# Each game's adversaries by name, each built over the game's generator.
+# Each game's adversaries by name, each built over the game's generator.  The
+# owsg brute force memoises its last handle, search table and answers included:
+# equal toy_owsg_haar handles hold equal states.
 _ADVERSARIES = {
     "prg": {
         "bruteforce": bruteforce_prg_handle,
@@ -368,7 +370,7 @@ _ADVERSARIES = {
         "coin-flip": lambda gen: coin_flip_adversary(),
     },
     "owsg": {
-        "bruteforce": bruteforce_owsg_handle,
+        "bruteforce": functools.lru_cache(maxsize=1)(bruteforce_owsg_handle),
         "coin-flip": lambda gen: owsg_coin_flip_adversary(),
     },
     # the moment study plays no adversary; it accepts only the flag's default, which its record keeps

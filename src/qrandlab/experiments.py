@@ -24,7 +24,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .oracles import candidate_image, candidate_search
+from .oracles import candidate_image, candidate_states
 from .primitives import BotValue, GeneratorHandle, as_bot, is_bot
 from .qcore import MAX_TENSOR_DIM, MemoryBudgetError, StateVector, measure_computational
 from .rng import ParameterError, SeededRng, int_to_bits
@@ -85,7 +85,7 @@ def _ml_scores(table: np.ndarray, copies: np.ndarray) -> np.ndarray:
     return scores
 
 
-_ANSWER_BUDGET = 1 << 15  # amplitudes of challenges whose answers a search table keeps
+_ANSWER_BUDGET = 1 << 15  # amplitudes of challenges whose answers a handle keeps
 
 
 def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
@@ -95,21 +95,23 @@ def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
     but an upper bound that no t-copy adversary reaches.  It scores every
     key k by the product over copies of |<state_k|copy>|^2 and returns the
     first best key; the copies are identical vectors, so the score is a
-    power of one overlap and t cannot change the guess.  The candidate
-    states come from ``candidate_search``, which keeps the last table it
-    built, so a handle made again for the same generator object builds
-    no state; ``_ml_scores`` reads that table with no per-request copy.
+    power of one overlap and t cannot change the guess.  The handle
+    builds its table of candidate states once, with ``candidate_states``;
+    ``_ml_scores`` reads that table with no per-request copy.
 
-    The guess is a pure function of the copies, so it is kept with the
-    table, keyed on the bytes of the trial's stacked t x dim copies, up
-    to ``_ANSWER_BUDGET`` amplitudes of stored challenges; a repeated
+    The guess is a pure function of the copies, so the handle also keeps
+    it, keyed on the bytes of the trial's stacked t x dim copies, up to
+    ``_ANSWER_BUDGET`` amplitudes of stored challenges; a repeated
     challenge is answered from there, and past the budget a challenge is
     scored without being stored.  The strategy id stays ``bruteforce-ml``,
     the name that records carry.
     """
-    table, answers = candidate_search(gen)
+    table = candidate_states(gen)
+    answers: dict[bytes, str] = {}
+    stored = 0  # bytes of the stored challenges
 
     def decide(copies: Sequence[StateVector], rng) -> str:
+        nonlocal stored
         if not copies:
             raise ParameterError("need at least one copy")
         stack = np.array([copy.amplitudes for copy in copies])
@@ -117,8 +119,9 @@ def bruteforce_owsg_handle(gen: GeneratorHandle) -> AdversaryHandle:
         guess = answers.get(key)
         if guess is None:
             guess = int_to_bits(int(_ml_scores(table, stack).argmax()), gen.input_len)  # the first best key
-            if len(key) + answers.nbytes <= stack.itemsize * _ANSWER_BUDGET:
+            if stored + len(key) <= stack.itemsize * _ANSWER_BUDGET:
                 answers[key] = guess
+                stored += len(key)
         return guess
 
     return AdversaryHandle("bruteforce-ml", decide)

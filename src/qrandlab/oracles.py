@@ -4,10 +4,9 @@ A world is a seed plus a kind; every function the world exposes is
 derived from the seed by the keyed SHA-256 derivation in ``rng``, so
 two runs (or two implementations) with the same seed see bit-identical
 worlds.  O_n, P_n and Q_n values are derived lazily, one input at a
-time.  The module keeps two exponential tables, the last one built of
-each: the bot world's bad-input mask, 2^n booleans capped at n <= 20,
-and the brute-force ``candidate_states`` table below, with the answers
-stored from it.
+time.  The module keeps one exponential table, the last bot world's
+bad-input mask (2^n booleans, n <= 20); the brute-force search tables
+below are built afresh on each call and kept by the caller.
 
 Kinds:
 
@@ -246,7 +245,7 @@ def bot_oracle_eval_many(world: OracleWorld, x: str, rng: SeededRng, k: int) -> 
     if not world.bad_inputs(n)[xi]:
         return [value] * k
     p_x = world.q_value(n, xi) / (1 << n)
-    return [BOT if u < p_x else value for u in rng.generator.random(k).tolist()]
+    return [BOT if u < p_x else value for u in rng.uniforms(k).tolist()]
 
 
 def bot_oracle_good_set(world: OracleWorld, n: int) -> set[str]:
@@ -423,44 +422,12 @@ def candidate_image(candidate: GeneratorHandle) -> set[str]:
     return image
 
 
-class AnswerStore(dict):
-    """Answers kept with a search table, keyed on bytes, and ``nbytes``, the
-    total length of its keys: item assignment and ``clear`` keep it exact,
-    so a capped store reads its size without summing its keys."""
+def candidate_states(gen: GeneratorHandle) -> np.ndarray:
+    """Amplitudes of a state generator over its whole key space, one row per key.
 
-    nbytes = 0
-
-    def __setitem__(self, key: bytes, value) -> None:
-        if key not in self:
-            self.nbytes += len(key)
-        super().__setitem__(key, value)
-
-    def clear(self) -> None:
-        super().clear()
-        self.nbytes = 0
-
-
-# The last candidate_states table, with the handle it was built from and
-# the answers stored from it.  A command searches one generator, so, as
-# with the bad-input mask, one table is all a run reuses; its answers go
-# with it, so they never answer for another table or keep a replaced one
-# alive.  The entry is keyed on the handle's identity and holds the
-# handle, so its id cannot pass to another one: handles compare without
-# their eval, so two equal handles can hold different states.
-_last_states: tuple[GeneratorHandle, np.ndarray, AnswerStore] | None = None
-
-
-def candidate_search(gen: GeneratorHandle) -> tuple[np.ndarray, AnswerStore]:
-    """``candidate_states(gen)`` and the answers kept with that table.
-
-    The answers start as an empty ``AnswerStore`` when the table is built
-    and are dropped with it; a search stores there what it computes from
-    the table alone.
+    Key k is evaluated once, on the stream (OWSG_SEARCH_SEED, k); the
+    result is a read-only 2^lambda x dim array, which the caller keeps.
     """
-    global _last_states
-    last = _last_states  # read once: another thread may replace the entry
-    if last is not None and last[0] is gen:
-        return last[1], last[2]
     if gen.kind != "owsg":
         raise ParameterError(f"expected an owsg handle, got {gen.kind}")
     if gen.input_len > MAX_OWSG_KEY_BITS:
@@ -469,22 +436,8 @@ def candidate_search(gen: GeneratorHandle) -> tuple[np.ndarray, AnswerStore]:
         )
     if gen.dim << gen.input_len > MAX_TENSOR_DIM**2:
         raise MemoryBudgetError(f"2^{gen.input_len} x {gen.dim} table exceeds {MAX_TENSOR_DIM**2} amplitudes")
-    _last_states = None  # the older table would only hold memory while this one is built
     keys = range(1 << gen.input_len)
     states = (gen.eval(int_to_bits(k, gen.input_len), SeededRng(OWSG_SEARCH_SEED, k)) for k in keys)
     table = np.array([state.amplitudes for state in states])
     table.setflags(write=False)
-    answers = AnswerStore()
-    _last_states = (gen, table, answers)
-    return table, answers
-
-
-def candidate_states(gen: GeneratorHandle) -> np.ndarray:
-    """Amplitudes of a state generator over its whole key space, one row per key.
-
-    Key k is evaluated once, on the stream (OWSG_SEARCH_SEED, k); the
-    result is a read-only 2^lambda x dim array.  The last table built is
-    kept for the handle object it was built from, so a handle that is
-    searched again (``toy_owsg_haar`` keeps its last one) reuses it.
-    """
-    return candidate_search(gen)[0]
+    return table

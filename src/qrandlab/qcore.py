@@ -54,8 +54,9 @@ class StateVector:
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= ATOL:  # a NaN norm fails this too
             raise ParameterError(f"state norm {norm} deviates from 1 by more than {ATOL}")
-        amps = amps.copy()
-        amps.setflags(write=False)
+        if amps.flags.writeable or not amps.flags.owndata:  # a caller's array, or a view of one: copy it
+            amps = amps.copy()
+            amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -70,7 +71,9 @@ class StateVector:
             raise ParameterError("cannot normalize the zero vector")
         if not np.isfinite(norm):  # refused before the divide, which would warn
             raise ParameterError(f"cannot normalize a vector of norm {norm}")
-        return cls(raw / norm)
+        amps = raw / norm  # a fresh array, so it is kept read-only, not copied again
+        amps.setflags(write=False)
+        return cls(amps)
 
     @classmethod
     def basis(cls, dim: int, index: int) -> "StateVector":

@@ -130,11 +130,14 @@ class SeededRng:
     def uniform(self) -> float:
         return float(self.generator.random())
 
+    def uniforms(self, k: int) -> np.ndarray:
+        return self.generator.random(k)
+
     def integers(self, low: int, high: int, size=None):
         return self.generator.integers(low, high, size=size)
 
-    def standard_normal(self, size):
-        return self.generator.standard_normal(size)
+    def standard_normal(self, size=None, out=None):
+        return self.generator.standard_normal(size, out=out)
 
     def bit(self) -> int:
         return int(self.generator.integers(0, 2))

@@ -37,8 +37,8 @@ def toy_owsg_haar(lam: int, dim: int, seed: int = 11) -> GeneratorHandle:
     the kept state is returned.  The states are read-only, so sharing
     one between callers is safe.  The process keeps the last handle made,
     memoised on ``(lam, dim, seed)``, so a repeated command reuses its
-    states instead of building them again; one handle is all a command
-    uses, and an older one would only hold memory.
+    states, and the CLI's memoised brute force its search table; one
+    handle is all a command uses, and an older one would only hold memory.
     """
     if dim < 2:
         raise InvalidDimensionError(f"dim must be >= 2, got {dim}")

@@ -1,8 +1,10 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,13 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qrandlab
-from qrandlab import cli, oracles
+from qrandlab import cli, experiments, oracles
 from qrandlab.cli import canonical_json, main, strip_timing_fields as strip_timing
+from qrandlab.experiments import bruteforce_owsg_handle
 from qrandlab.extraction import RoundParams, good_set_member, round_mask
 from qrandlab.qcore import MAX_TENSOR_DIM, born_distribution, haar_sample
 from qrandlab.rng import SeededRng
 from qrandlab.tomography import sampled_diagonal
-from qrandlab.toys import toy_owsg_basis
+from qrandlab.toys import toy_owsg_basis, toy_owsg_haar
 from reference import looped_extract, round12
 
 
@@ -708,6 +711,53 @@ class TestExperimentCommand:
         assert code == 0
         result = parse_lines(out)[0]["result"]
         assert result["ci95"][0] <= 0 <= result["ci95"][1]
+
+
+class TestBruteforceMemo:
+    """The CLI keeps its last owsg brute-force handle, with the handle's search table and answers."""
+
+    ARGV = "experiment --name owsg --lambda 8 --dim 16 --t 2 --adversary bruteforce --trials 5 --seed 1".split()
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        cli._ADVERSARIES["owsg"]["bruteforce"].cache_clear()
+        yield
+        cli._ADVERSARIES["owsg"]["bruteforce"].cache_clear()
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        """A weak reference to each table a brute-force handle builds, in build order."""
+        refs, build = [], experiments.candidate_states
+
+        def spy(gen):
+            table = build(gen)
+            refs.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(experiments, "candidate_states", spy)
+        return refs
+
+    def test_two_requests_build_one_table(self, capsys, tables):
+        (code, out, _), (again, replay, _) = run_cli(capsys, self.ARGV), run_cli(capsys, self.ARGV)
+        assert code == again == 0 and len(tables) == 1
+        assert strip_timing(parse_lines(out)[0]) == strip_timing(parse_lines(replay)[0])
+
+    def test_another_size_frees_the_first_table(self, capsys, tables):
+        smaller = [*self.ARGV[:4], "4", *self.ARGV[5:]]
+        assert self.ARGV[3:5] == ["--lambda", "8"]
+        assert run_cli(capsys, self.ARGV)[0] == run_cli(capsys, smaller)[0] == 0
+        gc.collect()
+        assert len(tables) == 2 and tables[0]() is None and tables[1]() is not None
+
+    def test_library_handles_score_their_own_challenges(self, monkeypatch):
+        # outside the CLI's memo, two handles over one generator share no answers
+        scored, score = [], experiments._ml_scores
+        monkeypatch.setattr(experiments, "_ml_scores", lambda table, copies: scored.append(copies) or score(table, copies))
+        gen = toy_owsg_haar(8, 16)
+        first, second = bruteforce_owsg_handle(gen), bruteforce_owsg_handle(gen)
+        copies = (gen.eval("01100101", None),) * 2
+        assert [handle.decide(copies, None) for handle in (first, second, first, second)] == ["01100101"] * 4
+        assert len(scored) == 2  # once for each handle, which then answers from its own store
 
 
 class TestSizeBudgets:

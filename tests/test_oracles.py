@@ -27,7 +27,6 @@ from qrandlab.oracles import (
     bot_oracle_eval_many,
     bot_oracle_good_set,
     bot_prg_handle,
-    candidate_search,
     candidate_states,
     decode_flip_index,
     flip_state_dim,
@@ -662,7 +661,7 @@ class TestBruteforceOwsgAdversary:
             expected = np.prod(np.abs(table.conj() @ copies.T) ** 2, axis=1)
             assert np.array_equal(_ml_scores(table, copies), expected)
 
-    def test_block_guesses_are_each_trials_first_best_key(self):
+    def test_block_guesses_are_each_trials_first_best_key(self, scored):
         # keys k and k + 4 share the basis state |k mod 4>, so every score ties with another key's;
         # a run of trials repeats challenges, and a repeat answered from the store keeps its first best key
         shared = GeneratorHandle(
@@ -672,34 +671,59 @@ class TestBruteforceOwsgAdversary:
         indices = [3, 1, 3, 0, 2, 1, 1, 3]
         for t in (1, 2):
             decide = bruteforce_owsg_handle(shared).decide
+            scored.clear()
             guesses = [decide((StateVector.basis(4, j),) * t, None) for j in indices]
             assert guesses == [int_to_bits(j, 4) for j in indices]
-            assert len(candidate_search(shared)[1]) == 4 * t  # each t stores its 4 distinct challenges
+            assert len(scored) == 4  # each handle scores its 4 distinct challenges once
         constant = constant_owsg(6, 8)  # every key scores 1
         decide = bruteforce_owsg_handle(constant).decide
+        scored.clear()
         assert [decide((constant.eval("101010", None),), None) for _ in range(5)] == ["000000"] * 5
-        assert len(candidate_search(constant)[1]) == 1
+        assert len(scored) == 1
 
     def test_warm_game_copies_no_table(self):
         # a per-request copy of the 16 MB table would make a warm game peak at about one table
         gen = toy_owsg_haar(12, 256)
-        table = candidate_states(gen)
-        exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 1, SeededRng(76))
+        adversary = bruteforce_owsg_handle(gen)  # built before tracing: the table is the handle's
+        exp_owsg(gen, adversary, 2, 1, SeededRng(76))
         tracemalloc.start()
         try:
-            exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(77))
+            exp_owsg(gen, adversary, 2, 40, SeededRng(77))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.1 * table.nbytes
+        assert peak < 0.1 * 16 * (gen.dim << gen.input_len)  # a tenth of the table's complex128 bytes
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """A weak reference to each table a brute-force handle builds, in build order."""
+    refs = []
+
+    def build(gen):
+        table = candidate_states(gen)
+        refs.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(experiments, "candidate_states", build)
+    return refs
 
 
 class TestCandidateStatesMemo:
-    """candidate_states keeps its last table, for the handle object it was built from."""
+    """candidate_states keeps no table; a brute-force handle builds one and holds it."""
 
-    def test_warm_call_returns_the_same_table(self):
+    def test_warm_call_returns_the_same_table(self, tables, monkeypatch):
+        # the handle builds its one table with itself and scores every challenge on it
+        searched = []
+        score = experiments._ml_scores
+        monkeypatch.setattr(experiments, "_ml_scores", lambda table, copies: searched.append(table) or score(table, copies))
         gen = toy_owsg_haar(4, 8)
-        assert candidate_states(gen) is candidate_states(gen)
+        decide = bruteforce_owsg_handle(gen).decide
+        for k in (6, 9, 6, 3):
+            decide((gen.eval(int_to_bits(k, 4), None),), None)
+        assert len(tables) == 1 and len(searched) == 3 and all(table is tables[0]() for table in searched)
+        a, b = candidate_states(gen), candidate_states(gen)  # each call builds a table of its own
+        assert a is not b and np.array_equal(a, b)
 
     def test_equal_handles_keep_their_own_tables(self):
         # handles compare without their eval, so equality cannot key the table
@@ -715,15 +739,13 @@ class TestCandidateStatesMemo:
             table = candidate_states(gen)
             assert np.array_equal(table, np.tile(StateVector.basis(4, index).amplitudes, (4, 1)))
 
-    def test_holds_one_table(self):
-        first = toy_owsg_haar(4, 8)
-        refs = [weakref.ref(first), weakref.ref(candidate_states(first))]
-        del first
+    def test_holds_one_table(self, tables):
+        handle = bruteforce_owsg_handle(toy_owsg_haar(4, 8))
         gc.collect()
-        assert all(ref() is not None for ref in refs)  # the last handle and table are kept
-        candidate_states(toy_owsg_haar(8, 16))
+        assert len(tables) == 1 and tables[0]() is not None  # the handle holds its table
+        del handle
         gc.collect()
-        assert all(ref() is None for ref in refs)
+        assert tables[0]() is None  # and nothing else does: the module keeps no search state
 
     def test_table_is_read_only(self):
         table = candidate_states(toy_owsg_haar(4, 8))
@@ -735,6 +757,11 @@ def _fresh_guesses(table, challenges, lam):
     """Each challenge's first best key, scored on its own."""
     stacks = (np.array([copy.amplitudes for copy in copies]) for copies in challenges)
     return [int_to_bits(int(_ml_scores(table, stack).argmax()), lam) for stack in stacks]
+
+
+def _stack_bytes(copies):
+    """The bytes that ``scored`` records for one challenge."""
+    return np.array([copy.amplitudes for copy in copies]).tobytes()
 
 
 @pytest.fixture
@@ -752,13 +779,7 @@ def scored(monkeypatch):
 
 
 class TestBruteforceOwsgAnswers:
-    """bruteforce_owsg_handle answers each distinct challenge once per candidate_states table."""
-
-    @pytest.fixture(autouse=True)
-    def cold_table(self):
-        toy_owsg_haar.cache_clear()  # a new handle object: its table is built with no answers
-        yield
-        toy_owsg_haar.cache_clear()
+    """bruteforce_owsg_handle answers each distinct challenge once per handle."""
 
     @pytest.mark.parametrize("t", [1, 2, 4])
     def test_answers_equal_fresh_scoring(self, t, scored):
@@ -766,19 +787,18 @@ class TestBruteforceOwsgAnswers:
         table = candidate_states(gen)
         challenges = [(gen.eval(int_to_bits(k, 8), None),) * t for k in range(256)]
         expected = _fresh_guesses(table, challenges, 8)
-        first, second = bruteforce_owsg_handle(gen), bruteforce_owsg_handle(gen)
+        handle = bruteforce_owsg_handle(gen)
         for copies in challenges[:100]:  # warm: these are answered from the store below
-            first.decide(copies, None)
+            handle.decide(copies, None)
         rng = SeededRng(90 + t)
         order = [int(rng.bits(8), 2) for _ in range(300)]
         # random runs repeat challenges within and across runs; then one repeat-heavy run and every key
         runs = [order[i : i + 56] for i in range(0, 300, 56)] + [[7, 7, 200, 7, 150], list(range(256))]
-        for index, run in enumerate(runs):
-            handle = (first, second)[index % 2]  # two handles made for the same generator share the answers
+        for run in runs:
             assert [handle.decide(challenges[k], None) for k in run] == [expected[k] for k in run]
         scored.clear()
-        assert [second.decide(copies, None) for copies in challenges] == expected
-        assert [first.decide(copies, None) for copies in challenges[::-1]] == expected[::-1]
+        assert [handle.decide(copies, None) for copies in challenges] == expected
+        assert [handle.decide(copies, None) for copies in challenges[::-1]] == expected[::-1]
         assert scored == []  # every key is stored: nothing is scored again
 
     def test_repeats_in_a_block_are_scored_once(self, scored):
@@ -786,75 +806,60 @@ class TestBruteforceOwsgAnswers:
         stacks = [(gen.eval(int_to_bits(k, 8), None),) * 2 for k in (3, 9)]
         decide = bruteforce_owsg_handle(gen).decide
         assert [decide(copies, None) for copies in stacks * 3] == ["00000011", "00001001"] * 3
-        assert scored == [np.array([copy.amplitudes for copy in copies]).tobytes() for copies in stacks]
+        assert scored == [_stack_bytes(copies) for copies in stacks]
 
-    def test_noise_guesses_equal_empty_store_guesses(self):
+    def test_noise_guesses_equal_empty_store_guesses(self, scored):
         # the noise generator's copies never repeat, so no stored answer may be given
         gen = haar_noise_owsg(8, 16)
         handle = bruteforce_owsg_handle(gen)
-        table, answers = candidate_search(gen)
+        table = candidate_states(gen)
         rng = SeededRng(94)
         runs = [[tuple(gen.eval(None, rng) for _ in range(2)) for _ in range(56)] for _ in range(6)]
         warm = [[handle.decide(copies, None) for copies in run] for run in runs]
-        assert len(answers) == 6 * 56
+        assert len(scored) == 6 * 56
+        scored.clear()
+        assert [[handle.decide(copies, None) for copies in run] for run in runs] == warm
+        assert scored == []  # all 336 are stored
         for run, guesses in zip(runs, warm):
-            answers.clear()
-            assert [handle.decide(copies, None) for copies in run] == guesses == _fresh_guesses(table, run, 8)
+            cold = bruteforce_owsg_handle(gen)  # an empty store
+            assert [cold.decide(copies, None) for copies in run] == guesses == _fresh_guesses(table, run, 8)
         report = exp_owsg(gen, handle, 2, 300, SeededRng(95))
-        answers.clear()
-        assert exp_owsg(gen, handle, 2, 300, SeededRng(95))["successes"] == report["successes"]
+        assert exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 300, SeededRng(95))["successes"] == report["successes"]
 
-    def test_evicted_table_takes_its_answers(self, scored):
+    def test_evicted_table_takes_its_answers(self, scored, tables):
         gen = toy_owsg_haar(8, 16)
-        exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(96))
+        handle = bruteforce_owsg_handle(gen)
+        exp_owsg(gen, handle, 2, 40, SeededRng(96))
         cold = len(scored)
         assert cold > 30  # the distinct keys of 40 draws from 256
-        table = weakref.ref(candidate_states(gen))
         scored.clear()
-        exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(96))
+        exp_owsg(gen, handle, 2, 40, SeededRng(96))
         assert scored == []
-        other = toy_owsg_haar(4, 16)  # another size evicts the handle and its table, as in one CLI process
-        exp_owsg(other, bruteforce_owsg_handle(other), 2, 5, SeededRng(97))
-        del gen, other
+        del handle  # as when the CLI's memo evicts it for another size
         gc.collect()
-        assert table() is None
-        gen = toy_owsg_haar(8, 16)
+        assert tables[0]() is None
         scored.clear()
         exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 40, SeededRng(96))
-        assert len(scored) == cold  # the new table's handle scores every challenge again
+        assert len(scored) == cold  # the new handle scores every challenge again
 
-    def test_store_is_capped(self):
+    def test_store_is_capped(self, request):
         gen = haar_noise_owsg(8, 16)
+        exp_owsg(gen, bruteforce_owsg_handle(gen), 2, 4000, SeededRng(97))  # so Python's free lists hold no traced block below
+        rng = SeededRng(98)
+        challenges = [tuple(gen.eval(None, rng) for _ in range(2)) for _ in range(4000)]  # never repeated
         handle = bruteforce_owsg_handle(gen)
-        table, answers = candidate_search(gen)
-        exp_owsg(gen, handle, 2, 4000, SeededRng(97))  # so Python's free lists hold no traced block below
-        answers.clear()
         tracemalloc.start()
         try:
-            exp_owsg(gen, handle, 2, 4000, SeededRng(98))
+            for copies in challenges:
+                handle.decide(copies, None)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        stored = sum(map(len, answers))
-        assert len(answers) == 1024 and stored == 16 * _ANSWER_BUDGET  # 2^15 amplitudes: 1 024 challenges of 2 x 16
-        assert held <= stored + 160 * len(answers)  # each key's bytes header, its guess and its dict slot
-        rng = SeededRng(99)
-        past = [tuple(gen.eval(None, rng) for _ in range(2)) for _ in range(56)]
-        assert [handle.decide(copies, None) for copies in past] == _fresh_guesses(table, past, 8)
-        assert len(answers) == 1024
-
-    @pytest.mark.parametrize(
-        "generator, trials", [(toy_owsg_haar, 300), (haar_noise_owsg, 100), (haar_noise_owsg, 1100)]
-    )
-    def test_store_counts_its_key_bytes(self, generator, trials):
-        # below the cap, at it, and with repeated challenges: the running count is the keys' total length
-        gen = generator(8, 16)
-        handle = bruteforce_owsg_handle(gen)
-        answers = candidate_search(gen)[1]
-        for seed in (100, 101):
-            exp_owsg(gen, handle, 2, trials, SeededRng(seed))
-            assert answers.nbytes == sum(map(len, answers)) <= 16 * _ANSWER_BUDGET
-        answers.clear()
-        assert answers.nbytes == 0 and len(answers) == 0
-        exp_owsg(gen, handle, 2, 5, SeededRng(102))
-        assert answers.nbytes == sum(map(len, answers)) > 0
+        stored = 16 * _ANSWER_BUDGET  # 2^15 amplitudes: 1 024 challenges of 2 x 16
+        assert held <= stored + 160 * 1024  # each key's bytes header, its guess and its dict slot
+        expected = _fresh_guesses(candidate_states(gen), challenges[:1025], 8)
+        scored = request.getfixturevalue("scored")  # spied from here on, so the traced run above keeps no record
+        assert [handle.decide(copies, None) for copies in challenges[:1025]] == expected
+        assert [handle.decide(challenges[1024], None)] == expected[1024:]
+        # the first 1 024 challenges are stored; the 1 025th, past the cap, is scored each time
+        assert scored == [_stack_bytes(challenges[1024])] * 2

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -37,6 +38,17 @@ class TestStateVector:
         psi = StateVector.basis(4, 0)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+
+    def test_caller_arrays_are_copied(self):
+        # a writeable array, or a read-only view of one, could still change under the state
+        amps = np.array([1.0, 0.0], dtype=complex)
+        view = amps[:]
+        view.setflags(write=False)
+        for given in (amps, view):
+            psi = StateVector(given)
+            amps[0] = 0.6
+            assert psi.amplitudes[0] == 1.0 and not psi.amplitudes.flags.writeable
+            amps[0] = 1.0
 
     @pytest.mark.parametrize("index", [-1, 4])
     def test_basis_rejects_index_outside_dim(self, index):
@@ -88,6 +100,21 @@ class TestHaarSample:
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimensionError):
             haar_sample(1, SeededRng(0))
+
+    @pytest.mark.parametrize(
+        "dim, seed, digest",
+        [
+            (16, 0, "4a8b3a769b11d01eec2cf1a5d8852a3c7d5f7b3238635180e4632f951d46022e"),
+            (16, 1, "733749ce4888070ab0faea983d1eb15890b598a97e51ce626e2aebc403ae32c9"),
+            (4096, 0, "8f7ca6885855a71f67c6fc8f5ae737edcf5c5caaf9510ba42c78a45007a6e6e8"),
+            (4096, 1, "c186031009b4742dbe887e46357ad3f6c748d7c197bc088224c537fa8b57748a"),
+        ],
+    )
+    def test_amplitudes_known_answer(self, dim, seed, digest):
+        # the state keeps the one array that normalizing divides into: read-only, its own, not one bit moved
+        amps = haar_sample(dim, SeededRng(seed)).amplitudes
+        assert amps.flags.owndata and not amps.flags.writeable
+        assert hashlib.sha256(amps.tobytes()).hexdigest() == digest
 
 
 class TestBornDistribution:

@@ -94,7 +94,7 @@ class TestPhiloxReference:
 
     @pytest.mark.parametrize("seed, counter", STREAMS)
     def test_random_batch(self, seed, counter):
-        assert SeededRng(seed, counter).generator.random(12).tolist() == philox_uniforms(seed, counter, 12)
+        assert SeededRng(seed, counter).uniforms(12).tolist() == philox_uniforms(seed, counter, 12)
 
     @pytest.mark.parametrize("seed, counter", STREAMS)
     def test_uniform_calls(self, seed, counter):

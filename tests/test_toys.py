@@ -29,7 +29,7 @@ class TestOwsgPins:
     """Known answers of the brute-force OWSG path, taken before its states were memoised.
 
     Each holds on a cold call, which builds the states and the table, and
-    on a warm one, which reuses them.
+    on a warm one, which reuses the states and builds the table again.
     """
 
     def test_candidate_table_digest(self):
