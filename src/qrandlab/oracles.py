@@ -126,6 +126,8 @@ class OracleWorld:
     def __post_init__(self):
         if self.kind not in WORLD_KINDS:
             raise ParameterError(f"unknown world kind {self.kind!r}")
+        if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:  # one world per recorded seed
+            raise ParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if self.n_max < 2:
             raise ParameterError(f"n_max must be >= 2, got {self.n_max}")
         if self.kind == "bot-world":  # an invalid (n_max, c) fails here, not at the first query
@@ -193,12 +195,11 @@ class OracleWorld:
     def from_record(cls, rec: dict) -> "OracleWorld":
         if rec.get("derivation-id", DERIVATION_ID) != DERIVATION_ID:
             raise ParameterError(f"unsupported derivation-id {rec.get('derivation-id')!r}")
-        return cls(
-            kind=rec["world-kind"],
-            seed=rec["seed"],
-            n_max=rec["n-max"],
-            c=rec.get("c", 1.0),
-        )
+        try:
+            kind, seed, n_max = rec["world-kind"], rec["seed"], rec["n-max"]
+        except KeyError as missing:
+            raise ParameterError(f"world record lacks the {missing} field") from None
+        return cls(kind, seed, n_max, rec.get("c", 1.0))
 
 
 @lru_cache(maxsize=64)

@@ -157,7 +157,11 @@ except ValueError:  # a CPython built without it
 
 def _derivation_prefix(seed: int, function_id: str, n: int) -> bytes:
     fid = function_id.encode("utf-8")
-    return struct.pack(">QI", seed & _U64, len(fid)) + fid + struct.pack(">I", n)
+    try:  # a seed outside 64 bits is refused, not masked onto another seed's streams
+        head = struct.pack(">QI", seed, len(fid))
+    except struct.error:
+        raise ParameterError(f"seed must be an integer in [0, 2**64), got {seed!r}") from None
+    return head + fid + struct.pack(">I", n)
 
 
 def derive_int(seed: int, function_id: str, n: int, x: int, nbits: int) -> int:
@@ -166,7 +170,8 @@ def derive_int(seed: int, function_id: str, n: int, x: int, nbits: int) -> int:
     SHA-256 in counter mode over the fixed-width encoding
     ``seed(8B) || len(id)(4B) || id || n(4B) || x(16B) || block(4B)``;
     the value is the first nbits of the digests, most significant first.
-    An ``x`` outside [0, 2**128), which 16 bytes cannot hold, is refused.
+    An ``x`` outside [0, 2**128), which 16 bytes cannot hold, is refused,
+    as is a seed outside [0, 2**64).
     """
     if nbits <= 0:
         raise ParameterError("nbits must be positive")

@@ -1,18 +1,15 @@
 import gc
 import json
 import os
-import subprocess
 import sys
 import threading
 import weakref
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import qrandlab
 from qrandlab import cli, experiments, oracles
 from qrandlab.cli import canonical_json, main, strip_timing_fields as strip_timing
 from qrandlab.experiments import bruteforce_owsg_handle
@@ -102,15 +99,6 @@ class TestCanonicalJson:
         else:
             with pytest.raises(error):
                 canonical_json(value)
-
-
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs over a second to import; only gaussian_block_check needs it
-    src = str(Path(qrandlab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    probe = "import sys, qrandlab.cli; print('scipy.stats' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
 
 
 class TestExtractCommand:

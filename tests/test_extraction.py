@@ -1,7 +1,11 @@
+from fractions import Fraction
+from math import comb, prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from qrandlab.extraction import (
     RoundParams,
@@ -21,6 +25,7 @@ from qrandlab.qcore import (
 )
 from qrandlab.rng import SeededRng
 from qrandlab.tomography import prefix_law, sampled_diagonal
+from reference import round12
 
 P4096 = RoundParams(4096)
 
@@ -225,3 +230,41 @@ class TestGaussianBlockCheck:
             runs = [gaussian_block_check(d, 150, SeededRng(seed + i))["ks_statistic"] for i in range(5)]
             ks[d] = np.median(runs)
         assert ks[4096] <= ks[64]
+
+    def test_ks_statistic_equals_scipys_to_12_digits(self):
+        # the record keeps 12 significant digits of the library's erfc-based statistic;
+        # scipy's kstest against the same law must round to the same value, seed by seed
+        mismatches = []
+        for d in (64, 4096):
+            params = RoundParams(d)
+            for seed in range(25):
+                record = gaussian_block_check(d, 200, SeededRng(seed))
+                rng = SeededRng(seed)
+                pooled = np.concatenate([block_sums(born_distribution(haar_sample(d, rng)), params) for _ in range(200)])
+                scipy_ks = stats.kstest(pooled, "norm", args=(params.r / d, np.sqrt(params.r) / d)).statistic
+                if round12(record["ks_statistic"]) != round12(float(scipy_ks)):
+                    mismatches.append((d, seed, record["ks_statistic"], float(scipy_ks)))
+        assert not mismatches, f"(d, seed, library, scipy) differing at 12 digits: {mismatches}"
+
+    @pytest.mark.parametrize("d", [64, 4096])
+    def test_variance_meets_the_exact_beta_law(self, d):
+        # A Haar state's Born diagonal is Dirichlet(1, ..., 1), so two of its blocks of r entries have
+        # E[q^a q'^b] = r^(a) r^(b) / d^(a + b) in rising factorials, and one block sum is Beta(r, d - r).
+        params, n_states = RoundParams(d), 1000
+        r, n = params.r, n_states * params.num_bits
+
+        def moment(a, b):
+            return Fraction(prod(range(r, r + a)) * prod(range(r, r + b)), prod(range(d, d + a + b)))
+
+        mu = moment(1, 0)
+        var = moment(2, 0) - mu**2
+        assert var == Fraction(r * (d - r), d**2 * (d + 1))
+        mu4 = sum(comb(4, j) * moment(j, 0) * (-mu) ** (4 - j) for j in range(5))
+        # the l blocks of one state are dependent: each pair's squared deviations covary by c
+        c = sum(comb(2, i) * comb(2, j) * moment(i, j) * (-mu) ** (4 - i - j) for i in range(3) for j in range(3))
+        c -= var**2
+        # the standard error of the pooled variance, a mean of n squared deviations
+        se = float((mu4 - var**2 + (params.num_bits - 1) * c) / n) ** 0.5
+        # n >= 2000 terms make the pooled variance near normal: 4 standard errors miss with odds 6e-5
+        variance = gaussian_block_check(d, n_states, SeededRng(36))["variance"]
+        assert abs(variance - float(var)) <= 4 * se

@@ -41,7 +41,7 @@ from qrandlab.qcore import MemoryBudgetError, StateVector, born_distribution, ha
 from qrandlab.rng import OWSG_SEARCH_SEED, ParameterError, SeededRng, fisher_yates_positions, int_to_bits
 from qrandlab.toys import toy_owsg_basis, toy_owsg_haar, toy_prg
 from fixtures import constant_owsg
-from reference import apply_flip, flip_oracle, flip_target_state, haar_noise_owsg
+from reference import apply_flip, flip_oracle, flip_target_state, haar_noise_owsg, reference_derive_int
 
 
 class TestBotOracleParams:
@@ -189,6 +189,37 @@ class TestBotOracle:
         with pytest.raises(WrongWorldKindError):
             bot_oracle_eval(flip, "0000", SeededRng(0))
 
+
+class TestOracleWorldSeed:
+    """One world per recorded seed: a seed is refused unless it is an int in [0, 2^64)."""
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 3 * (1 << 64) - 1, "3", 3.0, True])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # each would derive another seed's O_n (or fail at its first query) under its own recorded name
+        with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            OracleWorld("sampler-world", seed, n_max=8)
+
+    def test_largest_seed_round_trips_its_record(self):
+        world = OracleWorld("sampler-world", (1 << 64) - 1, n_max=8)
+        again = OracleWorld.from_record(world.to_record())
+        assert again == world
+        assert again.o_value(8, 5) == reference_derive_int((1 << 64) - 1, "sampler-world/O", 8, 5, 8)
+
+    @pytest.mark.parametrize("field", ["world-kind", "seed", "n-max"])
+    def test_record_without_a_field_is_refused(self, field):
+        rec = OracleWorld("bot-world", 11, n_max=8).to_record()
+        del rec[field]
+        with pytest.raises(ParameterError, match=f"lacks the '{field}' field"):
+            OracleWorld.from_record(rec)
+
+    def test_empty_record_is_refused(self):
+        with pytest.raises(ParameterError, match="lacks the 'world-kind' field"):
+            OracleWorld.from_record({})
+
+    def test_record_with_a_string_seed_is_refused(self):
+        rec = {**OracleWorld("bot-world", 3, n_max=8).to_record(), "seed": "3"}
+        with pytest.raises(ParameterError, match="got '3'"):
+            OracleWorld.from_record(rec)
 
 
 class TestBotOracleEvalMany:

@@ -6,7 +6,8 @@ from a name that ``qrandlab/__init__.py`` imports.  A name is resolved
 bare, by name or attribute, against every module's definitions at once;
 that over-approximates what is reached, so a name collision can hide a
 dead definition but never fail the test.  No module but ``rng`` reads
-a ``SeededRng``'s numpy ``generator``, so the stream contract has one home.
+a ``SeededRng``'s numpy ``generator``, so the stream contract has one home,
+and no module imports scipy: numpy is the one runtime dependency.
 """
 
 import ast
@@ -70,3 +71,14 @@ def test_only_rng_reads_the_numpy_generator():
         )
     )
     assert not readers, f"modules reading .generator past SeededRng: {readers}"
+
+
+def test_no_module_imports_scipy():
+    importers = sorted(
+        path.stem
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "scipy"
+    )
+    assert not importers, f"modules importing scipy, which only the test extra installs: {importers}"

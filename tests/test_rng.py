@@ -326,6 +326,14 @@ class TestSha256Kernel:
         with pytest.raises(ParameterError, match="128-bit encoding"):
             derive_bits(2024, "toy-prg", 8, x, 24)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, 3 * (1 << 64) - 1, "3"])
+    def test_seed_outside_64_bits_is_refused(self, seed):
+        # masked to 64 bits, seeds -1 and 3 * 2^64 - 1 would derive 2^64 - 1's streams under other names
+        with pytest.raises(ParameterError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            derive_int(seed, "toy-prg", 8, 5, 24)
+        with pytest.raises(ParameterError, match="seed must be"):
+            sha_words(seed, "bot-world/P", 8, 0, 4)
+
     def test_largest_input_is_accepted(self):
         x = (1 << 128) - 1
         assert derive_int(2024, "toy-prg", 8, x, 24) == reference_derive_int(2024, "toy-prg", 8, x, 24)
