@@ -19,7 +19,6 @@ import secrets
 import sys
 import threading
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,22 +95,6 @@ def strip_timing_fields(obj):
     if isinstance(obj, list):
         return [strip_timing_fields(v) for v in obj]
     return obj
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved run description; re-running it reproduces the run."""
-
-    subcommand: str
-    params: dict
-    seed: int
-
-    def to_record(self) -> dict:
-        return {"subcommand": self.subcommand, "params": self.params, "seed": self.seed}
-
-
-def _resolve_seed(seed) -> int:
-    return secrets.randbits(63) if seed is None else int(seed)
 
 
 def _count(params: dict, name: str) -> int:
@@ -409,12 +392,13 @@ _DISPATCH = {
 }
 
 
-def run_config(config: RunConfig) -> dict:
-    """Execute a resolved configuration and return the emitted record."""
+def run_config(config: dict) -> dict:
+    """Execute a resolved config ``{"subcommand", "params", "seed"}`` and
+    return the emitted record, which embeds it."""
     t0 = time.perf_counter()
-    result = _DISPATCH[config.subcommand](config.params, config.seed)
+    result = _DISPATCH[config["subcommand"]](config["params"], config["seed"])
     return {
-        "config": config.to_record(),
+        "config": config,
         "result": result,
         "wallclock_ms": (time.perf_counter() - t0) * 1e3,
     }
@@ -511,7 +495,7 @@ def _flags(subcommand: str) -> dict:
     }
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
+def _config_from_args(args: argparse.Namespace) -> dict:
     # every subcommand flag is a recorded param, except the run's seed and output file
     params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "seed", "out")}
     for name, value in params.items():
@@ -521,10 +505,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
                 f"{_flags(args.subcommand)[name]} {value!r} has more than the 12 significant digits "
                 f"a record keeps; its rerun would use {_round12(value)!r}"
             )
-    return RunConfig(args.subcommand, params, _resolve_seed(args.seed))
+    seed = secrets.randbits(63) if args.seed is None else args.seed
+    return {"subcommand": args.subcommand, "params": params, "seed": seed}
 
 
-def _replay_config(path: str) -> RunConfig:
+def _replay_config(path: str) -> dict:
     """The config of the first record in ``path``, parsed as a fresh run's argv.
 
     Each recorded param becomes ``--flag=value`` under the flag that the
@@ -546,7 +531,7 @@ def _replay_config(path: str) -> RunConfig:
         raise ParameterError(f"{path}: missing {subcommand} params {sorted(flags.keys() - params.keys())}")
     argv = [f"{flags[name]}={value}" for name, value in params.items() if value is not None]
     replay = _config_from_args(build_parser().parse_args([subcommand, *argv, f"--seed={seed}"]))
-    recorded, parsed = {**params, "seed": seed}, {**replay.params, "seed": replay.seed}
+    recorded, parsed = {**params, "seed": seed}, {**replay["params"], "seed": replay["seed"]}
     for name, value in recorded.items():
         if canonical_json(parsed[name]) != canonical_json(value):
             raise ParameterError(f"{path}: recorded {name}={value!r} parses as {parsed[name]!r}")

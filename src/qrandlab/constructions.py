@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -114,10 +115,6 @@ class Con2Params:
         object.__setattr__(self, "flags", tuple(flags))
 
     @property
-    def d(self) -> int:
-        return self.inner.dim
-
-    @property
     def m(self) -> int:
         """Actual output length: the rounding width d^(1/6)."""
         return self.round_params.num_bits
@@ -197,7 +194,7 @@ class Con3Params:
             )
         object.__setattr__(self, "flags", tuple(flags))
 
-    @property
+    @cached_property
     def word_len(self) -> int:
         return max(1, math.ceil(math.log2(self.N)))
 

@@ -20,7 +20,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -357,8 +357,8 @@ def moment_distance(
     gen: GeneratorHandle,
     t: int,
     n_keys: int,
-    mode: str = "monte-carlo",
-    rng: Optional[SeededRng] = None,
+    mode: str,
+    rng: SeededRng,
 ) -> float:
     """Plug-in trace distance between the generator's key-averaged t-copy
     moment and the Haar t-copy moment.
@@ -375,8 +375,6 @@ def moment_distance(
     dim = gen.dim
     if dim**t > MAX_TENSOR_DIM:
         raise MemoryBudgetError(f"dim**t = {dim ** t} exceeds the tensor budget")
-    if rng is None:
-        rng = SeededRng(0)
     n_keys, key = _moment_keys(gen, n_keys, mode, rng)
     size = math.comb(dim + t - 1, t)
     avg = np.zeros((size, size), dtype=complex)

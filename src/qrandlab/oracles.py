@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -92,18 +92,18 @@ class BotOracleParams:
                 f"bad-prefix width w={self.w} exceeds n={self.n}; mu={self.mu} is too small"
             )
 
-    @property
+    @cached_property
     def mu(self) -> float:
         return self.n ** (-self.c)
 
-    @property
+    @cached_property
     def w(self) -> int:
         w = math.ceil(math.log2(4 / self.mu))
         # log2 can round up onto an integer: 32^-0.4 is 0.24999999999999997 and
         # log2(4 / mu) comes out 4.0, one ulp short of the width 2^-w <= mu/4 needs
         return w + 1 if 2.0**-w > self.mu / 4 else w
 
-    @property
+    @cached_property
     def m(self) -> int:
         """Output length; any polynomial > n works, fixed here to 2n."""
         return 2 * self.n
@@ -128,8 +128,10 @@ class OracleWorld:
             raise ParameterError(f"unknown world kind {self.kind!r}")
         if type(self.seed) is not int or not 0 <= self.seed < 1 << 64:  # one world per recorded seed
             raise ParameterError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        if self.n_max < 2:
-            raise ParameterError(f"n_max must be >= 2, got {self.n_max}")
+        if type(self.n_max) is not int or self.n_max < 2:
+            raise ParameterError(f"n_max must be an integer >= 2, got {self.n_max!r}")
+        if type(self.c) not in (int, float):  # exactly, so a bool is neither
+            raise ParameterError(f"c must be an int or a float, got {self.c!r}")
         if self.kind == "bot-world":  # an invalid (n_max, c) fails here, not at the first query
             self.bot_params(self.n_max)
 

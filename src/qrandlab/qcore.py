@@ -39,9 +39,10 @@ class MemoryBudgetError(ParameterError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Unit-norm complex amplitude vector of dimension >= 2."""
+    """Unit-norm complex amplitude vector of dimension >= 2; states compare
+    by ``fidelity``, and ``==`` is identity."""
 
     amplitudes: np.ndarray
 

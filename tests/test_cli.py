@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import itertools
 import json
 import os
 import sys
@@ -12,8 +14,10 @@ from hypothesis import strategies as st
 
 from qrandlab import cli, experiments, oracles
 from qrandlab.cli import canonical_json, main, strip_timing_fields as strip_timing
+from qrandlab.constructions import con1_handle
 from qrandlab.experiments import bruteforce_owsg_handle
 from qrandlab.extraction import RoundParams, good_set_member, round_mask
+from qrandlab.primitives import BOT, determinism_audit
 from qrandlab.qcore import MAX_TENSOR_DIM, born_distribution, haar_sample
 from qrandlab.rng import SeededRng
 from qrandlab.tomography import sampled_diagonal
@@ -117,6 +121,11 @@ class TestExtractCommand:
         code, _, err = run_cli(capsys, ["extract", "--d", "100", "--seed", "1"])
         assert code == 2
         assert "2**(6a)" in err
+
+    def test_sampled_mode_without_copies_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, ["extract", "--d", "64", "--mode", "sampled", "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert err == "error: sampled mode needs --t copies\n"
 
     def test_haar_stats_invalid_dimension_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, ["haar-stats", "--d", "100", "--seed", "1"])
@@ -838,6 +847,45 @@ class TestGeneratorCommands:
         result = parse_lines(out)[0]["result"]
         assert result["bot_keys"] == 0
         assert result["min_modal_frequency"] >= 0.9
+
+    @staticmethod
+    def prg_qs_with_aborts(capsys, monkeypatch, aborted):
+        """A 5-key prg-qs run whose key sampler returns BOT for the key indices in
+        ``aborted``: its result, and the key and modal frequency of each audit."""
+        audits = []
+
+        def handle_with_aborts(inner):
+            handle = con1_handle(inner)
+            indices = itertools.count()
+            return dataclasses.replace(
+                handle, qsamp=lambda rng: BOT if next(indices) in aborted else handle.qsamp(rng)
+            )
+
+        def audit(gen, key, trials, rng):
+            modal, frequency = determinism_audit(gen, key, trials, rng)
+            audits.append((key.payload, frequency))
+            return modal, frequency
+
+        monkeypatch.setattr(cli, "con1_handle", handle_with_aborts)
+        monkeypatch.setattr(cli, "determinism_audit", audit)
+        argv = ["prg-qs", "--from", "bot-oracle", "--n", "8", "--keys", "5", "--evals", "4", "--seed", "3"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        return parse_lines(out)[0]["result"], audits
+
+    def test_prg_qs_counts_aborted_keys_and_audits_the_rest(self, capsys, monkeypatch):
+        full, every = self.prg_qs_with_aborts(capsys, monkeypatch, set())
+        result, audits = self.prg_qs_with_aborts(capsys, monkeypatch, {1, 3})
+        assert (full["bot_keys"], result["bot_keys"], result["keys_sampled"]) == (0, 2, 5)
+        assert audits == [every[0], every[2], every[4]]  # each kept key on its own streams
+        frequencies = [frequency for _, frequency in audits]
+        assert result["min_modal_frequency"] == round12(min(frequencies))
+        assert result["mean_modal_frequency"] == round12(sum(frequencies) / 3)
+
+    def test_prg_qs_with_every_key_aborted_records_null_frequencies(self, capsys, monkeypatch):
+        result, audits = self.prg_qs_with_aborts(capsys, monkeypatch, range(5))
+        assert (result["bot_keys"], audits) == (5, [])
+        assert result["min_modal_frequency"] is None and result["mean_modal_frequency"] is None
 
     def test_sprs_qs_over_prg_qs(self, capsys):
         code, out, _ = run_cli(

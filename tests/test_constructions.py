@@ -414,6 +414,10 @@ class TestPrfFromTable:
             assert values[k] == "11"
             assert all(v == "00" for i, v in enumerate(values) if i != k)
 
+    def test_aborting_inner_gives_bot_on_every_input(self):
+        prf = prfqs_from_prgqs(always_bot_prg(4, 8), 4)
+        assert all(prf.eval("0101", x) is BOT for x in range(4))
+
     def test_domain_bound(self):
         prf = prfqs_from_prgqs(toy_prg(8, 24), 8)
         with pytest.raises(ValueError):

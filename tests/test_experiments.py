@@ -29,8 +29,8 @@ from qrandlab.experiments import (
 )
 from qrandlab.oracles import OracleWorld, bot_prg_handle, candidate_image
 from qrandlab.primitives import GeneratorHandle
-from qrandlab.qcore import haar_sample
-from qrandlab.rng import SeededRng
+from qrandlab.qcore import MemoryBudgetError, haar_sample
+from qrandlab.rng import ParameterError, SeededRng
 from qrandlab.toys import random_phase_sprs, toy_owsg_basis, toy_owsg_haar, toy_prg
 from fixtures import (
     constant_owsg,
@@ -353,6 +353,16 @@ class TestMomentDistance:
         gen = dataclasses.replace(random_phase_sprs(8), qsamp=no_sampling)
         with pytest.raises(ValueError, match="t >= 1"):
             moment_distance(gen, 0, 10, "monte-carlo", SeededRng(0))
+
+    def test_rejects_tensor_above_budget_and_unknown_mode_before_sampling(self):
+        def no_sampling(rng):
+            raise AssertionError("a key was sampled")
+
+        gen = dataclasses.replace(random_phase_sprs(8), qsamp=no_sampling)
+        with pytest.raises(MemoryBudgetError, match="tensor budget"):
+            moment_distance(gen, 5, 10, "monte-carlo", SeededRng(0))  # 8**5 > MAX_TENSOR_DIM
+        with pytest.raises(ParameterError, match="mode must be"):
+            moment_distance(gen, 2, 10, "monte-carlo-ish", SeededRng(0))
 
     @pytest.mark.parametrize("n_keys", [0, -3])
     def test_rejects_fewer_than_one_sampled_key(self, n_keys):

@@ -221,6 +221,22 @@ class TestOracleWorldSeed:
         with pytest.raises(ParameterError, match="got '3'"):
             OracleWorld.from_record(rec)
 
+    @pytest.mark.parametrize(
+        "kind, changes, message",
+        [
+            ("flip-world", {"n-max": "8"}, "n_max must be an integer >= 2, got '8'"),
+            ("flip-world", {"n-max": 8.5}, "n_max must be an integer >= 2, got 8.5"),
+            ("flip-world", {"n-max": 1}, "n_max must be an integer >= 2, got 1"),
+            ("bot-world", {"c": "1.0"}, "c must be an int or a float, got '1.0'"),
+            ("bot-world", {"c": True}, "c must be an int or a float, got True"),
+        ],
+    )
+    def test_record_with_an_invalid_field_is_refused_by_name(self, kind, changes, message):
+        # a bare TypeError would not name the field, and 8.5 or True would build a world
+        rec = {**OracleWorld(kind, 3, n_max=8).to_record(), **changes}
+        with pytest.raises(ParameterError, match=message):
+            OracleWorld.from_record(rec)
+
 
 class TestBotOracleEvalMany:
     world = OracleWorld("bot-world", seed=5, n_max=12)

@@ -50,6 +50,13 @@ class TestStateVector:
             assert psi.amplitudes[0] == 1.0 and not psi.amplitudes.flags.writeable
             amps[0] = 1.0
 
+    def test_equality_is_identity(self):
+        # value equality would compare amplitude arrays, whose truth value is ambiguous
+        psi, same = StateVector.basis(4, 0), StateVector.basis(4, 0)
+        assert psi == psi and psi != same and psi in [same, psi]
+        assert len({psi, same, psi}) == 2
+        assert psi.fidelity(same) == 1.0
+
     @pytest.mark.parametrize("index", [-1, 4])
     def test_basis_rejects_index_outside_dim(self, index):
         # a negative index would wrap to |3>, and 4 would fail in numpy's indexing

@@ -6,7 +6,9 @@ changes what a recorded seed reproduces.
 """
 
 import hashlib
+import importlib.util
 import re
+import sys
 from itertools import islice
 
 import numpy as np
@@ -283,6 +285,19 @@ class TestSha256Kernel:
             builtin = hashlib.sha256
         assert rng._sha256 is builtin
         assert rng._sha256(b"abc").hexdigest() == hashlib.sha256(b"abc").hexdigest()
+
+    def test_falls_back_to_hashlib_without_a_builtin(self, monkeypatch):
+        # a fresh copy of the module, imported on an interpreter that lacks the built-in
+        def no_builtin(name):
+            raise ValueError(f"unsupported hash type {name}")
+
+        monkeypatch.setattr(hashlib, "__get_builtin_constructor", no_builtin)
+        spec = importlib.util.spec_from_file_location("rng_without_builtin", rng.__file__)
+        copy = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, copy)  # its dataclasses resolve annotations there
+        spec.loader.exec_module(copy)
+        assert copy._sha256 is hashlib.sha256
+        assert copy.derive_int(3, "f", 8, 5, 64) == reference_derive_int(3, "f", 8, 5, 64)
 
     @KERNELS
     @settings(max_examples=150, deadline=None)
